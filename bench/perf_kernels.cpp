@@ -178,7 +178,8 @@ void BM_LocalSearchRoundGeneric(benchmark::State& state) {
   const auto objective =
       sched::EtcObjective::negatedRobustness(1.2).generic(etc);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::localSearch(etc, start, objective, 1));
+    benchmark::DoNotOptimize(
+        sched::localSearch(etc.apps(), etc.machines(), start, objective, 1));
   }
 }
 BENCHMARK(BM_LocalSearchRoundGeneric)

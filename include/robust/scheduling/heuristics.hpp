@@ -6,6 +6,13 @@
 // robustness-aware mapping studies: every iterative heuristic accepts an
 // arbitrary objective, so mappings can be optimized for makespan (classic)
 // or directly for the robustness metric (Eq. 7).
+//
+// Each iterative algorithm has one search loop. Its entry points differ
+// only in how a candidate is scored: the shape-generic overloads take any
+// MappingObjective over (apps x machines) mappings, and the EtcObjective
+// overloads score the standard ETC objectives with the incremental engine
+// (robust/scheduling/incremental.hpp). For the same objective, seed and
+// options the two return the same mapping.
 #pragma once
 
 #include <functional>
@@ -132,16 +139,11 @@ struct TabuOptions {
 /// an arbitrary assignment problem: only the mapping shape (apps x
 /// machines) and the objective are needed. This is the entry point for
 /// non-ETC systems (e.g. maximizing the HiPer-D robustness metric through
-/// hiperd::robustnessObjective).
+/// hiperd::robustnessObjective) and for custom ETC objectives (pass
+/// etc.apps(), etc.machines()). The scan is serial: a MappingObjective is not
+/// known to be thread-safe. Throws InvalidArgumentError unless maxRounds > 0.
 [[nodiscard]] Mapping localSearch(std::size_t apps, std::size_t machines,
                                   Mapping start,
-                                  const MappingObjective& objective,
-                                  int maxRounds = 1000);
-
-/// Steepest-descent local search: repeatedly applies the single-application
-/// reassignment that most improves `objective`, until no move improves
-/// (ETC-shaped convenience wrapper around the shape-generic overload).
-[[nodiscard]] Mapping localSearch(const EtcMatrix& etc, Mapping start,
                                   const MappingObjective& objective,
                                   int maxRounds = 1000);
 
@@ -157,9 +159,9 @@ struct LocalSearchOptions {
 };
 
 /// Steepest-descent local search on a standard ETC objective, scored by the
-/// incremental evaluation engine. Bit-identical to the generic overload with
-/// `objective.generic(etc)`; optionally evaluates the neighborhood in
-/// parallel (see LocalSearchOptions::threads).
+/// incremental evaluation engine. Bit-identical to the shape-generic
+/// overload with `objective.generic(etc)`; optionally evaluates the
+/// neighborhood in parallel (see LocalSearchOptions::threads).
 [[nodiscard]] Mapping localSearch(const EtcMatrix& etc, Mapping start,
                                   const EtcObjective& objective,
                                   const LocalSearchOptions& options = {});
@@ -181,16 +183,10 @@ struct AnnealingOptions {
                                     const MappingObjective& objective,
                                     const AnnealingOptions& options = {});
 
-/// Simulated annealing over single-application reassignments (ETC-shaped
-/// convenience wrapper around annealMapping).
-[[nodiscard]] Mapping simulatedAnnealing(const EtcMatrix& etc, Mapping start,
-                                         const MappingObjective& objective,
-                                         const AnnealingOptions& options = {});
-
 /// Simulated annealing on a standard ETC objective, scored incrementally
-/// (one tryMove per proposal instead of a full system rebuild). Mirrors the
-/// generic annealMapping loop RNG-draw for RNG-draw, so for the same seed it
-/// returns exactly the mapping the generic path would.
+/// (one tryMove per proposal instead of a full system rebuild). Runs the
+/// annealMapping loop, so for the same seed it returns exactly the mapping
+/// annealMapping returns on `objective.generic(etc)`.
 [[nodiscard]] Mapping simulatedAnnealing(const EtcMatrix& etc, Mapping start,
                                          const EtcObjective& objective,
                                          const AnnealingOptions& options = {});
@@ -209,16 +205,9 @@ struct GeneticOptions {
 /// Genetic algorithm over assignment vectors for an arbitrary assignment
 /// problem (uniform crossover, per-gene mutation, tournament selection,
 /// elitism); only the mapping shape and the objective are needed. Same RNG
-/// stream as the ETC overloads, so equal objectives produce equal results.
+/// stream as the ETC overload, so equal objectives produce equal results.
 [[nodiscard]] Mapping geneticAlgorithm(std::size_t apps, std::size_t machines,
                                        Mapping seedMapping,
-                                       const MappingObjective& objective,
-                                       const GeneticOptions& options = {});
-
-/// Genetic algorithm over assignment vectors (uniform crossover, per-gene
-/// mutation, tournament selection, elitism). Population is seeded with the
-/// provided mapping plus random ones.
-[[nodiscard]] Mapping geneticAlgorithm(const EtcMatrix& etc, Mapping seedMapping,
                                        const MappingObjective& objective,
                                        const GeneticOptions& options = {});
 

@@ -2,16 +2,16 @@
 // mapping search.
 //
 // The search heuristics (local search, annealing, GA, tabu) score thousands
-// of candidate mappings that differ from the incumbent by one reassignment
-// or one swap. Rebuilding an IndependentTaskSystem per candidate costs
-// O(apps + machines) plus several allocations; the evaluators here answer
-// the same query from cached state:
+// of candidate mappings that differ from the incumbent by one reassignment.
+// Rebuilding an IndependentTaskSystem per candidate costs O(apps + machines)
+// plus several allocations; the evaluators here answer the same query from
+// cached state:
 //
 //   - `ScratchEvaluator`: from-scratch O(apps + machines) evaluation with
 //     reused buffers and zero steady-state allocations (the population /
 //     arbitrary-genome path).
-//   - `IncrementalEvaluator`: stateful tryMove/trySwap/commit/revert around
-//     one incumbent mapping. A candidate re-sums only the two touched
+//   - `IncrementalEvaluator`: stateful tryMove/commit/revert around one
+//     incumbent mapping. A candidate re-sums only the two touched
 //     machines' finishing times (O(n(m_j)) average = apps/machines) and
 //     re-minimizes the Eq. 6 radii in O(machines) for small machine counts
 //     or O(distinct counts + log machines) via sorted load structures for
@@ -73,7 +73,7 @@ class ScratchEvaluator {
 };
 
 /// Always-on work counters for one evaluator: how many candidates were
-/// scored as cheap deltas (moves / swaps) vs. full O(apps + machines)
+/// scored as cheap deltas (moves) vs. full O(apps + machines)
 /// rebuilds. Plain non-atomic members incremented on the hot path — one
 /// register add, far below the per-probe work, so they cost nothing
 /// measurable even with observability disabled. publishStats() flushes them
@@ -81,7 +81,6 @@ class ScratchEvaluator {
 /// carry their own counts.
 struct IncrementalStats {
   std::uint64_t moves = 0;     ///< tryMove probes (delta evaluations)
-  std::uint64_t swaps = 0;     ///< trySwap probes (delta evaluations)
   std::uint64_t commits = 0;   ///< staged candidates applied
   std::uint64_t rebuilds = 0;  ///< full from-scratch re-evaluations
 };
@@ -98,10 +97,10 @@ struct IncrementalOptions {
 
 /// Stateful incremental evaluator around one incumbent mapping.
 ///
-/// Protocol: `tryMove` / `trySwap` score a candidate WITHOUT changing the
-/// incumbent and stage it as pending; `commit()` applies the staged
-/// candidate; `revert()` discards it. Staging is overwritten by the next
-/// try, so reject-and-continue loops need no explicit revert.
+/// Protocol: `tryMove` scores a candidate WITHOUT changing the incumbent and
+/// stages it as pending; `commit()` applies the staged candidate; `revert()`
+/// discards it. Staging is overwritten by the next try, so
+/// reject-and-continue loops need no explicit revert.
 ///
 /// Copyable (parallel neighborhood scans give each worker its own copy).
 class IncrementalEvaluator {
@@ -119,18 +118,11 @@ class IncrementalEvaluator {
   /// assigned) returns `current()` and stages nothing.
   EvalResult tryMove(std::size_t app, std::size_t machine);
 
-  /// Scores exchanging the machines of `appA` and `appB`. Apps sharing a
-  /// machine are a no-op (returns `current()`, stages nothing).
-  EvalResult trySwap(std::size_t appA, std::size_t appB);
-
   /// Applies the staged candidate. Returns false when nothing is staged.
   bool commit();
 
   /// Discards the staged candidate (the incumbent was never modified).
   void revert() noexcept { pending_.active = false; }
-
-  /// Replaces the incumbent wholesale (O(apps + machines log machines)).
-  void reset(Mapping mapping);
 
   /// Work performed by this evaluator since construction (or the last
   /// publishStats()).
@@ -138,22 +130,21 @@ class IncrementalEvaluator {
     return stats_;
   }
 
-  /// Flushes stats() to the obs counters (sched.inc_moves / inc_swaps /
-  /// inc_commits / inc_rebuilds) when recording is enabled, then zeroes
-  /// them. Search drivers call this once per search, keeping the per-probe
-  /// hot path free of any observability cost.
+  /// Flushes stats() to the obs counters (sched.inc_moves / inc_commits /
+  /// inc_rebuilds) when recording is enabled, then zeroes them. Search
+  /// drivers call this once per search, keeping the per-probe hot path free
+  /// of any observability cost.
   void publishStats();
 
  private:
-  // One staged candidate: up to two apps reassigned, exactly two machines
-  // with re-summed loads and adjusted counts.
+  // One staged candidate: `app` moved from machine `from` to `to`, both
+  // machines with re-summed loads and adjusted counts.
   struct Pending {
     bool active = false;
-    std::size_t appA = 0, appB = 0;       ///< appB == appA for a move
-    std::size_t machineA = 0, machineB = 0;  ///< new machine per app
-    std::size_t touchedA = 0, touchedB = 0;  ///< the two changed machines
-    double loadA = 0.0, loadB = 0.0;         ///< their new finishing times
-    std::size_t countA = 0, countB = 0;      ///< their new app counts
+    std::size_t app = 0;
+    std::size_t from = 0, to = 0;
+    double loadFrom = 0.0, loadTo = 0.0;     ///< their new finishing times
+    std::size_t countFrom = 0, countTo = 0;  ///< their new app counts
     EvalResult result;
   };
 

@@ -1,17 +1,12 @@
 #include "robust/scheduling/heuristics.hpp"
 
-#include "robust/obs/metrics.hpp"
-#include "robust/obs/trace.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
-#include "robust/scheduling/incremental.hpp"
 #include "robust/scheduling/independent_system.hpp"
 #include "robust/util/error.hpp"
-#include "robust/util/thread_pool.hpp"
+#include "search_drivers.hpp"
 
 namespace robust::sched {
 
@@ -58,21 +53,6 @@ struct ListState {
     return Mapping(std::move(assignment), etc.machines());
   }
 };
-
-/// Validates an EtcObjective and returns the tolerance to construct
-/// evaluators with (the Makespan kind never reads the metric, so any valid
-/// tau will do).
-double evaluatorTau(const EtcObjective& objective) {
-  if (objective.kind == EtcObjective::Kind::Makespan) {
-    return std::max(1.0, objective.tau);
-  }
-  ROBUST_REQUIRE(objective.tau >= 1.0, "EtcObjective: tau must be >= 1");
-  if (objective.kind == EtcObjective::Kind::CappedRobustness) {
-    ROBUST_REQUIRE(objective.makespanCap > 0.0,
-                   "EtcObjective: cap must be positive");
-  }
-  return objective.tau;
-}
 
 }  // namespace
 
@@ -268,65 +248,10 @@ Mapping duplexMapping(const EtcMatrix& etc) {
 Mapping tabuSearch(const EtcMatrix& etc, Mapping start,
                    const MappingObjective& objective,
                    const TabuOptions& options) {
-  ROBUST_REQUIRE(static_cast<bool>(objective), "tabuSearch: null objective");
-  ROBUST_REQUIRE(options.iterations > 0 && options.tenure > 0 &&
-                     options.patience > 0,
-                 "tabuSearch: invalid options");
-
-  Mapping current = std::move(start);
-  double currentValue = objective(current);
-  Mapping best = current;
-  double bestValue = currentValue;
-
-  // tabuUntil[app][machine]: iteration until which assigning `app` back to
-  // `machine` is forbidden (the inverse-move convention).
-  std::vector<std::vector<int>> tabuUntil(
-      etc.apps(), std::vector<int>(etc.machines(), -1));
-  int sinceImprovement = 0;
-
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    double moveValue = kInf;
-    std::size_t moveApp = 0;
-    std::size_t moveMachine = 0;
-    bool haveMove = false;
-    for (std::size_t i = 0; i < etc.apps(); ++i) {
-      const std::size_t original = current.machineOf(i);
-      for (std::size_t j = 0; j < etc.machines(); ++j) {
-        if (j == original) {
-          continue;
-        }
-        current.assign(i, j);
-        const double value = objective(current);
-        current.assign(i, original);
-        const bool tabu = tabuUntil[i][j] > iter;
-        // Aspiration: a tabu move that improves on the incumbent is allowed.
-        if (tabu && value >= bestValue) {
-          continue;
-        }
-        if (value < moveValue) {
-          moveValue = value;
-          moveApp = i;
-          moveMachine = j;
-          haveMove = true;
-        }
-      }
-    }
-    if (!haveMove) {
-      break;  // entire neighborhood tabu and non-aspiring
-    }
-    const std::size_t from = current.machineOf(moveApp);
-    current.assign(moveApp, moveMachine);
-    currentValue = moveValue;
-    tabuUntil[moveApp][from] = iter + options.tenure;  // forbid the undo
-    if (currentValue < bestValue) {
-      bestValue = currentValue;
-      best = current;
-      sinceImprovement = 0;
-    } else if (++sinceImprovement >= options.patience) {
-      break;
-    }
-  }
-  return best;
+  return detail::tabuDriver(
+      detail::ObjectiveMoves("tabuSearch", etc.apps(), etc.machines(),
+                             std::move(start), objective),
+      options);
 }
 
 Mapping greedyRobustMapping(const EtcMatrix& etc, double tau) {
@@ -399,343 +324,36 @@ Mapping greedyRobustMapping(const EtcMatrix& etc, double tau) {
 
 Mapping localSearch(std::size_t apps, std::size_t machines, Mapping start,
                     const MappingObjective& objective, int maxRounds) {
-  ROBUST_REQUIRE(static_cast<bool>(objective), "localSearch: null objective");
-  ROBUST_REQUIRE(start.apps() == apps && start.machines() == machines,
-                 "localSearch: start mapping does not match the shape");
-  Mapping current = std::move(start);
-  double currentValue = objective(current);
-  for (int round = 0; round < maxRounds; ++round) {
-    double bestValue = currentValue;
-    std::size_t bestApp = 0;
-    std::size_t bestMachine = 0;
-    bool improved = false;
-    for (std::size_t i = 0; i < apps; ++i) {
-      const std::size_t original = current.machineOf(i);
-      for (std::size_t j = 0; j < machines; ++j) {
-        if (j == original) {
-          continue;
-        }
-        current.assign(i, j);
-        const double value = objective(current);
-        if (value < bestValue) {
-          bestValue = value;
-          bestApp = i;
-          bestMachine = j;
-          improved = true;
-        }
-      }
-      current.assign(i, original);
-    }
-    if (!improved) {
-      break;
-    }
-    current.assign(bestApp, bestMachine);
-    currentValue = bestValue;
-  }
-  return current;
-}
-
-Mapping localSearch(const EtcMatrix& etc, Mapping start,
-                    const MappingObjective& objective, int maxRounds) {
-  return localSearch(etc.apps(), etc.machines(), std::move(start), objective,
-                     maxRounds);
+  // A MappingObjective is not known to be thread-safe: serial scan.
+  return detail::localSearchDriver(
+      detail::ObjectiveMoves("localSearch", apps, machines, std::move(start),
+                             objective),
+      maxRounds, 1);
 }
 
 Mapping localSearch(const EtcMatrix& etc, Mapping start,
                     const EtcObjective& objective,
                     const LocalSearchOptions& options) {
-  ROBUST_REQUIRE(options.maxRounds > 0, "localSearch: maxRounds must be > 0");
-  const obs::Span span("sched.localSearch");
-  const double tau = evaluatorTau(objective);
-  std::size_t workers =
-      options.threads == 0 ? defaultThreadCount() : options.threads;
-  workers = std::min(workers, etc.apps());
-
-  // One evaluator per worker, all tracking the same incumbent. The scan
-  // only calls tryMove (stateless w.r.t. the incumbent), so workers share
-  // nothing; the chosen move is then committed to every evaluator.
-  std::vector<IncrementalEvaluator> evaluators;
-  evaluators.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    evaluators.emplace_back(etc, start, tau);
-  }
-  double currentValue = objective.score(evaluators[0].current().makespan,
-                                        evaluators[0].current().robustness);
-
-  struct BlockBest {
-    double value = 0.0;
-    std::size_t app = 0;
-    std::size_t machine = 0;
-    bool found = false;
-  };
-  std::vector<BlockBest> blockBests(workers);
-  const std::size_t chunk = (etc.apps() + workers - 1) / workers;
-  auto scanBlock = [&](std::size_t w) {
-    IncrementalEvaluator& evaluator = evaluators[w];
-    const std::size_t lo = w * chunk;
-    const std::size_t hi = std::min(etc.apps(), lo + chunk);
-    BlockBest best;
-    // Strict < on an ascending (app, machine) scan: the block winner is the
-    // lowest-(app, machine) minimizer, the deterministic tie-break rule.
-    double bestValue = currentValue;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t original = evaluator.mapping().machineOf(i);
-      for (std::size_t j = 0; j < etc.machines(); ++j) {
-        if (j == original) {
-          continue;
-        }
-        const EvalResult result = evaluator.tryMove(i, j);
-        const double value = objective.score(result.makespan,
-                                             result.robustness);
-        if (value < bestValue) {
-          bestValue = value;
-          best = {value, i, j, true};
-        }
-      }
-    }
-    evaluator.revert();
-    blockBests[w] = best;
-  };
-
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) {
-    pool = std::make_unique<ThreadPool>(workers);
-  }
-  for (int round = 0; round < options.maxRounds; ++round) {
-    if (obs::enabled()) [[unlikely]] {
-      static const obs::MetricId kRounds =
-          obs::counterId("sched.search_rounds");
-      static const obs::MetricId kProbes =
-          obs::counterId("sched.search_probes");
-      obs::addCounter(kRounds);
-      obs::addCounter(kProbes, etc.apps() * (etc.machines() - 1));
-    }
-    if (pool) {
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool->submit([&scanBlock, w] { scanBlock(w); });
-      }
-      pool->wait();
-    } else {
-      scanBlock(0);
-    }
-    // Reduce block winners in ascending block order with strict <, so the
-    // global winner is again the lowest-(app, machine) minimizer — exactly
-    // the move the serial scan picks, for any worker count.
-    BlockBest best;
-    for (const BlockBest& candidate : blockBests) {
-      if (candidate.found && (!best.found || candidate.value < best.value)) {
-        best = candidate;
-      }
-    }
-    if (!best.found) {
-      break;
-    }
-    for (IncrementalEvaluator& evaluator : evaluators) {
-      evaluator.tryMove(best.app, best.machine);
-      evaluator.commit();
-    }
-    currentValue = best.value;
-  }
-  for (IncrementalEvaluator& evaluator : evaluators) {
-    evaluator.publishStats();
-  }
-  return evaluators[0].mapping();
+  return detail::localSearchDriver(
+      detail::EtcMoves(etc, std::move(start), objective), options.maxRounds,
+      options.threads == 0 ? defaultThreadCount() : options.threads);
 }
 
 Mapping annealMapping(std::size_t apps, std::size_t machines, Mapping start,
                       const MappingObjective& objective,
                       const AnnealingOptions& options) {
-  ROBUST_REQUIRE(static_cast<bool>(objective),
-                 "annealMapping: null objective");
-  ROBUST_REQUIRE(options.iterations > 0 && options.coolingRate > 0.0 &&
-                     options.coolingRate < 1.0,
-                 "annealMapping: invalid options");
-  ROBUST_REQUIRE(start.apps() == apps && start.machines() == machines,
-                 "annealMapping: start mapping shape mismatch");
-
-  Pcg32 rng(options.seed, /*stream=*/7);
-  Mapping current = std::move(start);
-  double currentValue = objective(current);
-  Mapping best = current;
-  double bestValue = currentValue;
-
-  double temperature =
-      options.initialTemperature * std::max(1.0, std::fabs(currentValue));
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    const auto app = static_cast<std::size_t>(
-        rng.nextBounded(static_cast<std::uint32_t>(apps)));
-    const std::size_t original = current.machineOf(app);
-    auto machine = static_cast<std::size_t>(
-        rng.nextBounded(static_cast<std::uint32_t>(machines)));
-    if (machine == original) {
-      continue;
-    }
-    current.assign(app, machine);
-    const double value = objective(current);
-    const double delta = value - currentValue;
-    if (delta <= 0.0 ||
-        rng.nextDouble() < std::exp(-delta / std::max(temperature, 1e-12))) {
-      currentValue = value;
-      if (value < bestValue) {
-        bestValue = value;
-        best = current;
-      }
-    } else {
-      current.assign(app, original);  // reject
-    }
-    temperature *= options.coolingRate;
-  }
-  return best;
-}
-
-Mapping simulatedAnnealing(const EtcMatrix& etc, Mapping start,
-                           const MappingObjective& objective,
-                           const AnnealingOptions& options) {
-  return annealMapping(etc.apps(), etc.machines(), std::move(start),
-                       objective, options);
+  return detail::annealDriver(
+      detail::ObjectiveMoves("annealMapping", apps, machines,
+                             std::move(start), objective),
+      options);
 }
 
 Mapping simulatedAnnealing(const EtcMatrix& etc, Mapping start,
                            const EtcObjective& objective,
                            const AnnealingOptions& options) {
-  ROBUST_REQUIRE(options.iterations > 0 && options.coolingRate > 0.0 &&
-                     options.coolingRate < 1.0,
-                 "annealMapping: invalid options");
-  const double tau = evaluatorTau(objective);
-
-  // Same stream id and draw pattern as annealMapping, so the walk visits
-  // the same proposals and returns the same mapping for the same seed.
-  Pcg32 rng(options.seed, /*stream=*/7);
-  IncrementalEvaluator evaluator(etc, std::move(start), tau);
-  double currentValue = objective.score(evaluator.current().makespan,
-                                        evaluator.current().robustness);
-  Mapping best = evaluator.mapping();
-  double bestValue = currentValue;
-
-  double temperature =
-      options.initialTemperature * std::max(1.0, std::fabs(currentValue));
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    const auto app = static_cast<std::size_t>(
-        rng.nextBounded(static_cast<std::uint32_t>(etc.apps())));
-    const std::size_t original = evaluator.mapping().machineOf(app);
-    const auto machine = static_cast<std::size_t>(
-        rng.nextBounded(static_cast<std::uint32_t>(etc.machines())));
-    if (machine == original) {
-      continue;
-    }
-    const EvalResult result = evaluator.tryMove(app, machine);
-    const double value = objective.score(result.makespan, result.robustness);
-    const double delta = value - currentValue;
-    if (delta <= 0.0 ||
-        rng.nextDouble() < std::exp(-delta / std::max(temperature, 1e-12))) {
-      evaluator.commit();
-      currentValue = value;
-      if (value < bestValue) {
-        bestValue = value;
-        best = evaluator.mapping();
-      }
-    } else {
-      evaluator.revert();
-    }
-    temperature *= options.coolingRate;
-  }
-  return best;
+  return detail::annealDriver(
+      detail::EtcMoves(etc, std::move(start), objective), options);
 }
-
-namespace {
-
-/// The GA body, parameterized over how a genome is scored: the generic
-/// overload builds a Mapping and calls the closure, the EtcObjective
-/// overload scores through the reusable-buffer ScratchEvaluator. Identical
-/// RNG stream and draw pattern in both, so equal fitness functions produce
-/// equal results.
-Mapping runGeneticAlgorithm(
-    std::size_t shapeApps, std::size_t shapeMachines,
-    const Mapping& seedMapping,
-    const std::function<double(const std::vector<std::size_t>&)>& evaluate,
-    const GeneticOptions& options) {
-  ROBUST_REQUIRE(options.populationSize >= 2 && options.generations > 0 &&
-                     options.tournamentSize >= 1 && options.eliteCount >= 0 &&
-                     options.eliteCount < options.populationSize,
-                 "geneticAlgorithm: invalid options");
-  ROBUST_REQUIRE(
-      seedMapping.apps() == shapeApps && seedMapping.machines() == shapeMachines,
-      "geneticAlgorithm: seed mapping does not match the shape");
-
-  Pcg32 rng(options.seed, /*stream=*/11);
-  const std::size_t apps = shapeApps;
-  const auto machines = static_cast<std::uint32_t>(shapeMachines);
-
-  struct Individual {
-    std::vector<std::size_t> genes;
-    double fitness;  // objective value; smaller is better
-  };
-
-  std::vector<Individual> population;
-  population.reserve(static_cast<std::size_t>(options.populationSize));
-  population.push_back(
-      {seedMapping.assignment(), evaluate(seedMapping.assignment())});
-  while (population.size() <
-         static_cast<std::size_t>(options.populationSize)) {
-    std::vector<std::size_t> genes(apps);
-    for (auto& g : genes) {
-      g = rng.nextBounded(machines);
-    }
-    const double fitness = evaluate(genes);
-    population.push_back({std::move(genes), fitness});
-  }
-
-  auto byFitness = [](const Individual& a, const Individual& b) {
-    return a.fitness < b.fitness;
-  };
-
-  auto tournament = [&]() -> const Individual& {
-    const Individual* winner = nullptr;
-    for (int t = 0; t < options.tournamentSize; ++t) {
-      const auto idx = static_cast<std::size_t>(rng.nextBounded(
-          static_cast<std::uint32_t>(population.size())));
-      if (winner == nullptr || population[idx].fitness < winner->fitness) {
-        winner = &population[idx];
-      }
-    }
-    return *winner;
-  };
-
-  for (int gen = 0; gen < options.generations; ++gen) {
-    std::sort(population.begin(), population.end(), byFitness);
-    std::vector<Individual> next;
-    next.reserve(population.size());
-    for (int e = 0; e < options.eliteCount; ++e) {
-      next.push_back(population[static_cast<std::size_t>(e)]);
-    }
-    while (next.size() < population.size()) {
-      const Individual& parentA = tournament();
-      const Individual& parentB = tournament();
-      std::vector<std::size_t> child(apps);
-      if (rng.nextDouble() < options.crossoverRate) {
-        for (std::size_t i = 0; i < apps; ++i) {
-          child[i] =
-              rng.nextDouble() < 0.5 ? parentA.genes[i] : parentB.genes[i];
-        }
-      } else {
-        child = parentA.genes;
-      }
-      for (std::size_t i = 0; i < apps; ++i) {
-        if (rng.nextDouble() < options.mutationRate) {
-          child[i] = rng.nextBounded(machines);
-        }
-      }
-      const double fitness = evaluate(child);
-      next.push_back({std::move(child), fitness});
-    }
-    population = std::move(next);
-  }
-  const auto best = std::min_element(population.begin(), population.end(),
-                                     byFitness);
-  return Mapping(best->genes, shapeMachines);
-}
-
-}  // namespace
 
 Mapping geneticAlgorithm(std::size_t apps, std::size_t machines,
                          Mapping seedMapping,
@@ -743,7 +361,7 @@ Mapping geneticAlgorithm(std::size_t apps, std::size_t machines,
                          const GeneticOptions& options) {
   ROBUST_REQUIRE(static_cast<bool>(objective),
                  "geneticAlgorithm: null objective");
-  return runGeneticAlgorithm(
+  return detail::geneticDriver(
       apps, machines, seedMapping,
       [&](const std::vector<std::size_t>& genes) {
         return objective(Mapping(genes, machines));
@@ -752,17 +370,10 @@ Mapping geneticAlgorithm(std::size_t apps, std::size_t machines,
 }
 
 Mapping geneticAlgorithm(const EtcMatrix& etc, Mapping seedMapping,
-                         const MappingObjective& objective,
-                         const GeneticOptions& options) {
-  return geneticAlgorithm(etc.apps(), etc.machines(), std::move(seedMapping),
-                          objective, options);
-}
-
-Mapping geneticAlgorithm(const EtcMatrix& etc, Mapping seedMapping,
                          const EtcObjective& objective,
                          const GeneticOptions& options) {
-  ScratchEvaluator scratch(etc, evaluatorTau(objective));
-  return runGeneticAlgorithm(
+  ScratchEvaluator scratch(etc, detail::evaluatorTau(objective));
+  return detail::geneticDriver(
       etc.apps(), etc.machines(), seedMapping,
       [&](const std::vector<std::size_t>& genes) {
         const EvalResult result = scratch.evaluate(genes);

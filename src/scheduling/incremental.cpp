@@ -120,14 +120,6 @@ void IncrementalEvaluator::rebuild() {
   ++stats_.rebuilds;
 }
 
-void IncrementalEvaluator::reset(Mapping mapping) {
-  ROBUST_REQUIRE(etc_->apps() == mapping.apps() &&
-                     etc_->machines() == mapping.machines(),
-                 "IncrementalEvaluator: ETC and mapping dimensions disagree");
-  mapping_ = std::move(mapping);
-  rebuild();
-}
-
 double IncrementalEvaluator::resum(std::size_t j, std::size_t skip,
                                    std::size_t add) const {
   // Ascending application-index order — the finishingTimes accumulation
@@ -239,49 +231,19 @@ EvalResult IncrementalEvaluator::tryMove(std::size_t app,
   ++stats_.moves;
   Pending& p = pending_;
   p.active = true;
-  p.appA = p.appB = app;
-  p.machineA = p.machineB = machine;
-  p.touchedA = from;
+  p.app = app;
+  p.from = from;
+  p.to = machine;
   if (cachedRemovalApp_ != app) {
     cachedRemovalLoad_ = resum(from, app, kNone);
     cachedRemovalApp_ = app;
   }
-  p.loadA = cachedRemovalLoad_;
-  p.countA = count_[from] - 1;
-  p.touchedB = machine;
-  p.loadB = resum(machine, kNone, app);
-  p.countB = count_[machine] + 1;
-  p.result =
-      evaluateTouched(p.touchedA, p.loadA, p.countA, p.touchedB, p.loadB,
-                      p.countB);
-  return p.result;
-}
-
-EvalResult IncrementalEvaluator::trySwap(std::size_t appA, std::size_t appB) {
-  ROBUST_REQUIRE(appA < etc_->apps() && appB < etc_->apps(),
-                 "trySwap: app index out of range");
-  const std::size_t a = mapping_.assignment()[appA];
-  const std::size_t b = mapping_.assignment()[appB];
-  if (a == b) {  // includes appA == appB
-    pending_.active = false;
-    return current_;
-  }
-  ++stats_.swaps;
-  Pending& p = pending_;
-  p.active = true;
-  p.appA = appA;
-  p.machineA = b;
-  p.appB = appB;
-  p.machineB = a;
-  p.touchedA = a;
-  p.loadA = resum(a, appA, appB);
-  p.countA = count_[a];
-  p.touchedB = b;
-  p.loadB = resum(b, appB, appA);
-  p.countB = count_[b];
-  p.result =
-      evaluateTouched(p.touchedA, p.loadA, p.countA, p.touchedB, p.loadB,
-                      p.countB);
+  p.loadFrom = cachedRemovalLoad_;
+  p.countFrom = count_[from] - 1;
+  p.loadTo = resum(machine, kNone, app);
+  p.countTo = count_[machine] + 1;
+  p.result = evaluateTouched(p.from, p.loadFrom, p.countFrom, p.to, p.loadTo,
+                             p.countTo);
   return p.result;
 }
 
@@ -311,30 +273,13 @@ bool IncrementalEvaluator::commit() {
     return false;
   }
   const Pending& p = pending_;
-  const bool isSwap = p.appB != p.appA;
-
-  auto eraseApp = [this](std::size_t machine, std::size_t app) {
-    auto& apps = machineApps_[machine];
-    apps.erase(std::lower_bound(apps.begin(), apps.end(), app));
-  };
-  auto insertApp = [this](std::size_t machine, std::size_t app) {
-    auto& apps = machineApps_[machine];
-    apps.insert(std::lower_bound(apps.begin(), apps.end(), app), app);
-  };
-  eraseApp(p.touchedA, p.appA);
-  if (isSwap) {
-    eraseApp(p.touchedB, p.appB);
-  }
-  insertApp(p.machineA, p.appA);
-  if (isSwap) {
-    insertApp(p.machineB, p.appB);
-  }
-  mapping_.assign(p.appA, p.machineA);
-  if (isSwap) {
-    mapping_.assign(p.appB, p.machineB);
-  }
-  applyMachineUpdate(p.touchedA, p.loadA, p.countA);
-  applyMachineUpdate(p.touchedB, p.loadB, p.countB);
+  auto& fromApps = machineApps_[p.from];
+  fromApps.erase(std::lower_bound(fromApps.begin(), fromApps.end(), p.app));
+  auto& toApps = machineApps_[p.to];
+  toApps.insert(std::lower_bound(toApps.begin(), toApps.end(), p.app), p.app);
+  mapping_.assign(p.app, p.to);
+  applyMachineUpdate(p.from, p.loadFrom, p.countFrom);
+  applyMachineUpdate(p.to, p.loadTo, p.countTo);
   current_ = p.result;
   pending_.active = false;
   ++stats_.commits;
@@ -345,12 +290,10 @@ bool IncrementalEvaluator::commit() {
 void IncrementalEvaluator::publishStats() {
   if (obs::enabled()) {
     static const obs::MetricId kMoves = obs::counterId("sched.inc_moves");
-    static const obs::MetricId kSwaps = obs::counterId("sched.inc_swaps");
     static const obs::MetricId kCommits = obs::counterId("sched.inc_commits");
     static const obs::MetricId kRebuilds =
         obs::counterId("sched.inc_rebuilds");
     obs::addCounter(kMoves, stats_.moves);
-    obs::addCounter(kSwaps, stats_.swaps);
     obs::addCounter(kCommits, stats_.commits);
     obs::addCounter(kRebuilds, stats_.rebuilds);
   }

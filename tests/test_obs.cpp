@@ -832,6 +832,29 @@ TEST_F(ObsMetrics, StreamLaneRecordsNothingWhenDisabled) {
   EXPECT_EQ(snapshot.gauge("core.stream.inflight_high_water"), 0);
 }
 
+TEST_F(ObsMetrics, AnnealingAndGeneticFlushTheirSearchWork) {
+  // Every search driver opens its span and flushes its evaluator, not only
+  // localSearch; the probe counters stay localSearch-only.
+  Pcg32 rng(3);
+  const auto etc = sched::generateEtc(sched::EtcOptions{}, rng);
+  const auto start = sched::roundRobinMapping(etc);
+  const auto objective = sched::EtcObjective::negatedRobustness(1.2);
+  sched::AnnealingOptions annealing;
+  annealing.iterations = 500;
+  (void)sched::simulatedAnnealing(etc, start, objective, annealing);
+  sched::GeneticOptions genetic;
+  genetic.generations = 2;
+  (void)sched::geneticAlgorithm(etc, start, objective, genetic);
+  const auto snapshot = obs::snapshotMetrics();
+  EXPECT_GT(snapshot.counter("sched.inc_moves"), 0u);
+  EXPECT_GT(snapshot.counter("sched.inc_commits"), 0u);
+  EXPECT_EQ(snapshot.counter("sched.search_probes"), 0u);
+  std::ostringstream trace;
+  obs::writeTrace(trace);
+  EXPECT_NE(trace.str().find("\"sched.anneal\""), std::string::npos);
+  EXPECT_NE(trace.str().find("\"sched.genetic\""), std::string::npos);
+}
+
 // ---------------------------------------------------------------- overhead
 
 // The acceptance pin: with recording off, the instrumentation added to the

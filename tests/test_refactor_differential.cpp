@@ -4,7 +4,8 @@
 // problem families, printed in hexfloat. The refactored engine must
 // reproduce every metric, radius, boundary level, argmin, and binding index
 // BIT-FOR-BIT on these single-subspace unconstrained specs — the refactor's
-// contract is that existing derivations are untouched.
+// contract is that existing derivations are untouched. A second frozen
+// block pins the final assignments of every mapping-search driver.
 //
 // The expected block is parsed (strtod hexfloat round-trips exactly), so the
 // comparison is on double bits, not on printf formatting.
@@ -18,6 +19,9 @@
 #include "robust/core/compiled.hpp"
 #include "robust/core/impact.hpp"
 #include "robust/core/stream.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
+#include "robust/hiperd/generator.hpp"
+#include "robust/scheduling/heuristics.hpp"
 #include "robust/util/rng.hpp"
 
 namespace {
@@ -231,9 +235,9 @@ struct FrozenLines {
   }
 };
 
-FrozenLines loadFrozen() {
+FrozenLines loadFrozen(const char* text = kFrozenReference) {
   FrozenLines frozen;
-  std::istringstream in(kFrozenReference);
+  std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
     if (!line.empty()) {
@@ -372,6 +376,101 @@ TEST(RefactorDifferential, ExplicitSingleSubspaceMatchesLegacyForm) {
       EXPECT_EQ(a.radii[i].method, b.radii[i].method) << i;
     }
   }
+}
+
+// Frozen final assignments of every mapping-search driver, captured before
+// the per-algorithm twins were collapsed onto one driver each. The twin
+// tests in test_sched_incremental compare two evaluators through the SAME
+// driver, so a tie-break, RNG-stream or draw-order change inside a driver
+// would pass them; this block pins the drivers themselves.
+constexpr const char* kFrozenSearchReference = R"(localSearch.t1[0]=2,2,2,0,2,1,3,3,0,2,0,1,5,4,4,0,0,0,3,3,1,0,5,2
+localSearch.t2[0]=2,2,2,0,2,1,3,3,0,2,0,1,5,4,4,0,0,0,3,3,1,0,5,2
+simulatedAnnealing[0]=5,4,4,0,0,2,2,0,3,0,3,1,5,1,1,0,4,3,4,2,3,1,1,4
+geneticAlgorithm[0]=2,1,0,5,0,1,5,3,3,2,0,1,2,0,2,4,5,5,4,2,3,3,0,5
+tabuSearch[0]=2,2,2,0,2,1,3,3,0,2,0,1,5,4,4,0,0,0,3,3,1,0,5,2
+localSearch.t1[1]=1,1,1,1,0,0,1,1,1,3,3,4,0,2,4,2,2,3,4,0,0,1,2,2,0,0,2,1,1,0
+localSearch.t2[1]=1,1,1,1,0,0,1,1,1,3,3,4,0,2,4,2,2,3,4,0,0,1,2,2,0,0,2,1,1,0
+simulatedAnnealing[1]=1,0,2,1,0,1,2,0,0,0,0,4,0,0,2,0,1,4,0,4,4,0,4,2,2,0,3,3,0,0
+geneticAlgorithm[1]=3,0,0,1,0,3,1,4,2,3,3,4,2,2,2,3,1,4,3,4,4,2,4,0,1,0,0,0,1,1
+tabuSearch[1]=1,1,1,1,0,0,1,1,1,3,3,4,0,2,4,2,2,3,4,0,0,1,2,2,0,0,2,1,1,0
+localSearch.t1[2]=11,31,7,19,18,7,15,13,21,12,16,8,0,31,24,5,27,3,1,22,1,2,13,14,11,0,24,6,26,35,6,14,18,12,3,19,5,2,16,1,9,17,17,4,25,28,8,21
+localSearch.t2[2]=11,31,7,19,18,7,15,13,21,12,16,8,0,31,24,5,27,3,1,22,1,2,13,14,11,0,24,6,26,35,6,14,18,12,3,19,5,2,16,1,9,17,17,4,25,28,8,21
+simulatedAnnealing[2]=3,14,22,34,23,10,20,30,32,22,9,11,16,6,31,0,21,16,33,6,18,1,1,15,26,6,0,28,20,9,31,25,5,7,18,16,25,5,10,13,33,3,28,24,30,18,35,12
+geneticAlgorithm[2]=25,32,25,18,6,5,15,18,1,6,5,13,17,11,4,6,22,33,11,9,16,31,34,2,20,31,14,8,20,7,28,0,18,19,27,34,24,11,21,7,15,7,33,7,16,4,26,21
+tabuSearch[2]=10,31,14,16,5,0,17,15,2,12,16,8,3,31,24,3,27,3,26,4,9,2,6,14,11,0,24,6,8,35,6,14,18,12,1,7,1,2,16,1,9,10,17,4,25,28,8,21
+annealMapping.hiperd[0]=0,1,2,1,1,2,0,1
+annealMapping.hiperd[1]=0,2,1,2,0,1,0,1
+annealMapping.hiperd[2]=1,2,1,0,2,1,1,0)";
+
+TEST(RefactorDifferential, SearchDriversMatchFrozenAssignments) {
+  FrozenLines frozen = loadFrozen(kFrozenSearchReference);
+  auto expectFrozen = [&frozen](const std::string& tag, int index,
+                                const sched::Mapping& mapping) {
+    std::string line = tag + "[" + std::to_string(index) + "]=";
+    for (std::size_t app = 0; app < mapping.apps(); ++app) {
+      line += (app == 0 ? "" : ",") + std::to_string(mapping.machineOf(app));
+    }
+    EXPECT_EQ(frozen.take(), line);
+  };
+  // One ETC instance per objective kind; the third has 36 machines, so the
+  // incremental engine takes its sorted (large-fleet) path.
+  constexpr std::size_t kApps[] = {24, 30, 48};
+  constexpr std::size_t kMachines[] = {6, 5, 36};
+  for (int index = 0; index < 3; ++index) {
+    sched::EtcOptions options;
+    options.apps = kApps[index];
+    options.machines = kMachines[index];
+    Pcg32 rng(500 + index);
+    const sched::EtcMatrix etc = sched::generateEtc(options, rng);
+    const sched::Mapping start =
+        sched::randomMapping(etc.apps(), etc.machines(), rng);
+    const double cap = 1.2 * sched::makespan(etc, sched::minMinMapping(etc));
+    const sched::EtcObjective objective =
+        index == 0   ? sched::EtcObjective::makespan()
+        : index == 1 ? sched::EtcObjective::negatedRobustness(1.2)
+                     : sched::EtcObjective::cappedRobustness(1.2, cap);
+    for (const std::size_t threads : {1u, 2u}) {
+      sched::LocalSearchOptions search;
+      search.threads = threads;
+      expectFrozen("localSearch.t" + std::to_string(threads), index,
+                   sched::localSearch(etc, start, objective, search));
+    }
+    sched::AnnealingOptions annealing;
+    annealing.iterations = 3000;
+    annealing.seed = 40 + index;
+    expectFrozen("simulatedAnnealing", index,
+                 sched::simulatedAnnealing(etc, start, objective, annealing));
+    sched::GeneticOptions genetic;
+    genetic.populationSize = 16;
+    genetic.generations = 20;
+    genetic.seed = 50 + index;
+    expectFrozen("geneticAlgorithm", index,
+                 sched::geneticAlgorithm(etc, start, objective, genetic));
+    sched::TabuOptions tabu;
+    tabu.iterations = 60;
+    expectFrozen("tabuSearch", index,
+                 sched::tabuSearch(etc, start, objective.generic(etc), tabu));
+  }
+  for (int index = 0; index < 3; ++index) {
+    hiperd::ScenarioOptions options;
+    options.applications = 8;
+    options.machines = 3;
+    options.targetPaths = 6;
+    const auto generated = hiperd::generateScenario(options, 2003 + index);
+    const hiperd::CompiledScenario compiled = generated.scenario.compile();
+    Pcg32 rng(600 + index);
+    const sched::Mapping start =
+        sched::randomMapping(options.applications, options.machines, rng);
+    sched::AnnealingOptions annealing;
+    annealing.iterations = 400;
+    annealing.seed = 60 + index;
+    expectFrozen("annealMapping.hiperd", index,
+                 sched::annealMapping(options.applications, options.machines,
+                                      start,
+                                      hiperd::robustnessObjective(compiled),
+                                      annealing));
+  }
+  EXPECT_EQ(frozen.next, frozen.lines.size());
 }
 
 }  // namespace

@@ -150,7 +150,8 @@ TEST(TabuSearch, EscapesLocalOptima) {
     const auto obj = makespanObjective(etc);
     const Mapping start = mctMapping(etc);
     const double tabu = obj(tabuSearch(etc, start, obj));
-    const double descent = obj(localSearch(etc, start, obj));
+    const double descent =
+        obj(localSearch(etc.apps(), etc.machines(), start, obj));
     atLeastAsGood += tabu <= descent + 1e-9;
   }
   EXPECT_GE(atLeastAsGood, 7);
@@ -243,7 +244,7 @@ TEST(LocalSearch, NeverWorsensAndReachesLocalOptimum) {
   const EtcMatrix etc = randomEtc(6);
   const auto obj = makespanObjective(etc);
   const Mapping start = roundRobinMapping(etc);
-  const Mapping improved = localSearch(etc, start, obj);
+  const Mapping improved = localSearch(etc.apps(), etc.machines(), start, obj);
   EXPECT_LE(obj(improved), obj(start));
   // Local optimality: no single reassignment improves further.
   Mapping probe = improved;
@@ -257,6 +258,20 @@ TEST(LocalSearch, NeverWorsensAndReachesLocalOptimum) {
   }
 }
 
+TEST(LocalSearch, RejectsNonPositiveMaxRoundsOnEveryOverload) {
+  // One driver validates for both overloads; the shape-generic one used to
+  // return the start mapping instead.
+  const EtcMatrix etc = randomEtc(5);
+  const Mapping start = roundRobinMapping(etc);
+  EXPECT_THROW((void)localSearch(etc.apps(), etc.machines(), start,
+                                 makespanObjective(etc), 0),
+               InvalidArgumentError);
+  LocalSearchOptions options;
+  options.maxRounds = -3;
+  EXPECT_THROW((void)localSearch(etc, start, EtcObjective::makespan(), options),
+               InvalidArgumentError);
+}
+
 TEST(SimulatedAnnealing, ImprovesAndIsDeterministic) {
   const EtcMatrix etc = randomEtc(7);
   const auto obj = makespanObjective(etc);
@@ -264,8 +279,10 @@ TEST(SimulatedAnnealing, ImprovesAndIsDeterministic) {
   AnnealingOptions options;
   options.iterations = 5000;
   options.seed = 3;
-  const Mapping a = simulatedAnnealing(etc, start, obj, options);
-  const Mapping b = simulatedAnnealing(etc, start, obj, options);
+  const Mapping a =
+      annealMapping(etc.apps(), etc.machines(), start, obj, options);
+  const Mapping b =
+      annealMapping(etc.apps(), etc.machines(), start, obj, options);
   EXPECT_EQ(a.assignment(), b.assignment());
   EXPECT_LE(obj(a), obj(start));
 }
@@ -274,13 +291,14 @@ TEST(SimulatedAnnealing, OptionValidation) {
   const EtcMatrix etc = tinyEtc();
   AnnealingOptions bad;
   bad.iterations = 0;
-  EXPECT_THROW((void)simulatedAnnealing(etc, roundRobinMapping(etc),
-                                        makespanObjective(etc), bad),
+  EXPECT_THROW((void)annealMapping(etc.apps(), etc.machines(),
+                                   roundRobinMapping(etc),
+                                   makespanObjective(etc), bad),
                InvalidArgumentError);
   bad = {};
   bad.coolingRate = 1.5;
   EXPECT_THROW((void)simulatedAnnealing(etc, roundRobinMapping(etc),
-                                        makespanObjective(etc), bad),
+                                        EtcObjective::makespan(), bad),
                InvalidArgumentError);
 }
 
@@ -291,8 +309,10 @@ TEST(GeneticAlgorithm, ImprovesAndIsDeterministic) {
   GeneticOptions options;
   options.generations = 40;
   options.seed = 4;
-  const Mapping a = geneticAlgorithm(etc, start, obj, options);
-  const Mapping b = geneticAlgorithm(etc, start, obj, options);
+  const Mapping a =
+      geneticAlgorithm(etc.apps(), etc.machines(), start, obj, options);
+  const Mapping b =
+      geneticAlgorithm(etc.apps(), etc.machines(), start, obj, options);
   EXPECT_EQ(a.assignment(), b.assignment());
   EXPECT_LE(obj(a), obj(start));
 }
@@ -301,13 +321,14 @@ TEST(GeneticAlgorithm, OptionValidation) {
   const EtcMatrix etc = tinyEtc();
   GeneticOptions bad;
   bad.populationSize = 1;
-  EXPECT_THROW((void)geneticAlgorithm(etc, roundRobinMapping(etc),
+  EXPECT_THROW((void)geneticAlgorithm(etc.apps(), etc.machines(),
+                                      roundRobinMapping(etc),
                                       makespanObjective(etc), bad),
                InvalidArgumentError);
   bad = {};
   bad.eliteCount = 100;
   EXPECT_THROW((void)geneticAlgorithm(etc, roundRobinMapping(etc),
-                                      makespanObjective(etc), bad),
+                                      EtcObjective::makespan(), bad),
                InvalidArgumentError);
 }
 
@@ -321,8 +342,9 @@ TEST(RobustnessAwareSearch, BeatsMakespanOptimizedOnRobustness) {
   AnnealingOptions options;
   options.iterations = 8000;
   options.seed = 10;
-  const Mapping robustMapping = simulatedAnnealing(
-      etc, fast, cappedRobustnessObjective(etc, tau, cap), options);
+  const Mapping robustMapping =
+      annealMapping(etc.apps(), etc.machines(), fast,
+                    cappedRobustnessObjective(etc, tau, cap), options);
   const double rhoFast =
       IndependentTaskSystem(etc, fast, tau).analyze().robustness;
   const double rhoRobust =

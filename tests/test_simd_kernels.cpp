@@ -579,29 +579,6 @@ TEST_F(SearchWiring, RobustnessObjectiveDrivesTheGenericOptimizers) {
   EXPECT_EQ(objective(start), -compiled.analyzeMetric(start).metric);
 }
 
-TEST_F(SearchWiring, ShapeGenericOverloadsMatchTheEtcOverloads) {
-  sched::EtcOptions options;
-  options.apps = 10;
-  options.machines = 4;
-  Pcg32 rng(9);
-  const auto etc = sched::generateEtc(options, rng);
-  const auto objective = sched::makespanObjective(etc);
-  const auto start = sched::roundRobinMapping(etc);
-
-  const auto viaEtc = sched::localSearch(etc, start, objective, 10);
-  const auto viaShape =
-      sched::localSearch(etc.apps(), etc.machines(), start, objective, 10);
-  EXPECT_EQ(viaEtc.assignment(), viaShape.assignment());
-
-  sched::GeneticOptions genetic;
-  genetic.populationSize = 8;
-  genetic.generations = 4;
-  const auto gaEtc = sched::geneticAlgorithm(etc, start, objective, genetic);
-  const auto gaShape = sched::geneticAlgorithm(etc.apps(), etc.machines(),
-                                               start, objective, genetic);
-  EXPECT_EQ(gaEtc.assignment(), gaShape.assignment());
-}
-
 TEST_F(SearchWiring, ShapeMismatchesAreRejected) {
   const sched::MappingObjective objective = [](const sched::Mapping&) {
     return 0.0;
