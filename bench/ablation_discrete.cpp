@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
       continue;  // violated at the origin: both rules give 0
     }
     const hiperd::HiperdSystem system(scenario, result.mappings[m]);
-    const auto analyzer = system.toAnalyzer();
     core::DiscreteOptions dopts;
     dopts.exhaustiveLimit = 0.0;  // radii are in the hundreds: certificate
                                   // search only (exhaustive would be huge)
-    const auto bounds = core::discreteRadiusBounds(analyzer.compiled(), dopts);
+    const auto bounds = core::discreteRadiusBounds(
+        core::CompiledProblem::compile(system.toSpec()), dopts);
     const double floorRule = std::floor(bounds.lower);
     const double gap = bounds.upper - floorRule;
     gaps.push_back(gap);

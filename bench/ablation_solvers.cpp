@@ -8,7 +8,7 @@
 #include <cmath>
 #include <iostream>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/util/args.hpp"
 #include "robust/util/rng.hpp"
 #include "robust/util/table.hpp"
@@ -50,12 +50,13 @@ int main(int argc, char** argv) {
         std::pair{core::SolverKind::MonteCarlo, "monte-carlo(4096)"}}) {
     core::AnalyzerOptions options;
     options.solver = solver;
-    const core::RobustnessAnalyzer analyzer(affine, parameter, options);
+    const auto problem = core::CompiledProblem::compile(
+        {.features = affine, .parameter = parameter, .options = options});
     Stopwatch watch;
     double maxErr = 0.0;
     double sumErr = 0.0;
     for (std::size_t f = 0; f < featureCount; ++f) {
-      const auto radius = analyzer.radiusOf(f);
+      const auto radius = problem.radiusOf(f);
       const double err = std::fabs(radius.radius - exact[f]) / exact[f];
       maxErr = std::max(maxErr, err);
       sumErr += err;
@@ -112,12 +113,13 @@ int main(int argc, char** argv) {
         std::pair{core::SolverKind::MonteCarlo, "monte-carlo(4096)"}}) {
     core::AnalyzerOptions options;
     options.solver = solver;
-    const core::RobustnessAnalyzer analyzer(quad, parameter, options);
+    const auto problem = core::CompiledProblem::compile(
+        {.features = quad, .parameter = parameter, .options = options});
     Stopwatch watch;
     double maxErr = 0.0;
     double sumErr = 0.0;
     for (std::size_t f = 0; f < quad.size(); ++f) {
-      const auto radius = analyzer.radiusOf(f);
+      const auto radius = problem.radiusOf(f);
       const double err =
           std::fabs(radius.radius - quadExact[f]) / quadExact[f];
       maxErr = std::max(maxErr, err);

@@ -26,15 +26,15 @@ int main(int argc, char** argv) {
   const double mOrig = c1 + c2;
   const double betaMax = tau * mOrig;
 
-  auto analyzer =
+  const auto problem =
       core::FepiaBuilder("finish time within " +
                          formatDouble(100.0 * tau) + "% of predicted")
           .perturbation("C (actual execution times)", {c1, c2}, false,
                         "seconds")
           .affineFeature("F (finish time)", {1.0, 1.0}, 0.0,
                          core::ToleranceBounds::atMost(betaMax))
-          .build();
-  const auto report = analyzer.analyze();
+          .compile();
+  const auto report = problem.evaluate();
   const auto& radius = report.radii[0];
 
   std::cout << "# Figure 1 geometry: boundary {f_ij(pi) = beta_max} for "
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // with a convex quadratic impact g(pi) = pi_1^2/beta + pi_2 traced around
   // the operating point.
   {
-    auto curved =
+    const auto curved =
         core::FepiaBuilder("curved-boundary illustration")
             .perturbation("pi", {c1, c2})
             .feature("g",
@@ -66,11 +66,11 @@ int main(int argc, char** argv) {
                            return pi[0] * pi[0] / betaMax + pi[1];
                          }),
                      core::ToleranceBounds::atMost(betaMax))
-            .build();
+            .compile();
     core::BoundaryTraceOptions traceOptions;
     traceOptions.rays = static_cast<int>(args.getInt("rays", 32));
     const auto curve = core::traceBoundary2D(curved, 0, traceOptions);
-    const auto curvedReport = curved.analyze();
+    const auto curvedReport = curved.evaluate();
     std::cout << "\ncurved boundary {pi_1^2/" << formatDouble(betaMax)
               << " + pi_2 = " << formatDouble(betaMax) << "} traced with "
               << curve.size() << " rays (radius "

@@ -17,7 +17,6 @@
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/report.hpp"
 
-#include "robust/core/analyzer.hpp"
 #include "robust/core/compiled.hpp"
 #include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/experiment.hpp"
@@ -61,9 +60,9 @@ void BM_GenericAffineAnalysis(benchmark::State& state) {
   Pcg32 rng(2);
   const auto mapping = sched::randomMapping(etc.apps(), etc.machines(), rng);
   const sched::IndependentTaskSystem system(etc, mapping, 1.2);
-  const auto analyzer = system.toAnalyzer();
+  const auto problem = system.compile();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analyzer.analyze());
+    benchmark::DoNotOptimize(problem.evaluate());
   }
 }
 BENCHMARK(BM_GenericAffineAnalysis);
@@ -230,9 +229,9 @@ BENCHMARK(BM_HiperdAnalysis);
 
 // --- compile-once analysis engine: legacy per-call derivation vs the
 // compiled path. "Legacy" is what per-mapping re-analysis cost before the
-// compiled engine: rebuild the feature list (or the whole analyzer) and
-// analyze. "CompiledReanalyze" amortizes every mapping-independent step and
-// reuses a caller-owned workspace. The >= 5x HiPer-D target of the compiled
+// compiled engine: derive and compile the problem afresh, then evaluate.
+// "CompiledReanalyze" amortizes every mapping-independent step and reuses a
+// caller-owned workspace. The >= 5x HiPer-D target of the compiled
 // engine is measured by BM_LegacyAnalyzeHiperd / BM_CompiledReanalyzeHiperd.
 void BM_LegacyAnalyzeEtc(benchmark::State& state) {
   const auto etc = benchEtc();
@@ -240,7 +239,7 @@ void BM_LegacyAnalyzeEtc(benchmark::State& state) {
   const auto mapping = sched::randomMapping(etc.apps(), etc.machines(), rng);
   const sched::IndependentTaskSystem system(etc, mapping, 1.2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.toAnalyzer().analyze());
+    benchmark::DoNotOptimize(system.compile().evaluate());
   }
 }
 BENCHMARK(BM_LegacyAnalyzeEtc);
@@ -278,9 +277,7 @@ void BM_LegacyAnalyzeHiperd(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        hiperd::HiperdSystem(generated.scenario, mappings[i])
-            .toAnalyzer()
-            .analyze());
+        hiperd::HiperdSystem(generated.scenario, mappings[i]).analyze());
     i = (i + 1) % mappings.size();
   }
 }

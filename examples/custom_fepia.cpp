@@ -57,7 +57,7 @@ int main() {
         .feature("T_end_to_end", core::ImpactFunction::callable(e2eTime),
                  core::ToleranceBounds::atMost(85.0))
         .options(options)
-        .build();
+        .compile();
   };
 
   // Step 4 with three independent solvers.
@@ -68,8 +68,7 @@ int main() {
     core::AnalyzerOptions options;
     options.solver = solver;
     options.solverOptions.samples = 20000;  // tighten the MC oracle
-    const auto analyzer = build(options);
-    const auto report = analyzer.analyze();
+    const auto report = build(options).evaluate();
     const auto& binding = report.radii[report.bindingFeature];
     std::string lambdaStar = "(";
     lambdaStar += formatDouble(binding.boundaryPoint[0]);
@@ -96,37 +95,23 @@ int main() {
     options.solver = norm == core::NormKind::L2 ? core::SolverKind::Auto
                                                 : core::SolverKind::MonteCarlo;
     options.solverOptions.samples = 20000;
-    const auto report = build(options).analyze();
+    const auto report = build(options).evaluate();
     norms.addRow({core::toString(norm), formatDouble(report.metric, 6)});
   }
   norms.print(std::cout);
 
   // Empirical validation of the guarantee.
-  core::AnalyzerOptions options;
-  const auto analyzer = build(options);
-  const auto report = analyzer.analyze();
-  const auto validation = core::validateRadius(analyzer, report.metric);
+  const auto problem = build({});
+  const auto report = problem.evaluate();
+  const auto validation = core::validateRadius(problem, report.metric);
   std::cout << "\nvalidation: " << validation.violationsInside << "/"
             << validation.samplesInside << " violations inside rho, "
             << validation.violationsAtBoundary << "/"
             << validation.samplesAtBoundary << " just beyond rho\n";
 
-  // Operational what-if sweep via the compile-once engine: compile the
-  // derivation once, then re-evaluate rho at shifted operating points from
-  // one reusable workspace (bit-identical to rebuilding the analyzer at
-  // each origin, without the rebuild).
-  const auto compiled =
-      core::FepiaBuilder("same derivation, compiled")
-          .perturbation("lambda (request rates)", {50.0, 30.0},
-                        /*discrete=*/false, "requests per second")
-          .affineFeature("T_frontend", {0.2, 0.3}, 0.0,
-                         core::ToleranceBounds::atMost(40.0))
-          .feature("T_database",
-                   core::ImpactFunction::callable(dbTime, dbGradient),
-                   core::ToleranceBounds::atMost(60.0))
-          .feature("T_end_to_end", core::ImpactFunction::callable(e2eTime),
-                   core::ToleranceBounds::atMost(85.0))
-          .compile();
+  // Operational what-if sweep: the derivation is compiled once; rho is
+  // re-evaluated at shifted operating points from one reusable workspace
+  // (bit-identical to recompiling at each origin, without the rebuild).
   std::cout << "\nrho at shifted operating points (compiled engine):\n";
   TablePrinter sweep({"lambda_orig", "rho"});
   core::EvalWorkspace workspace;
@@ -134,7 +119,7 @@ int main() {
     const num::Vec origin = {50.0 + shift, 30.0 + shift};
     core::AnalysisInstance query;
     query.origin = origin;
-    const auto& shifted = compiled.evaluate(query, workspace);
+    const auto& shifted = problem.evaluate(query, workspace);
     std::string point = "(";
     point += formatDouble(origin[0]);
     point += ", ";

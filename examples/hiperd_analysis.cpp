@@ -104,7 +104,8 @@ int main(int argc, char** argv) {
   // The multi-parameter extension: the same mapping analyzed against a
   // second perturbation parameter — per-machine slowdown factors — via the
   // machine-slowdown FePIA derivation (see robust/hiperd/slowdown.hpp).
-  const auto slowdownReport = hiperd::slowdownAnalyzer(system).analyze();
+  const auto slowdownReport =
+      core::CompiledProblem::compile(hiperd::slowdownSpec(system)).evaluate();
   const auto& slowBinding = slowdownReport.radii[slowdownReport.bindingFeature];
   std::cout << "\nslowdown robustness (perturbation = machine slowdown "
                "factors, origin all-1):\n  rho = "
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
 
   // Empirical violation profile around the sensor-load metric.
   if (report.metric > 0.0) {
-    const auto analyzer = system.toAnalyzer();
+    const auto problem = core::CompiledProblem::compile(system.toSpec());
     const std::vector<double> radii = {0.5 * report.metric,
                                        1.0 * report.metric,
                                        1.5 * report.metric,
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
     core::ValidationOptions vopts;
     vopts.samples = 2000;
     const auto curve =
-        core::violationProbabilityCurve(analyzer, radii, vopts);
+        core::violationProbabilityCurve(problem, radii, vopts);
     std::cout << "\nviolation probability vs perturbation norm "
                  "(sampled):\n";
     for (const auto& point : curve) {

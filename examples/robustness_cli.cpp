@@ -101,13 +101,13 @@ int runScenarioMode(const ArgParser& args) {
   const auto mapping = sched::randomMapping(
       scenario.graph.applicationCount(), scenario.machines, rng);
   const hiperd::HiperdSystem system(scenario, mapping);
-  const auto analyzer = system.toAnalyzer();
-  const auto report = analyzer.analyze();
+  const auto problem = core::CompiledProblem::compile(system.toSpec());
+  const auto report = problem.evaluate();
   std::cout << "random mapping (seed " << args.getInt("mapping-seed", 1)
             << "): slack " << formatDouble(system.slack()) << "\n\n";
-  core::printReport(std::cout, report, analyzer.parameter());
+  core::printReport(std::cout, report, problem.parameter());
   const auto sensitivity =
-      core::bindingSensitivity(report, analyzer.parameter());
+      core::bindingSensitivity(report, problem.parameter());
   std::cout << "most critical sensor: "
             << scenario.graph.sensorName(sensitivity.ranking[0])
             << " (critical direction "

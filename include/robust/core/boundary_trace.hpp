@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 
 namespace robust::core {
 
@@ -33,7 +33,7 @@ struct BoundaryTraceOptions {
 /// options.rays samples may return (e.g. the half-plane behind an affine
 /// boundary). Requires a 2-D perturbation parameter.
 [[nodiscard]] std::vector<BoundarySample> traceBoundary2D(
-    const RobustnessAnalyzer& analyzer, std::size_t featureIndex,
+    const CompiledProblem& problem, std::size_t featureIndex,
     const BoundaryTraceOptions& options = {});
 
 }  // namespace robust::core

@@ -2,10 +2,11 @@
 // evaluate many per-query states against it.
 //
 // The paper's experiments (and any heuristic mapping search) evaluate the
-// metric for thousands of mappings against ONE fixed scenario. The legacy
-// RobustnessAnalyzer pays the full derivation cost per mapping: feature-name
-// strings, optional-wrapped affine payloads and type-erased closures are
-// re-allocated on every construction. The engine splits that work in two:
+// metric for thousands of mappings against ONE fixed scenario. Deriving the
+// problem afresh per mapping pays the full derivation cost each time:
+// feature-name strings, optional-wrapped affine payloads and type-erased
+// closures are re-allocated on every construction. The engine splits that
+// work in two:
 //
 //   Phase 1 — CompiledProblem::compile(ProblemSpec): validate once and pack
 //   the immutable structure. Affine feature rows land in one dense
@@ -18,9 +19,9 @@
 //   per-query state only (perturbation origin, per-feature constants, an
 //   optional per-feature weight scale such as HiPer-D's multitasking
 //   factor). Results are written into a caller-owned reusable workspace; the
-//   steady state performs no heap allocation on the affine fast path. The
-//   produced RobustnessReport is bit-identical to what
-//   RobustnessAnalyzer::analyze() returns for the equivalent derivation.
+//   steady state performs no heap allocation on the affine fast path. At
+//   the compiled defaults, evaluate() is the one-shot analysis of the
+//   derivation (Eq. 1 radii and the Eq. 2 metric).
 //
 // analyzeBatch() fans a span of instances across util::thread_pool with a
 // static block partition: results are bit-identical for every thread count.
@@ -66,12 +67,15 @@ namespace robust::core {
 /// reported as RobustnessReport::infeasibleOrigin instead of a radius.
 /// Constrained problems require affine features, an Auto/Analytic solver,
 /// and L2/Weighted subspace norms (the projection solvers are Euclidean).
+///
+/// Every member defaults to empty, so a designated initializer names only
+/// what it sets: `{.features = f, .parameter = p, .options = o}`.
 struct ProblemSpec {
-  std::vector<PerformanceFeature> features;
-  PerturbationParameter parameter;
-  AnalyzerOptions options;
-  std::vector<PerturbationSubspace> subspaces;
-  std::vector<LinearConstraint> constraints;
+  std::vector<PerformanceFeature> features{};
+  PerturbationParameter parameter{};
+  AnalyzerOptions options{};
+  std::vector<PerturbationSubspace> subspaces{};
+  std::vector<LinearConstraint> constraints{};
 };
 
 /// Phase-2 input: the per-query state overlaying a CompiledProblem. All
@@ -135,7 +139,7 @@ struct AffineFeatureView {
   std::optional<double> boundMax;
 };
 
-/// The exact analytic-path arithmetic of the analyzer for one affine
+/// The exact analytic-path arithmetic of the engine for one affine
 /// feature: at-origin violation check, Eq. 6 dual-norm radius per present
 /// bound, binding-bound selection, nearest boundary point. Writes into
 /// `out`, reusing its buffers; `name` is copied into out.feature.
@@ -157,8 +161,7 @@ void evaluateAffineRadius(const AffineFeatureView& feature,
 class CompiledProblem {
  public:
   /// Validates the derivation (dimensions, bounds, norm weights) and packs
-  /// it. Throws InvalidArgumentError exactly where the legacy analyzer
-  /// constructor did.
+  /// it. Throws InvalidArgumentError on an inconsistent derivation.
   [[nodiscard]] static CompiledProblem compile(ProblemSpec spec);
 
   [[nodiscard]] std::size_t featureCount() const noexcept {
@@ -213,7 +216,8 @@ class CompiledProblem {
       const AnalysisInstance& instance) const;
 
   /// Convenience: evaluates the compiled defaults (the spec's origin and
-  /// constants) — the exact equivalent of RobustnessAnalyzer::analyze().
+  /// constants): all radii and rho = min radius (Eq. 2), floored when the
+  /// parameter is discrete (Section 3.2's "objects per data set" rule).
   [[nodiscard]] RobustnessReport evaluate() const;
 
   /// Robustness radius of feature `index` at the compiled defaults (Eq. 1).

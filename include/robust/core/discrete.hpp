@@ -20,7 +20,7 @@
 
 #include <cstddef>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 
 namespace robust::core {
 
@@ -52,9 +52,5 @@ struct DiscreteOptions {
 /// non-discrete parameter or non-integer origin.
 [[nodiscard]] DiscreteRadiusBounds discreteRadiusBounds(
     const CompiledProblem& problem, const DiscreteOptions& options = {});
-
-/// Legacy-adapter overload: forwards to the analyzer's compiled problem.
-[[nodiscard]] DiscreteRadiusBounds discreteRadiusBounds(
-    const RobustnessAnalyzer& analyzer, const DiscreteOptions& options = {});
 
 }  // namespace robust::core

@@ -1,24 +1,25 @@
 // A fluent builder that mirrors the four FePIA steps, so that a derivation
 // for a new system reads like Section 2 of the paper:
 //
-//   auto analyzer = FepiaBuilder("makespan within 120% of predicted")
+//   auto problem = FepiaBuilder("makespan within 120% of predicted")
 //       .perturbation("C", cOrig, /*discrete=*/false, "seconds")   // step 2
 //       .feature("F_1", impactOfMachine1, ToleranceBounds::atMost(tauM))
 //       .feature("F_2", impactOfMachine2, ToleranceBounds::atMost(tauM))
 //       ...                                                        // steps 1+3
-//       .build();                                                  // step 4
-//   auto report = analyzer.analyze();
+//       .compile();                                                // step 4
+//   auto report = problem.evaluate();
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 
 namespace robust::core {
 
 /// Accumulates the FePIA derivation for one system and produces a
-/// RobustnessAnalyzer. Single-shot: build() may be called once.
+/// ProblemSpec or a CompiledProblem. Single-shot: spec() or compile() may be
+/// called once.
 class FepiaBuilder {
  public:
   /// `requirement` is the step-1 narrative (kept for reporting/diagnostics).
@@ -58,17 +59,14 @@ class FepiaBuilder {
     return requirement_;
   }
 
-  /// Step 4: validates the accumulated derivation and constructs the
-  /// analyzer. Throws InvalidArgumentError when steps are missing.
-  [[nodiscard]] RobustnessAnalyzer build();
-
   /// Step 4, structure only: releases the accumulated derivation as a
   /// ProblemSpec (for CompiledProblem::compile or deferred analysis).
-  /// Single-shot, shared with build()/compile().
+  /// Throws InvalidArgumentError when steps are missing. Single-shot,
+  /// shared with compile().
   [[nodiscard]] ProblemSpec spec();
 
   /// Step 4, compiled: validates and compiles the derivation for repeated /
-  /// batched evaluation. Single-shot, shared with build()/spec().
+  /// batched evaluation. Single-shot, shared with spec().
   [[nodiscard]] CompiledProblem compile();
 
  private:

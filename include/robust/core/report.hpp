@@ -2,12 +2,12 @@
 // (step 4): the norm and solver selection, one radius report per feature
 // (Eq. 1), and the full robustness report (Eq. 2).
 //
-// These types are shared between the compiled analysis engine
-// (robust/core/compiled.hpp) and the legacy RobustnessAnalyzer adapter
-// (robust/core/analyzer.hpp); they carry no behaviour beyond naming.
+// These types are produced by the compiled analysis engine
+// (robust/core/compiled.hpp); they carry no behaviour beyond naming.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -72,5 +72,12 @@ struct RobustnessReport {
   /// problems.
   bool infeasibleOrigin = false;
 };
+
+/// Multi-parameter extension (discussed in ref [1], the author's thesis):
+/// with several independent perturbation parameters, the mapping's combined
+/// robustness is limited by its weakest parameter. Reports must be expressed
+/// in comparable units; the caller may normalize each metric first.
+[[nodiscard]] double combinedRobustness(
+    std::span<const RobustnessReport> reports);
 
 }  // namespace robust::core

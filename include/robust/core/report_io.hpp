@@ -4,7 +4,8 @@
 
 #include <iosfwd>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/feature.hpp"
+#include "robust/core/report.hpp"
 
 namespace robust::core {
 

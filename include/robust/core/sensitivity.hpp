@@ -12,7 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/feature.hpp"
+#include "robust/core/report.hpp"
 
 namespace robust::core {
 

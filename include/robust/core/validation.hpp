@@ -11,7 +11,7 @@
 #include <span>
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 
 namespace robust::core {
 
@@ -41,7 +41,7 @@ struct ValidationOptions {
 /// usually yields violationsAtBoundary > 0 (not guaranteed for a margin this
 /// small when the boundary is touched at a measure-zero set of directions).
 [[nodiscard]] ValidationResult validateRadius(
-    const RobustnessAnalyzer& analyzer, double radius,
+    const CompiledProblem& problem, double radius,
     const ValidationOptions& options = {});
 
 /// One point of the empirical violation profile.
@@ -56,7 +56,7 @@ struct ViolationCurvePoint {
 /// (exact) robustness metric and grows beyond it — the curve shows how
 /// sharply the guarantee degrades past the certified radius.
 [[nodiscard]] std::vector<ViolationCurvePoint> violationProbabilityCurve(
-    const RobustnessAnalyzer& analyzer, std::span<const double> radii,
+    const CompiledProblem& problem, std::span<const double> radii,
     const ValidationOptions& options = {});
 
 }  // namespace robust::core

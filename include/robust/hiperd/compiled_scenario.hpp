@@ -16,12 +16,13 @@
 // analyze(mapping, workspace) then materializes only the mapping-dependent
 // weight rows into a caller-owned workspace and runs the shared core kernel
 // (core::evaluateAffineRadius), producing a RobustnessReport bit-identical
-// to HiperdSystem(scenario, mapping).toAnalyzer(options).analyze().
+// to HiperdSystem(scenario, mapping).analyze(options).
 //
 // The all-affine fast path applies when every compute and comm function is
 // linear and the solver is Auto or Analytic (the generated scenarios and the
 // paper's Table 2 are all-linear). Otherwise analyze() transparently falls
-// back to the legacy derivation, so results are identical either way.
+// back to the per-mapping derivation (HiperdSystem::analyze), so results are
+// identical either way.
 #pragma once
 
 #include <cstddef>
@@ -75,7 +76,8 @@ class CompiledScenario {
   }
   /// True when every load function is linear and the solver is analytic, so
   /// analyze() runs the allocation-free kernel path. Otherwise analyze()
-  /// falls back to the legacy derivation (identical results, legacy cost).
+  /// falls back to HiperdSystem::analyze (identical results, per-mapping
+  /// derivation cost).
   [[nodiscard]] bool fastPath() const noexcept { return fast_; }
   /// 1/R(a_i), the scenario-fixed throughput bound of `app`.
   [[nodiscard]] double throughputBound(std::size_t app) const;
@@ -83,7 +85,7 @@ class CompiledScenario {
   /// Phase 2: full robustness analysis of one mapping (Eq. 11, floored).
   /// Returns a reference to the workspace-owned report (valid until the next
   /// analyze through the same workspace). Bit-identical to
-  /// HiperdSystem(scenario, mapping).toAnalyzer(options).analyze().
+  /// HiperdSystem(scenario, mapping).analyze(options).
   const core::RobustnessReport& analyze(const sched::Mapping& mapping,
                                         ScenarioWorkspace& workspace) const;
 

@@ -34,9 +34,4 @@ namespace robust::hiperd {
 [[nodiscard]] core::ProblemSpec slowdownSpec(
     const HiperdSystem& system, core::AnalyzerOptions options = {});
 
-/// Builds the FePIA analyzer for the machine-slowdown derivation (the
-/// compiled form of slowdownSpec behind the legacy adapter API).
-[[nodiscard]] core::RobustnessAnalyzer slowdownAnalyzer(
-    const HiperdSystem& system, core::AnalyzerOptions options = {});
-
 }  // namespace robust::hiperd

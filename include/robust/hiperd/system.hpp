@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/hiperd/graph.hpp"
 #include "robust/hiperd/load_function.hpp"
 #include "robust/scheduling/mapping.hpp"
@@ -113,15 +113,17 @@ class HiperdSystem {
   /// constraints of (1 - fractional value).
   [[nodiscard]] double slack() const;
 
-  /// Builds the FePIA analyzer for this mapping: one feature per non-trivial
+  /// The FePIA derivation of this mapping: one feature per non-trivial
   /// computation / communication / latency constraint, perturbation lambda
   /// (discrete). Features whose impact does not depend on lambda carry no
-  /// boundary and are omitted.
-  [[nodiscard]] core::RobustnessAnalyzer toAnalyzer(
+  /// boundary and are omitted. The spec does not refer to this system, so
+  /// it may outlive it; it refers to the scenario, which must stay alive
+  /// while the spec (or the problem compiled from it) is evaluated.
+  [[nodiscard]] core::ProblemSpec toSpec(
       core::AnalyzerOptions options = {}) const;
 
-  /// Full robustness analysis (Eq. 11, floored): convenience wrapper around
-  /// toAnalyzer().analyze().
+  /// Full robustness analysis (Eq. 11, floored):
+  /// CompiledProblem::compile(toSpec(options)).evaluate().
   [[nodiscard]] core::RobustnessReport analyze(
       core::AnalyzerOptions options = {}) const;
 

@@ -60,9 +60,10 @@ using MetricId = std::uint32_t;
 inline constexpr std::size_t kHistogramBuckets = 28;
 
 /// Registers (or looks up) a metric by name. Idempotent: the same name
-/// always yields the same id. Throws std::runtime_error when the fixed
-/// per-kind capacity is exhausted. Names are conventionally dotted paths
-/// ("core.rows_evaluated").
+/// always yields the same id. Never throws: once the fixed per-kind
+/// capacity is exhausted, new names share the reserved "obs.overflow"
+/// series of their kind, which the snapshot shows like any other. Names
+/// are conventionally dotted paths ("core.rows_evaluated").
 [[nodiscard]] MetricId counterId(std::string_view name);
 [[nodiscard]] MetricId gaugeId(std::string_view name);
 [[nodiscard]] MetricId histogramId(std::string_view name);
@@ -73,12 +74,14 @@ inline constexpr std::size_t kHistogramBuckets = 28;
 // (including threads that have exited) holds for labeled series too.
 // Labels are for LOW-cardinality dimensions (tenant id, frame type): each
 // distinct (name, key, value) consumes one slot of the fixed per-kind
-// capacity. When a new value would not fit, the id of the per-series
+// capacity. Labeled series may fill at most half of a kind's capacity, and
+// one (name, key) pair at most an eighth, so unlabeled names always keep
+// headroom. When a new value would not fit, the id of the per-series
 // overflow bucket "name{key=_other_}" is returned instead — hostile
-// cardinality degrades to aggregation, never to a thrown error on the
-// recording path. (The overflow slot is reserved on the first labeled
-// registration of a (name, key) pair; only THAT first call can throw on a
-// full table, which is a static capacity misconfiguration.)
+// cardinality degrades to aggregation, never to a thrown error. (The
+// bucket is reserved on the first labeled registration of a (name, key)
+// pair; when even the bucket does not fit, the kind's "obs.overflow"
+// series is returned.)
 
 [[nodiscard]] MetricId counterId(std::string_view name, std::string_view labelKey,
                                  std::string_view labelValue);

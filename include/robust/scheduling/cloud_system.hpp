@@ -26,7 +26,7 @@
 
 #include <cstddef>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/core/failure.hpp"
 #include "robust/scheduling/etc.hpp"
 #include "robust/scheduling/heuristics.hpp"

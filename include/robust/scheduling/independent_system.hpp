@@ -11,7 +11,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/scheduling/etc.hpp"
 #include "robust/scheduling/mapping.hpp"
 
@@ -62,20 +62,14 @@ class IndependentTaskSystem {
   [[nodiscard]] std::vector<double> criticalPoint() const;
 
   /// The equivalent generic FePIA derivation (one affine feature per
-  /// non-empty machine), ready for CompiledProblem::compile or the legacy
-  /// analyzer.
+  /// non-empty machine). Used to cross-validate Eq. 6 against the generic
+  /// solvers, and as the worked example of deriving a system with the core
+  /// API.
   [[nodiscard]] core::ProblemSpec toSpec(
       core::AnalyzerOptions options = {}) const;
 
   /// Compiles the derivation for repeated / batched evaluation.
   [[nodiscard]] core::CompiledProblem compile(
-      core::AnalyzerOptions options = {}) const;
-
-  /// Builds the equivalent generic FePIA analyzer (one affine feature per
-  /// non-empty machine). Used to cross-validate Eq. 6 against the generic
-  /// solvers, and as the worked example of deriving a system with the core
-  /// API.
-  [[nodiscard]] core::RobustnessAnalyzer toAnalyzer(
       core::AnalyzerOptions options = {}) const;
 
  private:

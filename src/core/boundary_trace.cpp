@@ -7,19 +7,19 @@
 namespace robust::core {
 
 std::vector<BoundarySample> traceBoundary2D(
-    const RobustnessAnalyzer& analyzer, std::size_t featureIndex,
+    const CompiledProblem& problem, std::size_t featureIndex,
     const BoundaryTraceOptions& options) {
-  ROBUST_REQUIRE(featureIndex < analyzer.featureCount(),
+  ROBUST_REQUIRE(featureIndex < problem.featureCount(),
                  "traceBoundary2D: feature index out of range");
-  ROBUST_REQUIRE(analyzer.parameter().origin.size() == 2,
+  ROBUST_REQUIRE(problem.parameter().origin.size() == 2,
                  "traceBoundary2D: requires a 2-D perturbation parameter");
   ROBUST_REQUIRE(options.rays >= 4, "traceBoundary2D: need at least 4 rays");
 
-  const PerformanceFeature& feature = analyzer.features()[featureIndex];
+  const PerformanceFeature& feature = problem.features()[featureIndex];
   const double level = feature.bounds.max ? *feature.bounds.max
                                           : *feature.bounds.min;
   const num::ScalarField g = feature.impact.field();
-  const num::Vec& origin = analyzer.parameter().origin;
+  const num::Vec& origin = problem.parameter().origin;
 
   std::vector<BoundarySample> samples;
   samples.reserve(static_cast<std::size_t>(options.rays));

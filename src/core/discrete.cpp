@@ -156,9 +156,4 @@ DiscreteRadiusBounds discreteRadiusBounds(const CompiledProblem& problem,
   return bounds;
 }
 
-DiscreteRadiusBounds discreteRadiusBounds(const RobustnessAnalyzer& analyzer,
-                                          const DiscreteOptions& options) {
-  return discreteRadiusBounds(analyzer.compiled(), options);
-}
-
 }  // namespace robust::core

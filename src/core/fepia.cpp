@@ -57,7 +57,7 @@ FepiaBuilder& FepiaBuilder::options(AnalyzerOptions options) {
 }
 
 ProblemSpec FepiaBuilder::spec() {
-  ROBUST_REQUIRE(!built_, "FepiaBuilder: build() already called");
+  ROBUST_REQUIRE(!built_, "FepiaBuilder: derivation already released");
   ROBUST_REQUIRE(haveParameter_ || !subspaces_.empty(),
                  "FepiaBuilder: step 2 (perturbation parameter) missing");
   ROBUST_REQUIRE(!features_.empty(),
@@ -74,10 +74,6 @@ ProblemSpec FepiaBuilder::spec() {
 
 CompiledProblem FepiaBuilder::compile() {
   return CompiledProblem::compile(spec());
-}
-
-RobustnessAnalyzer FepiaBuilder::build() {
-  return RobustnessAnalyzer(spec());
 }
 
 }  // namespace robust::core

@@ -1,11 +1,37 @@
 #include "robust/core/report_io.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <ostream>
 
+#include "robust/util/error.hpp"
 #include "robust/util/table.hpp"
 
 namespace robust::core {
+
+std::string toString(NormKind norm) {
+  switch (norm) {
+    case NormKind::L1:
+      return "l1";
+    case NormKind::L2:
+      return "l2";
+    case NormKind::LInf:
+      return "linf";
+    case NormKind::Weighted:
+      return "weighted";
+  }
+  return "?";
+}
+
+double combinedRobustness(std::span<const RobustnessReport> reports) {
+  ROBUST_REQUIRE(!reports.empty(), "combinedRobustness: no reports");
+  double metric = std::numeric_limits<double>::infinity();
+  for (const auto& r : reports) {
+    metric = std::min(metric, r.metric);
+  }
+  return metric;
+}
 
 namespace {
 

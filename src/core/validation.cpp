@@ -44,24 +44,24 @@ num::Vec randomDisplacement(Pcg32& rng, std::size_t n, double radius,
 
 }  // namespace
 
-ValidationResult validateRadius(const RobustnessAnalyzer& analyzer,
+ValidationResult validateRadius(const CompiledProblem& problem,
                                 double radius,
                                 const ValidationOptions& options) {
   ROBUST_REQUIRE(radius >= 0.0, "validateRadius: negative radius");
   ROBUST_REQUIRE(options.samples > 0, "validateRadius: samples must be > 0");
   ROBUST_REQUIRE(options.norm != NormKind::Weighted ||
                      options.normWeights.size() ==
-                         analyzer.parameter().origin.size(),
+                         problem.parameter().origin.size(),
                  "validateRadius: weighted norm requires one weight per "
                  "perturbation component");
 
-  const auto& origin = analyzer.parameter().origin;
+  const auto& origin = problem.parameter().origin;
   const std::size_t n = origin.size();
   Pcg32 rng(options.seed, /*stream=*/43);
 
   ValidationResult result;
   auto allWithinBounds = [&](std::span<const double> point) {
-    for (const auto& f : analyzer.features()) {
+    for (const auto& f : problem.features()) {
       if (!f.bounds.contains(f.impact.evaluate(point))) {
         return false;
       }
@@ -99,16 +99,16 @@ ValidationResult validateRadius(const RobustnessAnalyzer& analyzer,
 
 
 std::vector<ViolationCurvePoint> violationProbabilityCurve(
-    const RobustnessAnalyzer& analyzer, std::span<const double> radii,
+    const CompiledProblem& problem, std::span<const double> radii,
     const ValidationOptions& options) {
   ROBUST_REQUIRE(options.samples > 0,
                  "violationProbabilityCurve: samples must be > 0");
-  const auto& origin = analyzer.parameter().origin;
+  const auto& origin = problem.parameter().origin;
   const std::size_t n = origin.size();
   Pcg32 rng(options.seed, /*stream=*/53);
 
   auto allWithinBounds = [&](std::span<const double> point) {
-    for (const auto& f : analyzer.features()) {
+    for (const auto& f : problem.features()) {
       if (!f.bounds.contains(f.impact.evaluate(point))) {
         return false;
       }

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "robust/core/analyzer.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
@@ -209,14 +208,13 @@ const core::RobustnessReport& CompiledScenario::analyze(
   const obs::Span span("hiperd.analyze");
   if (!fast_) {
     // Non-linear load functions or an iterative solver: delegate to the
-    // legacy derivation (identical results, legacy cost).
+    // per-mapping derivation (identical results, per-mapping cost).
     if (obs::enabled()) [[unlikely]] {
       static const obs::MetricId kFallback =
           obs::counterId("hiperd.analyze_fallback");
       obs::addCounter(kFallback);
     }
-    workspace.report_ =
-        HiperdSystem(*scenario_, mapping).toAnalyzer(options_).analyze();
+    workspace.report_ = HiperdSystem(*scenario_, mapping).analyze(options_);
     return workspace.report_;
   }
 

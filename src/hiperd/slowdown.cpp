@@ -56,7 +56,7 @@ core::ProblemSpec slowdownSpec(const HiperdSystem& system,
   }
 
   ROBUST_REQUIRE(!features.empty(),
-                 "slowdownAnalyzer: no feature depends on machine speed");
+                 "slowdownSpec: no feature depends on machine speed");
 
   core::PerturbationSubspace s;
   s.name = "s (machine slowdown factors)";
@@ -70,11 +70,6 @@ core::ProblemSpec slowdownSpec(const HiperdSystem& system,
   spec.options = std::move(options);
   spec.subspaces.push_back(std::move(s));
   return spec;
-}
-
-core::RobustnessAnalyzer slowdownAnalyzer(const HiperdSystem& system,
-                                          core::AnalyzerOptions options) {
-  return core::RobustnessAnalyzer(slowdownSpec(system, std::move(options)));
 }
 
 }  // namespace robust::hiperd

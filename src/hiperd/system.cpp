@@ -147,8 +147,7 @@ double HiperdSystem::slack() const {
   return slackValue;
 }
 
-core::RobustnessAnalyzer HiperdSystem::toAnalyzer(
-    core::AnalyzerOptions options) const {
+core::ProblemSpec HiperdSystem::toSpec(core::AnalyzerOptions options) const {
   const auto& graph = scenario_.graph;
   std::vector<core::PerformanceFeature> features;
 
@@ -210,12 +209,12 @@ core::RobustnessAnalyzer HiperdSystem::toAnalyzer(
         }
         return core::ImpactFunction::affine(std::move(weights), 0.0);
       }
-      // General case: capture this system by reference (the analyzer's
-      // lifetime is bounded by the system's in all call sites; documented).
-      const std::size_t pathIndex = k;
+      // General case: a callable over a copy of this system, which holds
+      // the scenario by reference and the mapping and multitasking factors
+      // by value, so the spec outlives the system but not the scenario.
       return core::ImpactFunction::callable(
-          [this, pathIndex](std::span<const double> lambda) {
-            return latency(pathIndex, lambda);
+          [system = *this, k](std::span<const double> lambda) {
+            return system.latency(k, lambda);
           });
     }();
     if (impact.isAffine() && num::norm2(impact.weights()) == 0.0) {
@@ -240,12 +239,12 @@ core::RobustnessAnalyzer HiperdSystem::toAnalyzer(
   spec.features = std::move(features);
   spec.options = options;
   spec.subspaces.push_back(std::move(lambda));
-  return core::RobustnessAnalyzer(std::move(spec));
+  return spec;
 }
 
 core::RobustnessReport HiperdSystem::analyze(
     core::AnalyzerOptions options) const {
-  return toAnalyzer(options).analyze();
+  return core::CompiledProblem::compile(toSpec(std::move(options))).evaluate();
 }
 
 }  // namespace robust::hiperd

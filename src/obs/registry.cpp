@@ -36,6 +36,9 @@ namespace {
 constexpr std::size_t kMaxCounters = 256;
 constexpr std::size_t kMaxGauges = 64;
 constexpr std::size_t kMaxHistograms = 64;
+/// Series that absorbs every registration past a table's capacity. The
+/// last slot of each table is kept free for it.
+constexpr std::string_view kOverflowName = "obs.overflow";
 /// Per-thread span cap: traces stay bounded on pathological runs; overflow
 /// is counted, not silently ignored.
 constexpr std::size_t kMaxSpansPerThread = 1u << 16;
@@ -103,11 +106,22 @@ struct RetiredFlight {
   std::vector<FlightRecord> records;  ///< ring order already restored
 };
 
+/// One kind's registered names; a metric's id is its index in `names`.
+/// Labeled series may hold at most half of the capacity, and each labeled
+/// (name, key) pair at most an eighth besides its "_other_" bucket, so
+/// neither a flood of labeled names nor one hostile label crowds out the
+/// unlabeled instrumentation or the other labeled series.
+struct NameTable {
+  std::size_t capacity;
+  std::vector<std::string> names{};
+  std::size_t labeled = 0;  ///< slots held by labeled series
+};
+
 struct Registry {
   std::mutex mutex;  ///< names, shard list, retired totals — never recording
-  std::vector<std::string> counterNames;
-  std::vector<std::string> gaugeNames;
-  std::vector<std::string> histogramNames;
+  NameTable counterTable{kMaxCounters};
+  NameTable gaugeTable{kMaxGauges};
+  NameTable histogramTable{kMaxHistograms};
   std::vector<Shard*> shards;
   RetiredTotals retired;
   std::vector<RetiredTrace> retiredTrace;
@@ -191,55 +205,83 @@ Shard& localShard() {
   return *handle.shard;
 }
 
-/// Registration body; the registry mutex must already be held. Returns
-/// nullopt when the table is full and `name` is not already present.
-std::optional<MetricId> tryRegisterLocked(std::vector<std::string>& names,
-                                          std::size_t capacity,
-                                          std::string_view name) {
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) {
+std::optional<MetricId> findLocked(const NameTable& table,
+                                   std::string_view name) {
+  for (std::size_t i = 0; i < table.names.size(); ++i) {
+    if (table.names[i] == name) {
       return static_cast<MetricId>(i);
     }
   }
-  if (names.size() >= capacity) {
+  return std::nullopt;
+}
+
+/// Number of registered series of the labeled (name, key) pair whose
+/// names start with `prefix` ("name{key=").
+std::size_t seriesWithPrefix(const NameTable& table, std::string_view prefix) {
+  return static_cast<std::size_t>(std::count_if(
+      table.names.begin(), table.names.end(),
+      [&](const std::string& n) { return n.starts_with(prefix); }));
+}
+
+/// Looks `name` up, or appends it when the table has room for it: an
+/// ordinary series never takes the last slot, and a labeled one (prefix
+/// non-empty) also respects the labeled caps. The registry mutex must be
+/// held.
+std::optional<MetricId> findOrAddLocked(NameTable& table, std::string_view name,
+                                        std::string_view labelPrefix = {}) {
+  if (const auto id = findLocked(table, name)) {
+    return id;
+  }
+  if (table.names.size() + 1 >= table.capacity) {
     return std::nullopt;
   }
-  names.emplace_back(name);
-  return static_cast<MetricId>(names.size() - 1);
+  if (!labelPrefix.empty()) {
+    if (table.labeled >= table.capacity / 2 ||
+        seriesWithPrefix(table, labelPrefix) > table.capacity / 8) {
+      return std::nullopt;
+    }
+    ++table.labeled;
+  }
+  table.names.emplace_back(name);
+  return static_cast<MetricId>(table.names.size() - 1);
 }
 
-MetricId registerName(std::vector<std::string>& names, std::size_t capacity,
-                      std::string_view name, const char* kind) {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  if (const auto id = tryRegisterLocked(names, capacity, name)) {
+/// The reserved series for registrations past capacity. Always fits:
+/// ordinary registrations stop one slot short of capacity.
+MetricId overflowLocked(NameTable& table) {
+  if (const auto id = findLocked(table, kOverflowName)) {
     return *id;
   }
-  throw std::runtime_error(std::string("obs: ") + kind +
-                           " capacity exhausted registering '" +
-                           std::string(name) + "'");
+  table.names.emplace_back(kOverflowName);
+  return static_cast<MetricId>(table.names.size() - 1);
 }
 
-MetricId registerLabeled(std::vector<std::string>& names, std::size_t capacity,
-                         std::string_view name, std::string_view key,
-                         std::string_view value, const char* kind) {
+MetricId registerName(NameTable& table, std::string_view name) {
+  std::lock_guard lock(registry().mutex);
+  if (const auto id = findOrAddLocked(table, name)) {
+    return *id;
+  }
+  return overflowLocked(table);
+}
+
+MetricId registerLabeled(NameTable& table, std::string_view name,
+                         std::string_view key, std::string_view value) {
+  const std::string prefix = std::string(name) + '{' + std::string(key) + '=';
   const std::string overflowName = labeledMetricName(name, key, "_other_");
   const std::string seriesName = labeledMetricName(name, key, value);
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  // Reserve the overflow bucket before the specific series: once it
-  // exists, a full table degrades hostile label cardinality to
-  // aggregation under "_other_" instead of an error on the labeled path.
-  const auto overflow = tryRegisterLocked(names, capacity, overflowName);
-  if (!overflow) {
-    throw std::runtime_error(std::string("obs: ") + kind +
-                             " capacity exhausted registering '" +
-                             overflowName + "'");
+  std::lock_guard lock(registry().mutex);
+  // Reserve the (name, key) aggregation bucket before the specific series:
+  // once it exists, hostile label cardinality degrades to aggregation
+  // under "_other_". Without room even for the bucket, the series lands in
+  // the table's overflow series.
+  const auto bucket = findOrAddLocked(table, overflowName, prefix);
+  if (!bucket) {
+    return overflowLocked(table);
   }
-  if (const auto id = tryRegisterLocked(names, capacity, seriesName)) {
+  if (const auto id = findOrAddLocked(table, seriesName, prefix)) {
     return *id;
   }
-  return *overflow;
+  return *bucket;
 }
 
 std::int64_t steadyNowNanos() noexcept;
@@ -301,16 +343,15 @@ void setEnabled(bool on) noexcept {
 }
 
 MetricId counterId(std::string_view name) {
-  return registerName(registry().counterNames, kMaxCounters, name, "counter");
+  return registerName(registry().counterTable, name);
 }
 
 MetricId gaugeId(std::string_view name) {
-  return registerName(registry().gaugeNames, kMaxGauges, name, "gauge");
+  return registerName(registry().gaugeTable, name);
 }
 
 MetricId histogramId(std::string_view name) {
-  return registerName(registry().histogramNames, kMaxHistograms, name,
-                      "histogram");
+  return registerName(registry().histogramTable, name);
 }
 
 std::string labeledMetricName(std::string_view name, std::string_view labelKey,
@@ -328,14 +369,12 @@ std::string labeledMetricName(std::string_view name, std::string_view labelKey,
 
 MetricId counterId(std::string_view name, std::string_view labelKey,
                    std::string_view labelValue) {
-  return registerLabeled(registry().counterNames, kMaxCounters, name, labelKey,
-                         labelValue, "counter");
+  return registerLabeled(registry().counterTable, name, labelKey, labelValue);
 }
 
 MetricId histogramId(std::string_view name, std::string_view labelKey,
                      std::string_view labelValue) {
-  return registerLabeled(registry().histogramNames, kMaxHistograms, name,
-                         labelKey, labelValue, "histogram");
+  return registerLabeled(registry().histogramTable, name, labelKey, labelValue);
 }
 
 void addCounter(MetricId id, std::uint64_t delta) noexcept {
@@ -447,9 +486,9 @@ MetricsSnapshot snapshotMetrics() {
   std::lock_guard lock(reg.mutex);
   MetricsSnapshot snapshot;
 
-  snapshot.counters.resize(reg.counterNames.size());
-  for (std::size_t i = 0; i < reg.counterNames.size(); ++i) {
-    snapshot.counters[i].name = reg.counterNames[i];
+  snapshot.counters.resize(reg.counterTable.names.size());
+  for (std::size_t i = 0; i < reg.counterTable.names.size(); ++i) {
+    snapshot.counters[i].name = reg.counterTable.names[i];
     std::uint64_t total = reg.retired.counters[i];
     for (const Shard* shard : reg.shards) {
       total += shard->counters[i].load(std::memory_order_relaxed);
@@ -457,16 +496,16 @@ MetricsSnapshot snapshotMetrics() {
     snapshot.counters[i].value = total;
   }
 
-  snapshot.gauges.resize(reg.gaugeNames.size());
-  for (std::size_t i = 0; i < reg.gaugeNames.size(); ++i) {
-    snapshot.gauges[i].name = reg.gaugeNames[i];
+  snapshot.gauges.resize(reg.gaugeTable.names.size());
+  for (std::size_t i = 0; i < reg.gaugeTable.names.size(); ++i) {
+    snapshot.gauges[i].name = reg.gaugeTable.names[i];
     snapshot.gauges[i].value = reg.gauges[i].load(std::memory_order_relaxed);
   }
 
-  snapshot.histograms.resize(reg.histogramNames.size());
-  for (std::size_t i = 0; i < reg.histogramNames.size(); ++i) {
+  snapshot.histograms.resize(reg.histogramTable.names.size());
+  for (std::size_t i = 0; i < reg.histogramTable.names.size(); ++i) {
     HistogramValue& h = snapshot.histograms[i];
-    h.name = reg.histogramNames[i];
+    h.name = reg.histogramTable.names[i];
     h.count = reg.retired.histCount[i];
     h.sumNanos = reg.retired.histSum[i];
     h.buckets.assign(reg.retired.histBuckets[i].begin(),

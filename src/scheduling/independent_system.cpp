@@ -141,9 +141,4 @@ core::CompiledProblem IndependentTaskSystem::compile(
   return core::CompiledProblem::compile(toSpec(std::move(options)));
 }
 
-core::RobustnessAnalyzer IndependentTaskSystem::toAnalyzer(
-    core::AnalyzerOptions options) const {
-  return core::RobustnessAnalyzer(toSpec(std::move(options)));
-}
-
 }  // namespace robust::sched

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <limits>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/core/validation.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
@@ -14,16 +14,17 @@
 namespace robust::core {
 namespace {
 
-RobustnessAnalyzer makeAffineAnalyzer(num::Vec weights, double constant,
-                                      ToleranceBounds bounds, num::Vec origin,
-                                      AnalyzerOptions options = {},
-                                      bool discrete = false) {
+CompiledProblem makeAffineAnalyzer(num::Vec weights, double constant,
+                                   ToleranceBounds bounds, num::Vec origin,
+                                   AnalyzerOptions options = {},
+                                   bool discrete = false) {
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{
       "phi", ImpactFunction::affine(std::move(weights), constant), bounds});
   PerturbationParameter parameter{"pi", std::move(origin), discrete, ""};
-  return RobustnessAnalyzer(std::move(features), std::move(parameter),
-                            options);
+  return CompiledProblem::compile({.features = std::move(features),
+                                   .parameter = std::move(parameter),
+                                   .options = options});
 }
 
 // --------------------------------------------------------- radii, affine
@@ -55,7 +56,7 @@ TEST(Analyzer, ViolatedAtOriginGivesZero) {
   const auto radius = analyzer.radiusOf(0);
   EXPECT_DOUBLE_EQ(radius.radius, 0.0);
   EXPECT_EQ(radius.method, "violated-at-origin");
-  const auto report = analyzer.analyze();
+  const auto report = analyzer.evaluate();
   EXPECT_DOUBLE_EQ(report.metric, 0.0);
 }
 
@@ -68,8 +69,9 @@ TEST(Analyzer, MetricIsMinimumOfRadii) {
                                         ImpactFunction::affine({0.0, 1.0}, 0.0),
                                         ToleranceBounds::atMost(50.0)});
   PerturbationParameter parameter{"pi", {0.0, 0.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), std::move(parameter));
-  const auto report = analyzer.analyze();
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = std::move(parameter)});
+  const auto report = analyzer.evaluate();
   EXPECT_DOUBLE_EQ(report.metric, 2.0);
   EXPECT_EQ(report.bindingFeature, 0u);
   EXPECT_EQ(report.radii.size(), 2u);
@@ -80,7 +82,7 @@ TEST(Analyzer, DiscreteParameterFloorsMetric) {
   const auto analyzer = makeAffineAnalyzer(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0}, {},
       /*discrete=*/true);
-  const auto report = analyzer.analyze();
+  const auto report = analyzer.evaluate();
   EXPECT_DOUBLE_EQ(report.metric, std::floor(8.0 / std::sqrt(2.0)));
   EXPECT_TRUE(report.floored);
 }
@@ -88,7 +90,7 @@ TEST(Analyzer, DiscreteParameterFloorsMetric) {
 TEST(Analyzer, ContinuousParameterNotFloored) {
   const auto analyzer = makeAffineAnalyzer(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0});
-  EXPECT_FALSE(analyzer.analyze().floored);
+  EXPECT_FALSE(analyzer.evaluate().floored);
 }
 
 TEST(Analyzer, RadiusOfOutOfRangeThrows) {
@@ -164,8 +166,8 @@ TEST(Analyzer, WeightedNormMonteCarloAgrees) {
   const auto b = makeAffineAnalyzer({1.0, 1.0}, 0.0,
                                     ToleranceBounds::atMost(10.0),
                                     {1.0, 1.0}, oracle);
-  const double exactR = a.analyze().metric;
-  const double sampledR = b.analyze().metric;
+  const double exactR = a.evaluate().metric;
+  const double sampledR = b.evaluate().metric;
   EXPECT_GE(sampledR, exactR - 1e-9);
   EXPECT_NEAR(sampledR, exactR, 0.05 * exactR);
 }
@@ -190,7 +192,7 @@ TEST(Validation, WeightedNormGuaranteeHolds) {
   options.normWeights = {4.0, 1.0};
   const auto analyzer = makeAffineAnalyzer(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0}, options);
-  const double rho = analyzer.analyze().metric;
+  const double rho = analyzer.evaluate().metric;
   ValidationOptions vopts;
   vopts.norm = NormKind::Weighted;
   vopts.normWeights = {4.0, 1.0};
@@ -234,8 +236,10 @@ TEST(Analyzer, AnalyticRequiresAffine) {
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
   AnalyzerOptions options;
   options.solver = SolverKind::Analytic;
-  const RobustnessAnalyzer analyzer(std::move(features), std::move(parameter),
-                                    options);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features),
+       .parameter = std::move(parameter),
+       .options = options});
   EXPECT_THROW((void)analyzer.radiusOf(0), InvalidArgumentError);
 }
 
@@ -248,8 +252,8 @@ TEST(Analyzer, AutoUsesKktForCallable) {
       }),
       ToleranceBounds::atMost(25.0)});
   PerturbationParameter parameter{"pi", {1.0, 1.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features),
-                                    std::move(parameter));
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = std::move(parameter)});
   const auto radius = analyzer.radiusOf(0);
   EXPECT_NEAR(radius.radius, 5.0 - std::sqrt(2.0), 1e-6);
 }
@@ -267,12 +271,14 @@ TEST(Analyzer, UnreachableBoundReportsInfinity) {
   options.solver = SolverKind::MonteCarlo;
   options.solverOptions.samples = 64;
   options.solverOptions.searchLimit = 1e4;
-  const RobustnessAnalyzer analyzer(std::move(features), std::move(parameter),
-                                    options);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features),
+       .parameter = std::move(parameter),
+       .options = options});
   const auto radius = analyzer.radiusOf(0);
   EXPECT_FALSE(radius.boundReachable);
   EXPECT_TRUE(std::isinf(radius.radius));
-  const auto report = analyzer.analyze();
+  const auto report = analyzer.evaluate();
   EXPECT_TRUE(std::isinf(report.metric));
 }
 
@@ -293,7 +299,7 @@ TEST(CombinedRobustness, TakesMinimumAcrossParameters) {
 TEST(Validation, CorrectRadiusHasNoInsideViolations) {
   const auto analyzer = makeAffineAnalyzer(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0});
-  const double rho = analyzer.analyze().metric;
+  const double rho = analyzer.evaluate().metric;
   const auto result = validateRadius(analyzer, rho);
   EXPECT_EQ(result.violationsInside, 0);
   EXPECT_GT(result.violationsAtBoundary, 0);  // the radius is tight
@@ -302,7 +308,7 @@ TEST(Validation, CorrectRadiusHasNoInsideViolations) {
 TEST(Validation, InflatedRadiusIsDetected) {
   const auto analyzer = makeAffineAnalyzer(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0});
-  const double rho = analyzer.analyze().metric;
+  const double rho = analyzer.evaluate().metric;
   const auto result = validateRadius(analyzer, 1.5 * rho);
   EXPECT_GT(result.violationsInside, 0);
 }
@@ -359,10 +365,12 @@ TEST_P(AnalyticVsOracle, OracleNeverBeatsAnalytic) {
   oracle.solverOptions.seed = seed + 1;
 
   PerturbationParameter parameter{"pi", origin, false, ""};
-  const RobustnessAnalyzer a(features, parameter, analytic);
-  const RobustnessAnalyzer b(features, parameter, oracle);
-  const double exact = a.analyze().metric;
-  const double sampled = b.analyze().metric;
+  const auto a = CompiledProblem::compile(
+      {.features = features, .parameter = parameter, .options = analytic});
+  const auto b = CompiledProblem::compile(
+      {.features = features, .parameter = parameter, .options = oracle});
+  const double exact = a.evaluate().metric;
+  const double sampled = b.evaluate().metric;
   EXPECT_GE(sampled, exact - 1e-9);
   EXPECT_LE(sampled, exact * 1.6 + 1e-9);  // loose convergence envelope
 }

@@ -15,7 +15,8 @@ TEST(BoundaryTrace, AffineBoundaryPointsLieOnTheLine) {
       "F", ImpactFunction::affine({1.0, 1.0}, 0.0),
       ToleranceBounds::atMost(9.1)});
   PerturbationParameter parameter{"C", {4.0, 3.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = parameter});
 
   const auto samples = traceBoundary2D(analyzer, 0);
   EXPECT_GT(samples.size(), 30u);      // roughly the facing half-plane
@@ -44,7 +45,8 @@ TEST(BoundaryTrace, CurvedBoundaryIsClosed) {
       }),
       ToleranceBounds::atMost(25.0)});
   PerturbationParameter parameter{"pi", {1.0, 0.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = parameter});
 
   BoundaryTraceOptions options;
   options.rays = 64;
@@ -70,7 +72,8 @@ TEST(BoundaryTrace, Validation) {
       "F", ImpactFunction::affine({1.0, 1.0, 1.0}, 0.0),
       ToleranceBounds::atMost(9.0)});
   PerturbationParameter parameter{"pi", {0.0, 0.0, 0.0}, false, ""};
-  const RobustnessAnalyzer threeD(std::move(features), parameter);
+  const auto threeD = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = parameter});
   EXPECT_THROW((void)traceBoundary2D(threeD, 0), InvalidArgumentError);
   EXPECT_THROW((void)traceBoundary2D(threeD, 9), InvalidArgumentError);
 
@@ -79,7 +82,8 @@ TEST(BoundaryTrace, Validation) {
                                     ImpactFunction::affine({1.0, 1.0}, 0.0),
                                     ToleranceBounds::atMost(9.0)});
   PerturbationParameter twoD{"pi", {0.0, 0.0}, false, ""};
-  const RobustnessAnalyzer ok(std::move(flat), twoD);
+  const auto ok = CompiledProblem::compile(
+      {.features = std::move(flat), .parameter = twoD});
   BoundaryTraceOptions bad;
   bad.rays = 2;
   EXPECT_THROW((void)traceBoundary2D(ok, 0, bad), InvalidArgumentError);

@@ -1,11 +1,10 @@
 // Compiled-vs-legacy equivalence suite for the two-phase analysis engine.
 //
 // The reference implementation below is a frozen verbatim copy of the
-// pre-compiled RobustnessAnalyzer arithmetic (dual norms, hyperplane
-// projection, per-level radius, per-feature radius, metric walk). Pinning
-// it in the test keeps the bit-identity guarantee meaningful forever: the
-// production RobustnessAnalyzer is now an adapter over CompiledProblem, so
-// comparing the two production paths alone would be vacuous.
+// pre-compiled analyzer arithmetic (dual norms, hyperplane projection,
+// per-level radius, per-feature radius, metric walk). Pinning it in the
+// test keeps the bit-identity guarantee meaningful forever: CompiledProblem
+// is the only production path, so there is nothing else to compare with.
 //
 // Every comparison is BIT-identical (no tolerances): the compiled engine
 // must replicate the legacy floating-point operation order exactly.
@@ -18,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "robust/core/analyzer.hpp"
 #include "robust/core/compiled.hpp"
 #include "robust/core/fepia.hpp"
 #include "robust/numeric/hyperplane.hpp"
@@ -354,10 +352,6 @@ TEST_P(CompiledEquivalence, AffineBitIdenticalAcrossAllNorms) {
     compiled.evaluate(AnalysisInstance{}, workspace);
     expectSameReport(compiled.evaluate(AnalysisInstance{}, workspace), want);
 
-    // The legacy adapter shares the same engine.
-    const RobustnessAnalyzer analyzer(spec.features, spec.parameter,
-                                      spec.options);
-    expectSameReport(analyzer.analyze(), want);
     for (std::size_t i = 0; i < spec.features.size(); ++i) {
       expectSameRadius(compiled.radiusOf(i),
                        ref::radiusOf(spec.features[i], spec.parameter,
@@ -640,7 +634,7 @@ TEST(CompiledProblemTest, InstanceValidation) {
   EXPECT_THROW(compiled.evaluate(badScale, workspace), InvalidArgumentError);
 }
 
-TEST(FepiaBuilderCompiled, CompileMatchesBuild) {
+TEST(FepiaBuilderCompiled, CompileMatchesSpec) {
   const auto makeBuilder = [] {
     return FepiaBuilder("demo")
         .perturbation("pi", num::Vec{1.0, 2.0})
@@ -651,12 +645,13 @@ TEST(FepiaBuilderCompiled, CompileMatchesBuild) {
   };
   auto builderA = makeBuilder();
   auto builderB = makeBuilder();
-  const RobustnessReport viaBuild = builderA.build().analyze();
+  const RobustnessReport viaSpec =
+      CompiledProblem::compile(builderA.spec()).evaluate();
   const CompiledProblem compiled = builderB.compile();
-  expectSameReport(compiled.evaluate(), viaBuild);
+  expectSameReport(compiled.evaluate(), viaSpec);
 
-  // compile() is single-shot like build().
-  EXPECT_THROW(builderB.build(), InvalidArgumentError);
+  // compile() is single-shot like spec().
+  EXPECT_THROW((void)builderB.spec(), InvalidArgumentError);
 }
 
 }  // namespace

@@ -12,15 +12,16 @@
 namespace robust::core {
 namespace {
 
-RobustnessAnalyzer affineDiscrete(num::Vec weights, double level,
-                                  num::Vec origin) {
+CompiledProblem affineDiscrete(num::Vec weights, double level,
+                               num::Vec origin) {
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{
       "phi", ImpactFunction::affine(std::move(weights), 0.0),
       ToleranceBounds::atMost(level)});
   PerturbationParameter parameter{"pi", std::move(origin), /*discrete=*/true,
                                   ""};
-  return RobustnessAnalyzer(std::move(features), std::move(parameter));
+  return CompiledProblem::compile(
+      {.features = std::move(features), .parameter = std::move(parameter)});
 }
 
 TEST(Discrete, OneDimensionalExact) {
@@ -34,7 +35,7 @@ TEST(Discrete, OneDimensionalExact) {
   EXPECT_NEAR(bounds.upper, 11.0, 1e-12);
   EXPECT_EQ(bounds.violatingPoint, (num::Vec{11.0}));
   // The floor rule is strictly more pessimistic here.
-  EXPECT_GT(bounds.upper, std::floor(analyzer.analyze().metric) + 0.5);
+  EXPECT_GT(bounds.upper, std::floor(analyzer.evaluate().metric) + 0.5);
 }
 
 TEST(Discrete, DiagonalBoundaryBeatsFloorRule) {
@@ -65,7 +66,8 @@ TEST(Discrete, BoundsBracketAndCertify) {
       "b", ImpactFunction::affine({1.0, 3.0}, 0.0),
       ToleranceBounds::atMost(17.9)});
   PerturbationParameter parameter{"pi", {1.0, 2.0}, true, ""};
-  const RobustnessAnalyzer analyzer(features, parameter);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = features, .parameter = parameter});
   const auto bounds = discreteRadiusBounds(analyzer);
   ASSERT_TRUE(std::isfinite(bounds.upper));
   EXPECT_LE(bounds.lower, bounds.upper + 1e-12);
@@ -107,8 +109,8 @@ TEST(Discrete, NonlinearBoundary) {
       }),
       ToleranceBounds::atMost(20.5)});
   PerturbationParameter parameter{"pi", {0.0, 0.0}, true, ""};
-  const RobustnessAnalyzer analyzer(std::move(features),
-                                    std::move(parameter));
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = std::move(parameter)});
   const auto bounds = discreteRadiusBounds(analyzer);
   EXPECT_NEAR(bounds.lower, std::sqrt(20.5), 1e-6);
   EXPECT_TRUE(bounds.exact);
@@ -149,7 +151,8 @@ TEST_P(DiscreteBruteForce, ExactBoundMatchesEnumeration) {
         ToleranceBounds::atMost(level)});
   }
   PerturbationParameter parameter{"pi", origin, true, ""};
-  const RobustnessAnalyzer analyzer(features, parameter);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = features, .parameter = parameter});
   const auto bounds = discreteRadiusBounds(analyzer);
   ASSERT_TRUE(bounds.exact) << "seed " << GetParam();
 
@@ -184,17 +187,20 @@ TEST(Discrete, Validation) {
       "phi", ImpactFunction::affine({1.0}, 0.0),
       ToleranceBounds::atMost(5.0)});
   PerturbationParameter continuous{"pi", {0.0}, false, ""};
-  const RobustnessAnalyzer a(features, continuous);
+  const auto a = CompiledProblem::compile(
+      {.features = features, .parameter = continuous});
   EXPECT_THROW((void)discreteRadiusBounds(a), InvalidArgumentError);
 
   // Non-integer origin rejected.
   PerturbationParameter fractional{"pi", {0.5}, true, ""};
-  const RobustnessAnalyzer b(features, fractional);
+  const auto b = CompiledProblem::compile(
+      {.features = features, .parameter = fractional});
   EXPECT_THROW((void)discreteRadiusBounds(b), InvalidArgumentError);
 
   // Bad options rejected.
   PerturbationParameter ok{"pi", {0.0}, true, ""};
-  const RobustnessAnalyzer c(features, ok);
+  const auto c = CompiledProblem::compile(
+      {.features = features, .parameter = ok});
   DiscreteOptions bad;
   bad.neighborhoodRadius = 0;
   EXPECT_THROW((void)discreteRadiusBounds(c, bad), InvalidArgumentError);

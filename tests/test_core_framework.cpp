@@ -86,28 +86,28 @@ TEST(FepiaBuilder, BuildsWorkingAnalyzer) {
       FepiaBuilder("toy requirement")
           .perturbation("pi", {0.0, 0.0})
           .affineFeature("phi", {1.0, 1.0}, 0.0, ToleranceBounds::atMost(4.0))
-          .build();
+          .compile();
   EXPECT_EQ(analyzer.featureCount(), 1u);
-  const auto report = analyzer.analyze();
+  const auto report = analyzer.evaluate();
   EXPECT_NEAR(report.metric, 4.0 / std::sqrt(2.0), 1e-12);
 }
 
 TEST(FepiaBuilder, RequiresAllSteps) {
   FepiaBuilder noParam("r");
   noParam.affineFeature("phi", {1.0}, 0.0, ToleranceBounds::atMost(1.0));
-  EXPECT_THROW((void)noParam.build(), InvalidArgumentError);
+  EXPECT_THROW((void)noParam.compile(), InvalidArgumentError);
 
   FepiaBuilder noFeatures("r");
   noFeatures.perturbation("pi", {0.0});
-  EXPECT_THROW((void)noFeatures.build(), InvalidArgumentError);
+  EXPECT_THROW((void)noFeatures.compile(), InvalidArgumentError);
 }
 
 TEST(FepiaBuilder, SingleShot) {
   FepiaBuilder b("r");
   b.perturbation("pi", {0.0});
   b.affineFeature("phi", {1.0}, 0.0, ToleranceBounds::atMost(1.0));
-  (void)b.build();
-  EXPECT_THROW((void)b.build(), InvalidArgumentError);
+  (void)b.compile();
+  EXPECT_THROW((void)b.compile(), InvalidArgumentError);
 }
 
 TEST(FepiaBuilder, RejectsSecondParameter) {
@@ -121,37 +121,44 @@ TEST(FepiaBuilder, KeepsRequirementText) {
   EXPECT_EQ(b.requirement(), "makespan within 120%");
 }
 
-// ------------------------------------------------- analyzer validation
+// ------------------------------------------------- compile validation
 
-TEST(RobustnessAnalyzer, RejectsDimensionMismatch) {
+TEST(ProblemCompile, RejectsDimensionMismatch) {
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{
       "phi", ImpactFunction::affine({1.0, 2.0, 3.0}, 0.0),
       ToleranceBounds::atMost(1.0)});
   PerturbationParameter parameter{"pi", {0.0, 0.0}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer(std::move(features), std::move(parameter)),
+  EXPECT_THROW((void)CompiledProblem::compile(
+                   {.features = std::move(features),
+                    .parameter = std::move(parameter)}),
                InvalidArgumentError);
 }
 
-TEST(RobustnessAnalyzer, RejectsUnboundedFeature) {
+TEST(ProblemCompile, RejectsUnboundedFeature) {
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{
       "phi", ImpactFunction::affine({1.0}, 0.0), ToleranceBounds{}});
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer(std::move(features), std::move(parameter)),
+  EXPECT_THROW((void)CompiledProblem::compile(
+                   {.features = std::move(features),
+                    .parameter = std::move(parameter)}),
                InvalidArgumentError);
 }
 
-TEST(RobustnessAnalyzer, RejectsEmptyInputs) {
+TEST(ProblemCompile, RejectsEmptyInputs) {
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer({}, parameter), InvalidArgumentError);
+  EXPECT_THROW((void)CompiledProblem::compile({.parameter = parameter}),
+               InvalidArgumentError);
 
   std::vector<PerformanceFeature> features;
   features.push_back(PerformanceFeature{"phi",
                                         ImpactFunction::affine({1.0}, 0.0),
                                         ToleranceBounds::atMost(1.0)});
   PerturbationParameter empty{"pi", {}, false, ""};
-  EXPECT_THROW(RobustnessAnalyzer(std::move(features), std::move(empty)),
+  EXPECT_THROW((void)CompiledProblem::compile(
+                   {.features = std::move(features),
+                    .parameter = std::move(empty)}),
                InvalidArgumentError);
 }
 
@@ -164,8 +171,9 @@ TEST(ReportIo, PrintsMetricBindingAndElision) {
         ToleranceBounds::atMost(100.0 - 10.0 * f)});
   }
   PerturbationParameter parameter{"pi", {1.0, 1.0}, false, "widgets"};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
-  const auto report = analyzer.analyze();
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = parameter});
+  const auto report = analyzer.evaluate();
 
   std::ostringstream oss;
   ReportPrintOptions options;
@@ -187,9 +195,10 @@ TEST(ReportIo, ShowsAllRowsWhenUnderLimit) {
                                         ImpactFunction::affine({1.0}, 0.0),
                                         ToleranceBounds::atMost(2.0)});
   PerturbationParameter parameter{"pi", {0.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features), parameter);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = parameter});
   std::ostringstream oss;
-  printReport(oss, analyzer.analyze(), parameter);
+  printReport(oss, analyzer.evaluate(), parameter);
   EXPECT_EQ(oss.str().find("elided"), std::string::npos);
 }
 

@@ -6,7 +6,7 @@
 #include <cmath>
 #include <limits>
 
-#include "robust/core/analyzer.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/util/rng.hpp"
 
 namespace robust::core {
@@ -45,19 +45,22 @@ class AnalyzerProperties : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AnalyzerProperties, LooseningBoundsNeverShrinksTheMetric) {
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer tight(system.features, system.parameter);
+  const auto tight = CompiledProblem::compile(
+      {.features = system.features, .parameter = system.parameter});
   auto loosened = system.features;
   for (auto& f : loosened) {
     f.bounds.max = *f.bounds.max + 5.0;
   }
-  const RobustnessAnalyzer loose(loosened, system.parameter);
-  EXPECT_GE(loose.analyze().metric, tight.analyze().metric - 1e-12);
+  const auto loose = CompiledProblem::compile(
+      {.features = loosened, .parameter = system.parameter});
+  EXPECT_GE(loose.evaluate().metric, tight.evaluate().metric - 1e-12);
 }
 
 TEST_P(AnalyzerProperties, ScalingImpactAndLevelLeavesRadiusUnchanged) {
   // f -> c f, beta -> c beta defines the same boundary set.
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer original(system.features, system.parameter);
+  const auto original = CompiledProblem::compile(
+      {.features = system.features, .parameter = system.parameter});
   const double c = 3.7;
   auto scaled = system.features;
   for (auto& f : scaled) {
@@ -67,16 +70,18 @@ TEST_P(AnalyzerProperties, ScalingImpactAndLevelLeavesRadiusUnchanged) {
                                c * f.impact.constant()),
         ToleranceBounds::atMost(c * *f.bounds.max)};
   }
-  const RobustnessAnalyzer rescaled(scaled, system.parameter);
-  EXPECT_NEAR(rescaled.analyze().metric, original.analyze().metric,
-              1e-9 * std::max(1.0, original.analyze().metric));
+  const auto rescaled = CompiledProblem::compile(
+      {.features = scaled, .parameter = system.parameter});
+  EXPECT_NEAR(rescaled.evaluate().metric, original.evaluate().metric,
+              1e-9 * std::max(1.0, original.evaluate().metric));
 }
 
 TEST_P(AnalyzerProperties, TranslationCovariance) {
   // Shifting the origin by t and the levels by f(t)'s linear part leaves
   // every radius unchanged (the geometry translates rigidly).
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer original(system.features, system.parameter);
+  const auto original = CompiledProblem::compile(
+      {.features = system.features, .parameter = system.parameter});
 
   Pcg32 rng(GetParam() + 1);
   num::Vec shift(system.parameter.origin.size());
@@ -90,8 +95,9 @@ TEST_P(AnalyzerProperties, TranslationCovariance) {
   }
   PerturbationParameter movedParam = system.parameter;
   movedParam.origin = num::add(movedParam.origin, shift);
-  const RobustnessAnalyzer moved(shifted, movedParam);
-  EXPECT_NEAR(moved.analyze().metric, original.analyze().metric, 1e-9);
+  const auto moved = CompiledProblem::compile(
+      {.features = shifted, .parameter = movedParam});
+  EXPECT_NEAR(moved.evaluate().metric, original.evaluate().metric, 1e-9);
 }
 
 TEST_P(AnalyzerProperties, NormOrderingHolds) {
@@ -101,8 +107,10 @@ TEST_P(AnalyzerProperties, NormOrderingHolds) {
   auto metricUnder = [&](NormKind norm) {
     AnalyzerOptions options;
     options.norm = norm;
-    return RobustnessAnalyzer(system.features, system.parameter, options)
-        .analyze()
+    return CompiledProblem::compile({.features = system.features,
+                                     .parameter = system.parameter,
+                                     .options = options})
+        .evaluate()
         .metric;
   };
   const double l1 = metricUnder(NormKind::L1);
@@ -114,8 +122,9 @@ TEST_P(AnalyzerProperties, NormOrderingHolds) {
 
 TEST_P(AnalyzerProperties, MetricIsMinOfPerFeatureRadii) {
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer analyzer(system.features, system.parameter);
-  const auto report = analyzer.analyze();
+  const auto analyzer = CompiledProblem::compile(
+      {.features = system.features, .parameter = system.parameter});
+  const auto report = analyzer.evaluate();
   double expected = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < analyzer.featureCount(); ++i) {
     expected = std::min(expected, analyzer.radiusOf(i).radius);
@@ -126,7 +135,8 @@ TEST_P(AnalyzerProperties, MetricIsMinOfPerFeatureRadii) {
 
 TEST_P(AnalyzerProperties, BoundaryPointsLieOnTheirBoundaries) {
   RandomAffineSystem system = makeSystem(GetParam());
-  const RobustnessAnalyzer analyzer(system.features, system.parameter);
+  const auto analyzer = CompiledProblem::compile(
+      {.features = system.features, .parameter = system.parameter});
   for (std::size_t i = 0; i < analyzer.featureCount(); ++i) {
     const auto radius = analyzer.radiusOf(i);
     const double value =

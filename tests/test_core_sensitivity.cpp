@@ -3,13 +3,14 @@
 
 #include <cmath>
 
+#include "robust/core/compiled.hpp"
 #include "robust/core/sensitivity.hpp"
 #include "robust/util/error.hpp"
 
 namespace robust::core {
 namespace {
 
-RobustnessAnalyzer twoFeatureAnalyzer() {
+CompiledProblem twoFeatureAnalyzer() {
   std::vector<PerformanceFeature> features;
   // Feature A depends mostly on component 1; feature B only on component 0.
   features.push_back(PerformanceFeature{
@@ -19,7 +20,8 @@ RobustnessAnalyzer twoFeatureAnalyzer() {
       "B", ImpactFunction::affine({2.0, 0.0}, 0.0),
       ToleranceBounds::atMost(50.0)});
   PerturbationParameter parameter{"pi", {1.0, 1.0}, false, ""};
-  return RobustnessAnalyzer(std::move(features), std::move(parameter));
+  return CompiledProblem::compile(
+      {.features = std::move(features), .parameter = std::move(parameter)});
 }
 
 TEST(Sensitivity, DirectionIsUnitAndPointsAtBoundary) {
@@ -44,7 +46,7 @@ TEST(Sensitivity, RankingOrdersByMagnitude) {
 
 TEST(Sensitivity, BindingSensitivityUsesTheMinimumRadiusFeature) {
   const auto analyzer = twoFeatureAnalyzer();
-  const auto report = analyzer.analyze();
+  const auto report = analyzer.evaluate();
   // Radii: A = (20-4)/sqrt(10) = 5.06, B = (50-2)/2 = 24 -> A binds.
   EXPECT_EQ(report.radii[report.bindingFeature].feature, "A");
   const auto s = bindingSensitivity(report, analyzer.parameter());
@@ -57,8 +59,8 @@ TEST(Sensitivity, ZeroRadiusYieldsZeroDirection) {
       "violated", ImpactFunction::affine({1.0}, 0.0),
       ToleranceBounds::atMost(0.5)});
   PerturbationParameter parameter{"pi", {1.0}, false, ""};
-  const RobustnessAnalyzer analyzer(std::move(features),
-                                    std::move(parameter));
+  const auto analyzer = CompiledProblem::compile(
+      {.features = std::move(features), .parameter = std::move(parameter)});
   const auto s =
       sensitivityOf(analyzer.radiusOf(0), analyzer.parameter());
   EXPECT_DOUBLE_EQ(s.direction[0], 0.0);

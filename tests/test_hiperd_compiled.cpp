@@ -1,6 +1,6 @@
 // CompiledScenario equivalence suite: the compiled per-mapping analysis must
-// be bit-identical to the legacy derivation
-// (HiperdSystem(scenario, mapping).toAnalyzer(options).analyze()), which
+// be bit-identical to the legacy derivation (CompiledProblem::compile(
+// HiperdSystem(scenario, mapping).toSpec(options)).evaluate()), which
 // builds its feature list independently at every call.
 #include <gtest/gtest.h>
 
@@ -20,6 +20,15 @@ namespace {
 
 bool bitEq(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The legacy derivation: derive, compile and evaluate afresh per mapping.
+core::RobustnessReport legacyReport(const HiperdScenario& scenario,
+                                    const sched::Mapping& mapping,
+                                    const core::AnalyzerOptions& options = {}) {
+  return core::CompiledProblem::compile(
+             HiperdSystem(scenario, mapping).toSpec(options))
+      .evaluate();
 }
 
 void expectSameReport(const core::RobustnessReport& got,
@@ -90,8 +99,7 @@ TEST(CompiledScenario, MatchesLegacyOnMiniScenario) {
   const CompiledScenario compiled = scenario.compile();
   EXPECT_TRUE(compiled.fastPath());
   const sched::Mapping mapping({0, 0, 1, 1}, 2);
-  expectSameReport(compiled.analyze(mapping),
-                   HiperdSystem(scenario, mapping).toAnalyzer().analyze());
+  expectSameReport(compiled.analyze(mapping), legacyReport(scenario, mapping));
 }
 
 TEST(CompiledScenario, MatchesLegacyAcrossRandomMappingsWithReusedWorkspace) {
@@ -106,8 +114,7 @@ TEST(CompiledScenario, MatchesLegacyAcrossRandomMappingsWithReusedWorkspace) {
     const sched::Mapping mapping = sched::randomMapping(
         scenario.graph.applicationCount(), scenario.machines, rng);
     const core::RobustnessReport& got = compiled.analyze(mapping, workspace);
-    const core::RobustnessReport want =
-        HiperdSystem(scenario, mapping).toAnalyzer().analyze();
+    const core::RobustnessReport want = legacyReport(scenario, mapping);
     expectSameReport(got, want);
   }
 }
@@ -127,9 +134,8 @@ TEST(CompiledScenario, MatchesLegacyUnderEveryNorm) {
     for (int trial = 0; trial < 10; ++trial) {
       const sched::Mapping mapping = sched::randomMapping(
           scenario.graph.applicationCount(), scenario.machines, rng);
-      expectSameReport(
-          compiled.analyze(mapping),
-          HiperdSystem(scenario, mapping).toAnalyzer(options).analyze());
+      expectSameReport(compiled.analyze(mapping),
+                       legacyReport(scenario, mapping, options));
     }
   }
 }
@@ -150,7 +156,7 @@ TEST(CompiledScenario, NonLinearScenarioFallsBackIdentically) {
     const sched::Mapping mapping = sched::randomMapping(
         scenario.graph.applicationCount(), scenario.machines, rng);
     expectSameReport(compiled.analyze(mapping, workspace),
-                     HiperdSystem(scenario, mapping).toAnalyzer().analyze());
+                     legacyReport(scenario, mapping));
   }
 }
 
@@ -161,9 +167,8 @@ TEST(CompiledScenario, IterativeSolverRequestFallsBackIdentically) {
   const CompiledScenario compiled = scenario.compile(options);
   EXPECT_FALSE(compiled.fastPath());
   const sched::Mapping mapping({0, 1, 0, 1}, 2);
-  expectSameReport(
-      compiled.analyze(mapping),
-      HiperdSystem(scenario, mapping).toAnalyzer(options).analyze());
+  expectSameReport(compiled.analyze(mapping),
+                   legacyReport(scenario, mapping, options));
 }
 
 TEST(CompiledScenario, AnalyzeMappingsDeterministicAcrossThreadCounts) {

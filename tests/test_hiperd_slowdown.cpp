@@ -45,8 +45,8 @@ HiperdScenario chainScenario() {
 TEST(Slowdown, HandComputedRadii) {
   const HiperdScenario scenario = chainScenario();
   const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto analyzer = slowdownAnalyzer(system);
-  const auto report = analyzer.analyze();
+  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const auto report = problem.evaluate();
 
   // Features: Tc(a0): 20 s0' <= 100 -> weights (20, 0), gap 80, radius 4.
   //           Tc(a1): 10 s1' <= 100 -> weights (0, 10), gap 90, radius 9.
@@ -65,17 +65,17 @@ TEST(Slowdown, HandComputedRadii) {
 TEST(Slowdown, OriginIsUnitSpeeds) {
   const HiperdScenario scenario = chainScenario();
   const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto analyzer = slowdownAnalyzer(system);
-  EXPECT_EQ(analyzer.parameter().origin, (num::Vec{1.0, 1.0}));
-  EXPECT_FALSE(analyzer.parameter().discrete);
+  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  EXPECT_EQ(problem.parameter().origin, (num::Vec{1.0, 1.0}));
+  EXPECT_FALSE(problem.parameter().discrete);
 }
 
 TEST(Slowdown, CommunicationContributesConstant) {
   HiperdScenario scenario = chainScenario();
   scenario.comm[1] = LoadFunction::linear({0.5});  // a0->a1: 5 at lambda=10
   const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto analyzer = slowdownAnalyzer(system);
-  const auto report = analyzer.analyze();
+  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const auto report = problem.evaluate();
   // Latency gap shrinks by the constant 5: radius = 25 / sqrt(500).
   EXPECT_NEAR(report.metric, 25.0 / std::sqrt(500.0), 1e-12);
 }
@@ -87,7 +87,8 @@ TEST(Slowdown, WorksOnGeneratedScenarios) {
       generated.scenario.graph.applicationCount(),
       generated.scenario.machines, rng);
   const HiperdSystem system(generated.scenario, mapping);
-  const auto report = slowdownAnalyzer(system).analyze();
+  const auto report =
+      core::CompiledProblem::compile(slowdownSpec(system)).evaluate();
   EXPECT_GE(report.metric, 0.0);
   EXPECT_TRUE(std::isfinite(report.metric));
 
@@ -95,7 +96,8 @@ TEST(Slowdown, WorksOnGeneratedScenarios) {
   core::AnalyzerOptions oracle;
   oracle.solver = core::SolverKind::MonteCarlo;
   oracle.solverOptions.samples = 4096;
-  const auto sampled = slowdownAnalyzer(system, oracle).analyze();
+  const auto sampled =
+      core::CompiledProblem::compile(slowdownSpec(system, oracle)).evaluate();
   EXPECT_GE(sampled.metric, report.metric - 1e-9);
   EXPECT_LE(sampled.metric, report.metric * 1.5 + 1e-9);
 }
@@ -110,7 +112,8 @@ TEST(Slowdown, CombinedRobustnessWithSensorLoads) {
       generated.scenario.machines, rng);
   const HiperdSystem system(generated.scenario, mapping);
   const auto loadReport = system.analyze();
-  const auto speedReport = slowdownAnalyzer(system).analyze();
+  const auto speedReport =
+      core::CompiledProblem::compile(slowdownSpec(system)).evaluate();
   const std::vector<core::RobustnessReport> reports = {loadReport,
                                                        speedReport};
   const double combined = core::combinedRobustness(reports);
@@ -123,15 +126,15 @@ TEST(Slowdown, CombinedRobustnessWithSensorLoads) {
 TEST(ViolationCurve, ZeroBelowMetricRisingBeyond) {
   const HiperdScenario scenario = chainScenario();
   const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto analyzer = slowdownAnalyzer(system);
-  const double rho = analyzer.analyze().metric;
+  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const double rho = problem.evaluate().metric;
 
   const std::vector<double> radii = {0.5 * rho, 0.99 * rho, 1.5 * rho,
                                      3.0 * rho};
   core::ValidationOptions options;
   options.samples = 3000;
   const auto curve =
-      core::violationProbabilityCurve(analyzer, radii, options);
+      core::violationProbabilityCurve(problem, radii, options);
   ASSERT_EQ(curve.size(), 4u);
   EXPECT_EQ(curve[0].probability, 0.0);
   EXPECT_EQ(curve[1].probability, 0.0);
@@ -142,9 +145,9 @@ TEST(ViolationCurve, ZeroBelowMetricRisingBeyond) {
 TEST(ViolationCurve, Validation) {
   const HiperdScenario scenario = chainScenario();
   const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto analyzer = slowdownAnalyzer(system);
+  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
   const std::vector<double> bad = {-1.0};
-  EXPECT_THROW((void)core::violationProbabilityCurve(analyzer, bad),
+  EXPECT_THROW((void)core::violationProbabilityCurve(problem, bad),
                InvalidArgumentError);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "robust/core/validation.hpp"
 #include "robust/hiperd/system.hpp"
@@ -264,9 +265,9 @@ TEST(HiperdSystem, RobustnessMatchesHandComputation) {
 TEST(HiperdSystem, GuaranteeValidatedBySampling) {
   const HiperdScenario scenario = miniScenario();
   const HiperdSystem system(scenario, miniMapping());
-  const auto analyzer = system.toAnalyzer();
-  const auto report = analyzer.analyze();
-  const auto validation = core::validateRadius(analyzer, report.metric);
+  const auto problem = core::CompiledProblem::compile(system.toSpec());
+  const auto report = problem.evaluate();
+  const auto validation = core::validateRadius(problem, report.metric);
   EXPECT_EQ(validation.violationsInside, 0);
 }
 
@@ -289,6 +290,43 @@ TEST(HiperdSystem, GeneralLoadFunctionUsesIterativeSolver) {
       EXPECT_NE(r.method.find("kkt"), std::string::npos);
     }
   }
+}
+
+// The derivation is a free-standing value: a spec built from a temporary
+// system stays valid while the scenario lives. The general-load latency
+// impact must not refer to the system, and it sums in latency()'s order.
+TEST(HiperdSystem, SpecOutlivesTheSystem) {
+  HiperdScenario scenario = miniScenario();
+  scenario.compute[3][1] = LoadFunction::general(
+      [](std::span<const double> l) { return 0.05 * l[1] * l[1]; },
+      [](std::span<const double> l) {
+        return num::Vec{0.0, 0.1 * l[1]};
+      });
+  const core::ProblemSpec spec = HiperdSystem(scenario, miniMapping()).toSpec();
+  const auto report = core::CompiledProblem::compile(spec).evaluate();
+
+  const HiperdSystem live(scenario, miniMapping());
+  const auto expected = live.analyze();
+  ASSERT_EQ(report.radii.size(), expected.radii.size());
+  for (std::size_t i = 0; i < report.radii.size(); ++i) {
+    EXPECT_EQ(report.radii[i].feature, expected.radii[i].feature);
+    EXPECT_EQ(report.radii[i].radius, expected.radii[i].radius);
+  }
+  EXPECT_EQ(report.metric, expected.metric);
+  EXPECT_EQ(report.bindingFeature, expected.bindingFeature);
+
+  std::size_t callablePaths = 0;
+  for (const auto& f : spec.features) {
+    if (f.impact.isAffine() || !f.name.starts_with("L_")) {
+      continue;
+    }
+    ++callablePaths;
+    const std::size_t k = std::stoul(f.name.substr(2));
+    for (const num::Vec& l : {num::Vec{10.0, 20.0}, num::Vec{37.5, 123.25}}) {
+      EXPECT_EQ(f.impact.evaluate(l), live.latency(k, l)) << f.name;
+    }
+  }
+  EXPECT_GT(callablePaths, 0u);
 }
 
 TEST(HiperdSystem, MappingMismatchRejected) {
@@ -331,8 +369,7 @@ TEST(HiperdSystem, ZeroLoadDependenceYieldsNoFeature) {
   // and the remaining analysis still works.
   scenario.compute[0][0] = LoadFunction::zero(2);
   const HiperdSystem system(scenario, miniMapping());
-  const auto analyzer = system.toAnalyzer();
-  for (const auto& f : analyzer.features()) {
+  for (const auto& f : system.toSpec().features) {
     EXPECT_NE(f.name, "Tc(a0)");
   }
   EXPECT_TRUE(std::isfinite(system.analyze().metric));

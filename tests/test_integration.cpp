@@ -205,8 +205,8 @@ TEST(CrossModule, HiperdAnalyticRadiiMatchMonteCarloOracle) {
   core::AnalyzerOptions oracle;
   oracle.solver = core::SolverKind::MonteCarlo;
   oracle.solverOptions.samples = 8192;
-  const auto exact = system.toAnalyzer(analytic).analyze();
-  const auto sampled = system.toAnalyzer(oracle).analyze();
+  const auto exact = system.analyze(analytic);
+  const auto sampled = system.analyze(oracle);
   // Unfloored radii: the oracle's unfloored metric must upper-bound the
   // exact unfloored minimum and be close to it.
   const double exactMin = exact.radii[exact.bindingFeature].radius;
@@ -226,11 +226,11 @@ TEST(CrossModule, ValidationConfirmsHiperdMetric) {
     }
     const hiperd::HiperdSystem system(result.generated.scenario,
                                       result.mappings[m]);
-    const auto analyzer = system.toAnalyzer();
     core::ValidationOptions vopts;
     vopts.samples = 500;
     const auto validation = core::validateRadius(
-        analyzer, result.rows[m].robustness, vopts);
+        core::CompiledProblem::compile(system.toSpec()),
+        result.rows[m].robustness, vopts);
     EXPECT_EQ(validation.violationsInside, 0) << "mapping " << m;
   }
 }

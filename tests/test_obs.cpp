@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -117,8 +118,8 @@ TEST_F(ObsMetrics, HistogramBucketsByPowerOfTwo) {
 TEST_F(ObsMetrics, HistogramSaturatesAtLastBucket) {
   const obs::MetricId id = obs::histogramId("test.hist_saturate");
   obs::recordLatency(id, INT64_MAX);  // bit_width = 63, far past bucket 27
-  const obs::HistogramValue* hist =
-      obs::snapshotMetrics().histogram("test.hist_saturate");
+  const auto snapshot = obs::snapshotMetrics();
+  const obs::HistogramValue* hist = snapshot.histogram("test.hist_saturate");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->buckets[obs::kHistogramBuckets - 1], 1u);
 }
@@ -258,6 +259,49 @@ TEST_F(ObsMetrics, LabeledRegistrationOverflowsToAggregationBucket) {
   EXPECT_EQ(snapshot.counter("test.ovf{tenant=_other_}"), overflowed);
   // The series registered before exhaustion stay exact.
   EXPECT_EQ(snapshot.counter("test.ovf{tenant=t0}"), 1u);
+}
+
+// A full table stays full for the life of the process, so the next two
+// tests fill it in a child process that must exit cleanly (an exception
+// escaping registration fails it too).
+TEST_F(ObsMetrics, LabeledFloodLeavesRoomForUnlabeledNames) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        for (int n = 0; n < 64; ++n) {
+          for (int v = 0; v < 64; ++v) {
+            (void)obs::counterId("test.flood" + std::to_string(n), "tenant",
+                                 "t" + std::to_string(v));
+          }
+        }
+        obs::addCounter(obs::counterId("test.after_flood"), 5);
+        const auto snapshot = obs::snapshotMetrics();
+        const auto labeled = std::count_if(
+            snapshot.counters.begin(), snapshot.counters.end(),
+            [](const obs::CounterValue& c) {
+              return c.name.find('{') != std::string::npos;
+            });
+        std::exit(labeled >= 64 && snapshot.counter("test.after_flood") == 5
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST_F(ObsMetrics, UnlabeledNamesPastCapacityShareTheOverflowSeries) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        for (int i = 0; i < 300; ++i) {
+          obs::addCounter(obs::counterId("test.many" + std::to_string(i)));
+        }
+        const auto snapshot = obs::snapshotMetrics();
+        std::exit(snapshot.counter("test.many0") == 1 &&
+                          snapshot.counter("obs.overflow") > 0
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST_F(ObsMetrics, HistogramQuantilesUseBucketUpperBounds) {

@@ -200,7 +200,7 @@ TEST_P(Eq6VsGenericAnalyzer, ClosedFormMatchesFePiaAnalyzer) {
 
   const IndependentTaskSystem system(etc, mapping, tau);
   const auto direct = system.analyze();
-  const auto generic = system.toAnalyzer().analyze();
+  const auto generic = system.compile().evaluate();
   EXPECT_NEAR(direct.robustness, generic.metric,
               1e-9 * std::max(1.0, direct.robustness));
 
@@ -229,9 +229,8 @@ TEST(IndependentSystem, GuaranteeValidatedBySampling) {
   const EtcMatrix etc = generateEtc(options, rng);
   const Mapping mapping = randomMapping(options.apps, options.machines, rng);
   const IndependentTaskSystem system(etc, mapping, 1.2);
-  const auto analyzer = system.toAnalyzer();
   const double rho = system.analyze().robustness;
-  const auto validation = core::validateRadius(analyzer, rho);
+  const auto validation = core::validateRadius(system.compile(), rho);
   EXPECT_EQ(validation.violationsInside, 0);
 }
 
