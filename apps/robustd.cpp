@@ -24,6 +24,7 @@
 #include "robust/obs/report.hpp"
 #include "robust/util/args.hpp"
 #include "robust/util/diagnostics.hpp"
+#include "robust/util/error.hpp"
 
 namespace {
 
@@ -46,13 +47,14 @@ void printUsage() {
       "                    and on a session-ledger imbalance at exit\n"
       "  --flight N        flight-recorder ring capacity per thread\n"
       "                    (default 512; 0 disables; ROBUST_FLIGHT env too)\n"
-      "  --poll            force the poll(2) backend (no epoll)\n"
-      "  --help            this text");
+      "  --help            this text\n"
+      "\n"
+      "Unknown options are rejected (exit 2).");
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const robust::ArgParser args(argc, argv);
   if (args.has("help")) {
     printUsage();
@@ -68,10 +70,14 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(args.getInt("max-inflight", 4 << 20));
   options.reportDir = args.getString("report-dir", "");
   options.flightDir = args.getString("flight-dir", "");
-  options.forcePoll = args.has("poll");
   const std::string reportPath = args.getString("report", "");
   const std::int64_t flightCap = args.getInt(
       "flight", static_cast<std::int64_t>(robust::obs::flightCapacity()));
+  if (const auto unknown = args.unknownOptions(); !unknown.empty()) {
+    std::fprintf(stderr, "robustd: unknown option --%s (see --help)\n",
+                 unknown.front().c_str());
+    return 2;
+  }
   if (flightCap < 0) {
     std::fprintf(stderr, "robustd: --flight must be >= 0\n");
     return 2;
@@ -178,4 +184,8 @@ int main(int argc, char** argv) {
     return 3;
   }
   return 0;
+} catch (const robust::InvalidArgumentError& e) {
+  // A malformed command line (e.g. "--workers abc").
+  std::fprintf(stderr, "robustd: %s\n", e.what());
+  return 2;
 }

@@ -1,9 +1,8 @@
 // robustd: a long-lived, multi-tenant robustness-analysis service.
 //
-// One IO thread owns an epoll (or poll — ROBUST_NET_POLL / forcePoll) loop
-// over a Unix or loopback-TCP listening socket and every live session; a
-// fixed util::ThreadPool executes the compute. The two meet through a
-// weighted-fair admission queue:
+// One IO thread owns an epoll loop over a Unix or loopback-TCP listening
+// socket and every live session; a fixed util::ThreadPool executes the
+// compute. The two meet through a weighted-fair admission queue:
 //
 //   * each session declares a demand weight at HELLO time; admitted work
 //     advances the session's virtual time by cost / weight (cost = the
@@ -77,9 +76,6 @@ struct ServerOptions {
   /// every fatal reject ("robustd_flight_fatal_<n>.json") — the operator's
   /// look at what every thread was doing just before framing was lost.
   std::string flightDir;
-  /// Force the poll(2) backend even where epoll is available (the
-  /// ROBUST_NET_POLL environment variable does the same at runtime).
-  bool forcePoll = false;
 };
 
 /// Monotonic counters describing everything the server has done. Snapshot
@@ -125,7 +121,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Binds, listens, and spawns the IO thread. Throws std::runtime_error
-  /// when the socket cannot be bound.
+  /// when the socket cannot be bound, and std::system_error carrying errno
+  /// when the epoll instance cannot be created.
   void start();
 
   /// Graceful shutdown: stops accepting, fails over pending work, drains

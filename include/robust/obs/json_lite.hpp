@@ -3,7 +3,8 @@
 // so tests and the report_check tool can verify schemas without an external
 // dependency — it is not a general-purpose JSON library (\uXXXX escapes are
 // decoded for the Basic Multilingual Plane only — no surrogate pairs, which
-// our writers never emit — and numbers are parsed as double).
+// our writers never emit — and numbers are parsed as double). It also holds
+// the one string escaper those writers share.
 #pragma once
 
 #include <string>
@@ -39,6 +40,10 @@ class Value {
 /// Parses one JSON document (the whole input must be consumed). Throws
 /// std::runtime_error naming the byte offset on malformed input.
 [[nodiscard]] Value parse(std::string_view text);
+
+/// `s` escaped for a JSON string body (no quotes): '"', '\\', \n and \t
+/// as two-character escapes, other control bytes as \u00XX.
+[[nodiscard]] std::string escape(std::string_view s);
 
 /// Reads and parses a JSON file. Throws std::runtime_error when the file
 /// cannot be read or does not parse.

@@ -6,13 +6,17 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 namespace robust {
 
-/// Parses `--key value` and `--flag` style options. Unknown options throw,
-/// so typos in experiment scripts fail loudly instead of silently running the
-/// default configuration.
+/// Parses `--key value` and `--flag` style options. Malformed tokens and
+/// malformed numeric values throw. Every getter and has() records the key
+/// it asked for, so after reading its options a binary can reject the
+/// rest with unknownOptions(): robustd does, exiting 2 on a typo; the bench
+/// and example harnesses do not check and ignore options they never read.
 class ArgParser {
  public:
   /// Parses argv; later duplicates override earlier ones.
@@ -33,8 +37,13 @@ class ArgParser {
   /// True when `--key` appeared (with or without a value).
   [[nodiscard]] bool has(const std::string& key) const;
 
+  /// Options given on the command line that no getter or has() has asked
+  /// for so far, in sorted order.
+  [[nodiscard]] std::vector<std::string> unknownOptions() const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> queried_;
 };
 
 }  // namespace robust

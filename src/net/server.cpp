@@ -1,42 +1,33 @@
+// The robustd IO loop: lifecycle, epoll readiness, accept/read/write and
+// frame dispatch. The policies it applies are declared in daemon.hpp and
+// defined beside it: problem_cache.cpp, session.cpp, admission.cpp,
+// work.cpp and admin.cpp.
 #include "robust/net/server.hpp"
 
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define ROBUST_NET_HAS_EPOLL 1
-#else
-#define ROBUST_NET_HAS_EPOLL 0
-#endif
-
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <filesystem>
-#include <list>
 #include <map>
 #include <mutex>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "daemon.hpp"
 #include "robust/obs/flight.hpp"
 #include "robust/obs/metrics.hpp"
-#include "robust/obs/report.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/thread_pool.hpp"
 
@@ -54,395 +45,33 @@ void obsCount(const char* name, std::uint64_t delta = 1) {
   }
 }
 
-/// Stable lower-case frame-type label for metrics ("net.frames{type=...}").
-const char* frameTypeLabel(FrameType type) noexcept {
+/// Every socket the IO loop owns is non-blocking and close-on-exec.
+constexpr int kSocketFlags = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
+
+struct FrameNames {
+  const char* label;   ///< metrics label ("net.frames{type=...}")
+  const char* flight;  ///< flight-recorder event (a literal: only the
+                       ///< pointer is stored)
+};
+
+FrameNames frameNames(FrameType type) noexcept {
   switch (type) {
     case FrameType::Hello:
-      return "hello";
+      return {"hello", "robustd.frame.hello"};
     case FrameType::Register:
-      return "register";
+      return {"register", "robustd.frame.register"};
     case FrameType::Analyze:
-      return "analyze";
+      return {"analyze", "robustd.frame.analyze"};
     case FrameType::Bye:
-      return "bye";
+      return {"bye", "robustd.frame.bye"};
     case FrameType::Stats:
-      return "stats";
+      return {"stats", "robustd.frame.stats"};
     case FrameType::TraceDump:
-      return "trace_dump";
+      return {"trace_dump", "robustd.frame.trace_dump"};
     default:
-      return "other";
+      return {"other", "robustd.frame.other"};
   }
 }
-
-/// Flight-recorder event name for one frame arrival (string literals: the
-/// recorder stores only the pointer).
-const char* frameFlightName(FrameType type) noexcept {
-  switch (type) {
-    case FrameType::Hello:
-      return "robustd.frame.hello";
-    case FrameType::Register:
-      return "robustd.frame.register";
-    case FrameType::Analyze:
-      return "robustd.frame.analyze";
-    case FrameType::Bye:
-      return "robustd.frame.bye";
-    case FrameType::Stats:
-      return "robustd.frame.stats";
-    case FrameType::TraceDump:
-      return "robustd.frame.trace_dump";
-    default:
-      return "robustd.frame.other";
-  }
-}
-
-/// JSON string escaping for the STATS document (tenant names are
-/// printable ASCII by wire contract, but stay safe anyway).
-void jsonEscape(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// Always-on per-tenant latency digest: the exact bucket shape of the obs
-/// registry histograms, but owned by the IO thread (no sharding needed —
-/// one writer), so STATS carries p50/p95/p99 even with ROBUST_OBS=0.
-struct LatencyDigest {
-  std::uint64_t count = 0;
-  std::uint64_t sumNanos = 0;
-  std::array<std::uint64_t, obs::kHistogramBuckets> buckets{};
-
-  void record(std::int64_t nanos) noexcept {
-    ++count;
-    sumNanos += nanos <= 0 ? 0 : static_cast<std::uint64_t>(nanos);
-    ++buckets[obs::latencyBucketIndex(nanos)];
-  }
-
-  [[nodiscard]] std::int64_t quantileUpperNanos(double q) const noexcept {
-    return obs::latencyQuantileUpperNanos(buckets, count, q);
-  }
-};
-
-/// Everything the daemon knows about one tenant name, across all of its
-/// sessions, live and closed. Owned by the IO thread; folded into the
-/// STATS document. Totals accrue exactly once per event (frame accepted,
-/// completion drained, reject sent), so a snapshot under concurrent load
-/// equals the offline ledger.
-struct TenantTotals {
-  std::uint64_t sessions = 0;  ///< sessions that completed HELLO as this tenant
-  std::uint64_t frames = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t instances = 0;
-  std::uint64_t registers = 0;
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheMisses = 0;
-  std::array<std::uint64_t, util::kRejectCategoryCount> rejects{};
-  double virtualTime = 0.0;  ///< largest admission virtual time reached
-  double chargedCost = 0.0;
-  LatencyDigest analyzeLatency;  ///< ANALYZE pool execution time
-  LatencyDigest compileLatency;  ///< REGISTER pool execution time
-  LatencyDigest queueLatency;    ///< admission-to-pool wait, both kinds
-};
-
-void setNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) {
-    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  }
-  (void)::fcntl(fd, F_SETFD, FD_CLOEXEC);
-}
-
-/// Readiness backend: epoll where available, poll(2) otherwise or when
-/// forced (ServerOptions::forcePoll / ROBUST_NET_POLL). Both present the
-/// same three-flag event view, so the IO loop is backend-agnostic.
-class Poller {
- public:
-  struct Event {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool error = false;
-  };
-
-  explicit Poller(bool forcePoll) {
-    const char* env = std::getenv("ROBUST_NET_POLL");
-    const bool envForce =
-        env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-    usePoll_ = forcePoll || envForce || ROBUST_NET_HAS_EPOLL == 0;
-#if ROBUST_NET_HAS_EPOLL
-    if (!usePoll_) {
-      epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-      if (epfd_ < 0) {
-        usePoll_ = true;  // degraded but functional
-      }
-    }
-#endif
-  }
-
-  ~Poller() {
-#if ROBUST_NET_HAS_EPOLL
-    if (epfd_ >= 0) {
-      ::close(epfd_);
-    }
-#endif
-  }
-
-  [[nodiscard]] bool usingPoll() const noexcept { return usePoll_; }
-
-  void add(int fd, bool rd, bool wr) {
-    if (usePoll_) {
-      interest_[fd] = {rd, wr};
-      return;
-    }
-#if ROBUST_NET_HAS_EPOLL
-    epoll_event ev{};
-    ev.events = mask(rd, wr);
-    ev.data.fd = fd;
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev);
-#endif
-  }
-
-  void mod(int fd, bool rd, bool wr) {
-    if (usePoll_) {
-      interest_[fd] = {rd, wr};
-      return;
-    }
-#if ROBUST_NET_HAS_EPOLL
-    epoll_event ev{};
-    ev.events = mask(rd, wr);
-    ev.data.fd = fd;
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev);
-#endif
-  }
-
-  void del(int fd) {
-    if (usePoll_) {
-      interest_.erase(fd);
-      return;
-    }
-#if ROBUST_NET_HAS_EPOLL
-    (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-#endif
-  }
-
-  void wait(std::vector<Event>& out, int timeoutMs) {
-    out.clear();
-    if (usePoll_) {
-      pollfds_.clear();
-      for (const auto& [fd, rw] : interest_) {
-        pollfd p{};
-        p.fd = fd;
-        p.events = static_cast<short>((rw.first ? POLLIN : 0) |
-                                      (rw.second ? POLLOUT : 0));
-        pollfds_.push_back(p);
-      }
-      const int n = ::poll(pollfds_.data(),
-                           static_cast<nfds_t>(pollfds_.size()), timeoutMs);
-      if (n <= 0) {
-        return;
-      }
-      for (const pollfd& p : pollfds_) {
-        if (p.revents == 0) {
-          continue;
-        }
-        Event ev;
-        ev.fd = p.fd;
-        ev.readable = (p.revents & POLLIN) != 0;
-        ev.writable = (p.revents & POLLOUT) != 0;
-        ev.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-        out.push_back(ev);
-      }
-      return;
-    }
-#if ROBUST_NET_HAS_EPOLL
-    epollEvents_.resize(64);
-    const int n = ::epoll_wait(epfd_, epollEvents_.data(),
-                               static_cast<int>(epollEvents_.size()),
-                               timeoutMs);
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = epollEvents_[i].data.fd;
-      ev.readable = (epollEvents_[i].events & EPOLLIN) != 0;
-      ev.writable = (epollEvents_[i].events & EPOLLOUT) != 0;
-      ev.error = (epollEvents_[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(ev);
-    }
-#endif
-  }
-
- private:
-#if ROBUST_NET_HAS_EPOLL
-  [[nodiscard]] static std::uint32_t mask(bool rd, bool wr) noexcept {
-    return (rd ? EPOLLIN : 0u) | (wr ? EPOLLOUT : 0u);
-  }
-  int epfd_ = -1;
-  std::vector<epoll_event> epollEvents_;
-#endif
-  bool usePoll_ = false;
-  std::map<int, std::pair<bool, bool>> interest_;
-  std::vector<pollfd> pollfds_;
-};
-
-/// Content-addressed CompiledProblem cache shared by every tenant:
-/// FNV-1a key over the canonical spec bytes, full byte compare on hit (a
-/// colliding spec is simply compiled uncached), LRU eviction. Sessions pin
-/// entries with shared_ptr, so eviction never invalidates a registered
-/// key — it only stops future cross-tenant sharing of that spec.
-class ProblemCache {
- public:
-  explicit ProblemCache(std::size_t capacity) : capacity_(capacity) {}
-
-  struct Outcome {
-    std::shared_ptr<const core::CompiledProblem> problem;
-    std::uint64_t key = 0;
-    bool fromCache = false;
-    std::uint64_t evictions = 0;
-  };
-
-  /// Returns the cached problem for byte-identical `specBytes`, or
-  /// compiles and caches it. Throws whatever compile() throws.
-  Outcome lookupOrCompile(std::span<const std::uint8_t> specBytes,
-                          const WireLimits& limits) {
-    Outcome out;
-    out.key = fnv1a(specBytes);
-    {
-      std::lock_guard lock(mutex_);
-      const auto it = index_.find(out.key);
-      if (it != index_.end() &&
-          std::equal(it->second->bytes.begin(), it->second->bytes.end(),
-                     specBytes.begin(), specBytes.end())) {
-        entries_.splice(entries_.begin(), entries_, it->second);  // touch MRU
-        out.problem = it->second->problem;
-        out.fromCache = true;
-        return out;
-      }
-    }
-    // Compile outside the lock: registration is rare and compilation may
-    // be heavy; two tenants racing on the same new spec both compile and
-    // the second insert wins the byte-compare (harmless).
-    const Diagnostics diag("robustd:register");
-    core::ProblemSpec spec = decodeProblemSpec(specBytes, limits, diag);
-    auto compiled = std::make_shared<const core::CompiledProblem>(
-        core::CompiledProblem::compile(std::move(spec)));
-    std::lock_guard lock(mutex_);
-    const auto it = index_.find(out.key);
-    if (it == index_.end()) {
-      entries_.push_front(Entry{
-          out.key,
-          std::vector<std::uint8_t>(specBytes.begin(), specBytes.end()),
-          compiled});
-      index_[out.key] = entries_.begin();
-      while (entries_.size() > capacity_) {
-        index_.erase(entries_.back().key);
-        entries_.pop_back();
-        ++out.evictions;
-      }
-    }
-    out.problem = std::move(compiled);
-    return out;
-  }
-
-  /// Entries currently cached (for the STATS snapshot).
-  [[nodiscard]] std::size_t entries() const {
-    std::lock_guard lock(mutex_);
-    return entries_.size();
-  }
-
- private:
-  struct Entry {
-    std::uint64_t key;
-    std::vector<std::uint8_t> bytes;
-    std::shared_ptr<const core::CompiledProblem> problem;
-  };
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<Entry> entries_;  // MRU first
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-};
-
-struct Work {
-  enum class Kind { Register, Analyze };
-  Kind kind = Kind::Analyze;
-  std::uint32_t requestId = 0;
-  double cost = 1.0;        ///< fairness charge (instances, or bytes/4KiB)
-  std::size_t bytes = 0;    ///< backpressure accounting
-  std::int64_t enqueueNanos = 0;  ///< admission timestamp (queue-wait digest)
-  std::vector<std::uint8_t> specBytes;                      // Register
-  std::shared_ptr<const core::CompiledProblem> problem;     // Analyze
-  std::vector<double> origins;                              // Analyze
-  std::uint32_t count = 0;                                  // Analyze
-};
-
-struct Completion {
-  std::uint64_t sessionId = 0;
-  std::vector<std::uint8_t> frame;  ///< encoded reply, ready to send
-  std::size_t releasedBytes = 0;    ///< the work's backpressure charge
-  // Session-side effects, applied on the IO thread if the session lives:
-  std::shared_ptr<const core::CompiledProblem> install;
-  std::uint64_t installKey = 0;
-  bool rejected = false;
-  RejectCategory rejectCategory = RejectCategory::Other;
-  std::uint64_t batches = 0;
-  std::uint64_t instances = 0;
-  std::uint64_t registers = 0;
-  std::uint64_t cacheHit = 0;
-  std::uint64_t cacheMiss = 0;
-  std::uint64_t cacheEvictions = 0;
-  std::int64_t queueNanos = 0;  ///< admission-to-pool wait
-  std::int64_t execNanos = 0;   ///< pool execution time
-};
-
-struct Session {
-  std::uint64_t id = 0;
-  int fd = -1;
-  bool helloDone = false;
-  bool closing = false;        ///< no further reads; flush, then close
-  bool sawFatal = false;       ///< framing lost; pending work discarded
-  std::optional<std::uint32_t> byeRequestId;
-  std::string tenant;
-  std::uint32_t weight = 1;
-  std::uint64_t declaredDemand = 1;
-  double virtualTime = 0.0;
-  double chargedCost = 0.0;
-
-  std::vector<std::uint8_t> in;
-  std::size_t inPos = 0;
-  std::deque<std::vector<std::uint8_t>> out;
-  std::size_t outPos = 0;    ///< offset into out.front()
-  std::size_t outBytes = 0;  ///< total unsent reply bytes
-  std::deque<Work> pending;
-  std::size_t inflight = 0;  ///< 0 or 1: per-session FIFO replies
-  std::size_t backlogBytes = 0;  ///< pending + inflight + out bytes
-  bool paused = false;
-  bool wantRead = true;
-  bool wantWrite = false;
-
-  std::unordered_map<std::uint64_t,
-                     std::shared_ptr<const core::CompiledProblem>>
-      problems;
-
-  // Run-report accounting.
-  std::uint64_t frames = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t instancesDone = 0;
-  std::uint64_t registersDone = 0;
-  std::array<std::uint64_t, util::kRejectCategoryCount> rejects{};
-  bool disconnected = false;  ///< peer vanished uncleanly
-};
 
 }  // namespace
 
@@ -452,24 +81,29 @@ struct Server::Impl {
         cache(options.cacheCapacity),
         pool(options.workers) {}
 
+  ~Impl() {
+    if (epfd >= 0) {
+      ::close(epfd);
+    }
+  }
+
   ServerOptions options;
   ProblemCache cache;
   ThreadPool pool;
-  std::unique_ptr<Poller> poller;  // created in start()
 
+  int epfd = -1;  ///< the IO loop's epoll instance, created by start()
   int listenFd = -1;
-  int wakeRead = -1;
-  int wakeWrite = -1;
+  int wakeFd = -1;  ///< eventfd that pool threads poke after a completion
   std::uint16_t boundPort = 0;
   std::thread ioThread;
   std::atomic<bool> stopping{false};
   bool started = false;
 
   std::uint64_t nextSessionId = 1;
-  std::unordered_map<int, std::unique_ptr<Session>> sessions;  // by fd
+  SessionMap sessions;
   std::unordered_map<std::uint64_t, int> fdOfSession;
-  double vtFloor = 0.0;        ///< system virtual time for new arrivals
-  std::size_t poolBusy = 0;    ///< requests currently on the pool
+  double vtFloor = 0.0;      ///< system virtual time for new arrivals
+  std::size_t poolBusy = 0;  ///< requests currently on the pool
   /// Per-tenant totals across live AND closed sessions (std::map: the
   /// STATS document iterates it in sorted, deterministic order). IO thread
   /// only.
@@ -477,21 +111,39 @@ struct Server::Impl {
   std::size_t backlogHighWater = 0;  ///< IO-thread shadow of the stat
   std::uint64_t flightDumps = 0;     ///< on-fatal dumps written so far
 
-  mutable std::mutex mutex;    ///< completions + stats
+  mutable std::mutex mutex;  ///< completions + stats
   std::vector<Completion> completions;
   ServerStats stats;
 
   // ------------------------------------------------------------- helpers
 
   void wake() {
-    const char byte = 1;
-    ssize_t ignored = ::write(wakeWrite, &byte, 1);
+    const std::uint64_t one = 1;
+    ssize_t ignored = ::write(wakeFd, &one, sizeof(one));
     (void)ignored;
   }
 
-  void syncInterest(Session& s) {
-    const bool rd = s.wantRead && !s.closing;
-    poller->mod(s.fd, rd, s.wantWrite);
+  void drainWake() {
+    std::uint64_t count = 0;
+    ssize_t ignored = ::read(wakeFd, &count, sizeof(count));
+    (void)ignored;
+  }
+
+  ServerStats snapshot() const {
+    std::lock_guard lock(mutex);
+    return stats;
+  }
+
+  /// Sets `fd`'s readiness interest; `op` is EPOLL_CTL_ADD or EPOLL_CTL_MOD.
+  void watch(int op, int fd, bool rd, bool wr) {
+    epoll_event ev{};
+    ev.events = (rd ? EPOLLIN : 0u) | (wr ? EPOLLOUT : 0u);
+    ev.data.fd = fd;
+    (void)::epoll_ctl(epfd, op, fd, &ev);
+  }
+
+  void syncInterest(const Session& s) {
+    watch(EPOLL_CTL_MOD, s.fd, !s.paused && !s.closing, s.wantWrite);
   }
 
   /// Backpressure high-water tracking: called on every backlog increase.
@@ -504,13 +156,24 @@ struct Server::Impl {
   }
 
   void appendReply(Session& s, std::vector<std::uint8_t> frame) {
-    s.outBytes += frame.size();
-    s.backlogBytes += frame.size();
-    s.out.push_back(std::move(frame));
+    const bool arm = queueReply(s, std::move(frame));
     noteBacklog(s);
-    if (!s.wantWrite) {
-      s.wantWrite = true;
+    if (arm) {
       syncInterest(s);
+    }
+  }
+
+  void updatePause(Session& s) {
+    const PauseChange change = net::updatePause(s, options.maxInflightBytes);
+    if (change != PauseChange::None) {
+      syncInterest(s);
+    }
+    if (change == PauseChange::Paused) {
+      {
+        std::lock_guard lock(mutex);
+        stats.backpressureStalls++;
+      }
+      obsCount("net.backpressure_stalls");
     }
   }
 
@@ -532,24 +195,24 @@ struct Server::Impl {
 
   void sendReject(Session& s, std::uint32_t requestId,
                   RejectCategory category, bool fatal, std::string message) {
-    RejectInfo info;
-    info.category = category;
-    info.fatal = fatal;
-    info.message = std::move(message);
     std::vector<std::uint8_t> payload;
-    encodeReject(info, payload);
+    encodeReject(RejectInfo{category, fatal, std::move(message)}, payload);
     appendReply(s, buildFrame(FrameType::Reject, requestId, payload));
     recordReject(s, category);
     if (fatal) {
       // Framing can no longer be trusted: stop reading, drop queued work
       // (its replies could interleave with a corrupt stream), flush the
       // reject, close. Other sessions are untouched.
-      s.sawFatal = true;
       s.closing = true;
       discardPending(s);
       syncInterest(s);
       dumpFlightOnFatal();
     }
+  }
+
+  void sendReject(Session& s, std::uint32_t requestId, const ParseError& e) {
+    sendReject(s, requestId, e.diagnostic().category, false,
+               e.diagnostic().format());
   }
 
   /// The operator's post-mortem: on a fatal reject, persist what every
@@ -568,30 +231,6 @@ struct Server::Impl {
     }
   }
 
-  void discardPending(Session& s) {
-    for (const Work& w : s.pending) {
-      s.backlogBytes -= std::min(s.backlogBytes, w.bytes);
-    }
-    s.pending.clear();
-  }
-
-  void updatePause(Session& s) {
-    if (!s.paused && s.backlogBytes > options.maxInflightBytes) {
-      s.paused = true;
-      s.wantRead = false;
-      syncInterest(s);
-      {
-        std::lock_guard lock(mutex);
-        stats.backpressureStalls++;
-      }
-      obsCount("net.backpressure_stalls");
-    } else if (s.paused && s.backlogBytes <= options.maxInflightBytes / 2) {
-      s.paused = false;
-      s.wantRead = true;
-      syncInterest(s);
-    }
-  }
-
   // --------------------------------------------------------- lifecycle
 
   void openListenSocket() {
@@ -601,7 +240,7 @@ struct Server::Impl {
         throw std::runtime_error("robustd: unix socket path too long: " +
                                  options.unixPath);
       }
-      listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+      listenFd = ::socket(AF_UNIX, kSocketFlags, 0);
       if (listenFd < 0) {
         throw std::runtime_error("robustd: socket() failed");
       }
@@ -618,7 +257,7 @@ struct Server::Impl {
                                  std::strerror(errno));
       }
     } else {
-      listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
+      listenFd = ::socket(AF_INET, kSocketFlags, 0);
       if (listenFd < 0) {
         throw std::runtime_error("robustd: socket() failed");
       }
@@ -648,22 +287,21 @@ struct Server::Impl {
       listenFd = -1;
       throw std::runtime_error("robustd: listen() failed");
     }
-    setNonBlocking(listenFd);
   }
 
   void acceptAll() {
     for (;;) {
-      const int fd = ::accept(listenFd, nullptr, nullptr);
+      const int fd = ::accept4(listenFd, nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
       if (fd < 0) {
         return;  // EAGAIN or transient error: nothing more to accept
       }
-      setNonBlocking(fd);
       auto session = std::make_unique<Session>();
       session->id = nextSessionId++;
       session->fd = fd;
       session->virtualTime = vtFloor;
       fdOfSession[session->id] = fd;
-      poller->add(fd, true, false);
+      watch(EPOLL_CTL_ADD, fd, true, false);
       sessions[fd] = std::move(session);
       {
         std::lock_guard lock(mutex);
@@ -674,55 +312,16 @@ struct Server::Impl {
     }
   }
 
-  void writeRunReportFor(const Session& s) {
-    if (options.reportDir.empty()) {
-      return;
-    }
-    try {
-      std::filesystem::create_directories(options.reportDir);
-      obs::RunReport report;
-      report.tool = "robustd";
-      // report_check requires the metrics section even when obs is off
-      // (it is empty then), so always emit it.
-      report.includeMetrics = true;
-      report.info.emplace_back("session", std::to_string(s.id));
-      report.info.emplace_back("tenant", s.tenant);
-      report.info.emplace_back("declared_demand",
-                               std::to_string(s.declaredDemand));
-      report.info.emplace_back("close",
-                               s.disconnected ? "disconnect" : "clean");
-      report.benchmarks.push_back(
-          obs::BenchResult{"frames", static_cast<double>(s.frames), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "batches", static_cast<double>(s.batches), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "instances", static_cast<double>(s.instancesDone), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "registers", static_cast<double>(s.registersDone), "count"});
-      report.benchmarks.push_back(obs::BenchResult{
-          "charged_cost", s.chargedCost, "instances_per_weight"});
-      for (std::size_t c = 0; c < util::kRejectCategoryCount; ++c) {
-        report.benchmarks.push_back(obs::BenchResult{
-            std::string("rejects_") +
-                util::rejectCategoryName(static_cast<RejectCategory>(c)),
-            static_cast<double>(s.rejects[c]), "count"});
-      }
-      obs::writeRunReport(options.reportDir + "/robustd_session_" +
-                              std::to_string(s.id) + ".json",
-                          report);
-    } catch (const std::exception&) {
-      // Telemetry must never take a session teardown down with it.
-    }
-  }
-
   /// Final teardown of one session: report, unregister, close, reclaim.
   /// Pool work already dispatched for it completes into a dropped
   /// Completion (looked up by id, not pointer), so this is safe even with
   /// inflight != 0 on an unclean disconnect.
   void closeSession(Session& s, bool disconnected) {
     s.disconnected = s.disconnected || disconnected;
-    writeRunReportFor(s);
-    poller->del(s.fd);
+    if (!options.reportDir.empty()) {
+      writeSessionReport(s, options.reportDir);
+    }
+    (void)::epoll_ctl(epfd, EPOLL_CTL_DEL, s.fd, nullptr);
     ::close(s.fd);
     fdOfSession.erase(s.id);
     const int fd = s.fd;
@@ -761,150 +360,34 @@ struct Server::Impl {
     }
   }
 
-  // -------------------------------------------------------- fair queue
+  // ------------------------------------------------------------- work
 
-  /// Starts as much admitted work as the pool can hold, always picking the
-  /// runnable session with the lowest virtual time (weighted fair
-  /// queuing); ties break on session id for determinism.
+  /// Starts as much admitted work as the pool can hold, in weighted-fair
+  /// order (admission.cpp).
   void dispatch() {
     while (poolBusy < pool.size()) {
-      Session* chosen = nullptr;
-      for (auto& [fd, sp] : sessions) {
-        Session& s = *sp;
-        if (s.pending.empty() || s.inflight != 0) {
-          continue;
-        }
-        if (chosen == nullptr || s.virtualTime < chosen->virtualTime ||
-            (s.virtualTime == chosen->virtualTime && s.id < chosen->id)) {
-          chosen = &s;
-        }
-      }
+      Session* chosen = pickNext(sessions);
       if (chosen == nullptr) {
         return;
       }
-      vtFloor = std::max(vtFloor, chosen->virtualTime);
-      Work work = std::move(chosen->pending.front());
-      chosen->pending.pop_front();
-      const double charge =
-          work.cost / static_cast<double>(std::max<std::uint32_t>(
-                          1, chosen->weight));
-      chosen->virtualTime += charge;
-      chosen->chargedCost += charge;
+      Started next = startNext(*chosen, vtFloor);
       TenantTotals& totals = tenants[chosen->tenant];
       totals.virtualTime = std::max(totals.virtualTime, chosen->virtualTime);
-      totals.chargedCost += charge;
-      chosen->inflight = 1;
+      totals.chargedCost += next.charge;
       ++poolBusy;
-      submitWork(chosen->id, std::move(work));
-    }
-  }
-
-  void submitWork(std::uint64_t sessionId, Work&& work) {
-    // std::function demands copyable callables; the work rides a
-    // shared_ptr.
-    auto shared = std::make_shared<Work>(std::move(work));
-    pool.submit([this, sessionId, shared] {
-      Completion done = runWork(*shared);
-      done.sessionId = sessionId;
-      done.releasedBytes = shared->bytes;
-      {
-        std::lock_guard lock(mutex);
-        completions.push_back(std::move(done));
-      }
-      wake();
-    });
-  }
-
-  /// Executes one admitted request on a pool thread. Never throws: every
-  /// failure becomes a categorized non-fatal reject reply.
-  Completion runWork(const Work& work) {
-    const std::int64_t startNanos = obs::detail::nowNanos();
-    Completion done = runWorkInner(work);
-    const std::int64_t endNanos = obs::detail::nowNanos();
-    done.queueNanos = startNanos - work.enqueueNanos;
-    done.execNanos = endNanos - startNanos;
-    obs::recordFlight(work.kind == Work::Kind::Register
-                          ? "robustd.work.register"
-                          : "robustd.work.analyze",
-                      work.requestId, startNanos, endNanos - startNanos);
-    return done;
-  }
-
-  Completion runWorkInner(const Work& work) {
-    Completion done;
-    try {
-      if (work.kind == Work::Kind::Register) {
-        ProblemCache::Outcome outcome =
-            cache.lookupOrCompile(work.specBytes, options.limits);
-        std::vector<std::uint8_t> payload;
-        encodeRegisterOk(outcome.key, outcome.fromCache, payload);
-        done.frame = buildFrame(FrameType::RegisterOk, work.requestId,
-                                payload);
-        done.install = std::move(outcome.problem);
-        done.installKey = outcome.key;
-        done.registers = 1;
-        done.cacheHit = outcome.fromCache ? 1 : 0;
-        done.cacheMiss = outcome.fromCache ? 0 : 1;
-        done.cacheEvictions = outcome.evictions;
-        return done;
-      }
-      const core::CompiledProblem& problem = *work.problem;
-      const std::size_t dim = problem.dimension();
-      const Diagnostics diag("robustd:analyze");
-      for (std::size_t i = 0; i < work.origins.size(); ++i) {
-        if (!std::isfinite(work.origins[i])) {
-          // 1-based instance/component provenance, like the .rbi loader.
-          diag.fail(RejectCategory::Domain, i / dim + 1, i % dim + 1,
-                    "origin component " +
-                        util::formatValue(work.origins[i]) +
-                        " is not finite");
+      // std::function demands copyable callables; the work rides a
+      // shared_ptr.
+      auto work = std::make_shared<Work>(std::move(next.work));
+      pool.submit([this, sessionId = chosen->id, work] {
+        Completion done = runWork(*work, cache, options.limits);
+        done.sessionId = sessionId;
+        done.releasedBytes = work->bytes;
+        {
+          std::lock_guard lock(mutex);
+          completions.push_back(std::move(done));
         }
-      }
-      std::vector<core::AnalysisInstance> instances(work.count);
-      for (std::uint32_t i = 0; i < work.count; ++i) {
-        instances[i].origin =
-            std::span<const double>(work.origins.data() + i * dim, dim);
-      }
-      // threads = 1: requests are the unit of parallelism here (the pool
-      // fans out across tenants). analyzeBatchMetric is bit-identical for
-      // every thread count, so this changes nothing the client can see.
-      const std::vector<core::MetricResult> metrics =
-          problem.analyzeBatchMetric(instances, /*threads=*/1);
-      std::vector<WireResult> results(work.count);
-      const bool constrained = !problem.constraints().empty();
-      for (std::uint32_t i = 0; i < work.count; ++i) {
-        results[i].rho = metrics[i].metric;
-        results[i].bindingFeature =
-            static_cast<std::uint32_t>(metrics[i].bindingFeature);
-        results[i].floored = metrics[i].floored;
-        results[i].infeasibleOrigin =
-            constrained && !problem.originFeasible(instances[i].origin);
-      }
-      std::vector<std::uint8_t> payload;
-      encodeResult(results, payload);
-      done.frame = buildFrame(FrameType::Result, work.requestId, payload);
-      done.batches = 1;
-      done.instances = work.count;
-      return done;
-    } catch (const ParseError& e) {
-      done.rejected = true;
-      done.rejectCategory = e.diagnostic().category;
-      RejectInfo info{e.diagnostic().category, false, e.diagnostic().format()};
-      std::vector<std::uint8_t> payload;
-      encodeReject(info, payload);
-      done.frame = buildFrame(FrameType::Reject, work.requestId, payload);
-      return done;
-    } catch (const std::exception& e) {
-      // Compile-time contract violations (InvalidArgumentError) and
-      // anything else the engine throws: the tenant hears a categorized
-      // reject; the daemon and every other tenant keep running.
-      done.rejected = true;
-      done.rejectCategory = RejectCategory::Domain;
-      RejectInfo info{RejectCategory::Domain, false, e.what()};
-      std::vector<std::uint8_t> payload;
-      encodeReject(info, payload);
-      done.frame = buildFrame(FrameType::Reject, work.requestId, payload);
-      return done;
+        wake();
+      });
     }
   }
 
@@ -934,8 +417,7 @@ struct Server::Impl {
         continue;  // session vanished mid-flight; the reply has no reader
       }
       Session& s = *sessions.at(fdIt->second);
-      s.inflight = 0;
-      s.backlogBytes -= std::min(s.backlogBytes, done.releasedBytes);
+      settleInflight(s, done.releasedBytes);
       s.batches += done.batches;
       s.instancesDone += done.instances;
       s.registersDone += done.registers;
@@ -983,174 +465,6 @@ struct Server::Impl {
     dispatch();
   }
 
-  // ------------------------------------------------------------- stats
-
-  static void appendDigest(std::string& out, const char* key,
-                           const LatencyDigest& digest) {
-    out += '"';
-    out += key;
-    out += "\":{\"count\":";
-    out += std::to_string(digest.count);
-    out += ",\"sum_nanos\":";
-    out += std::to_string(digest.sumNanos);
-    out += ",\"p50_nanos\":";
-    out += std::to_string(digest.quantileUpperNanos(0.50));
-    out += ",\"p95_nanos\":";
-    out += std::to_string(digest.quantileUpperNanos(0.95));
-    out += ",\"p99_nanos\":";
-    out += std::to_string(digest.quantileUpperNanos(0.99));
-    out += '}';
-  }
-
-  static std::string jsonDouble(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-  }
-
-  /// The robust.stats document. Runs on the IO thread, which owns the
-  /// sessions and the tenant ledger, so the snapshot is internally
-  /// consistent: every completed batch is either in the counters or not
-  /// yet drained — never half-applied. Key order is fixed and tenants
-  /// iterate sorted, so two servers that did the same work produce
-  /// structurally identical documents.
-  std::string buildStatsJson() {
-    ServerStats st;
-    {
-      std::lock_guard lock(mutex);
-      st = stats;
-    }
-    std::size_t pausedSessions = 0;
-    for (const auto& [fd, sp] : sessions) {
-      if (sp->paused) {
-        ++pausedSessions;
-      }
-    }
-    std::string out;
-    out.reserve(1024 + tenants.size() * 640);
-    out += "{\"schema\":\"";
-    out += kStatsSchemaName;
-    out += "\",\"schema_version\":";
-    out += std::to_string(kStatsSchemaVersion);
-    out += ",\"tool\":\"robustd\"";
-
-    out += ",\"server\":{\"sessions_opened\":";
-    out += std::to_string(st.sessionsOpened);
-    out += ",\"sessions_closed\":";
-    out += std::to_string(st.sessionsClosed);
-    out += ",\"sessions_active\":";
-    out += std::to_string(st.sessionsActive);
-    out += ",\"frames\":";
-    out += std::to_string(st.framesHandled);
-    out += ",\"batches\":";
-    out += std::to_string(st.batches);
-    out += ",\"instances\":";
-    out += std::to_string(st.instances);
-    out += ",\"registers\":";
-    out += std::to_string(st.registers);
-    out += ",\"disconnects\":";
-    out += std::to_string(st.disconnects);
-    out += ",\"stats_requests\":";
-    out += std::to_string(st.statsRequests);
-    out += ",\"trace_dumps\":";
-    out += std::to_string(st.traceDumps);
-    out += ",\"pool_workers\":";
-    out += std::to_string(pool.size());
-    out += ",\"pool_busy\":";
-    out += std::to_string(poolBusy);
-    out += ",\"virtual_time_floor\":";
-    out += jsonDouble(vtFloor);
-    out += '}';
-
-    out += ",\"cache\":{\"hits\":";
-    out += std::to_string(st.cacheHits);
-    out += ",\"misses\":";
-    out += std::to_string(st.cacheMisses);
-    out += ",\"evictions\":";
-    out += std::to_string(st.cacheEvictions);
-    out += ",\"entries\":";
-    out += std::to_string(cache.entries());
-    out += ",\"capacity\":";
-    out += std::to_string(options.cacheCapacity);
-    out += '}';
-
-    out += ",\"backpressure\":{\"stalls\":";
-    out += std::to_string(st.backpressureStalls);
-    out += ",\"max_inflight_bytes\":";
-    out += std::to_string(options.maxInflightBytes);
-    out += ",\"backlog_high_water_bytes\":";
-    out += std::to_string(st.backlogHighWaterBytes);
-    out += ",\"paused_sessions\":";
-    out += std::to_string(pausedSessions);
-    out += '}';
-
-    out += ",\"rejects\":{";
-    for (std::size_t c = 0; c < util::kRejectCategoryCount; ++c) {
-      if (c != 0) {
-        out += ',';
-      }
-      out += '"';
-      out += util::rejectCategoryName(static_cast<RejectCategory>(c));
-      out += "\":";
-      out += std::to_string(st.rejects[c]);
-    }
-    out += ",\"total\":";
-    out += std::to_string(st.rejectsTotal());
-    out += '}';
-
-    out += ",\"tenants\":{";
-    bool firstTenant = true;
-    for (const auto& [name, totals] : tenants) {
-      if (!firstTenant) {
-        out += ',';
-      }
-      firstTenant = false;
-      out += '"';
-      jsonEscape(out, name);
-      out += "\":{\"sessions\":";
-      out += std::to_string(totals.sessions);
-      out += ",\"frames\":";
-      out += std::to_string(totals.frames);
-      out += ",\"batches\":";
-      out += std::to_string(totals.batches);
-      out += ",\"instances\":";
-      out += std::to_string(totals.instances);
-      out += ",\"registers\":";
-      out += std::to_string(totals.registers);
-      out += ",\"cache_hits\":";
-      out += std::to_string(totals.cacheHits);
-      out += ",\"cache_misses\":";
-      out += std::to_string(totals.cacheMisses);
-      std::uint64_t rejectsTotal = 0;
-      for (std::uint64_t v : totals.rejects) {
-        rejectsTotal += v;
-      }
-      out += ",\"rejects_total\":";
-      out += std::to_string(rejectsTotal);
-      out += ",\"virtual_time\":";
-      out += jsonDouble(totals.virtualTime);
-      out += ",\"charged_cost\":";
-      out += jsonDouble(totals.chargedCost);
-      out += ",\"latency\":{";
-      appendDigest(out, "analyze", totals.analyzeLatency);
-      out += ',';
-      appendDigest(out, "compile", totals.compileLatency);
-      out += ',';
-      appendDigest(out, "queue", totals.queueLatency);
-      out += "}}";
-    }
-    out += '}';
-
-    out += ",\"flight\":{\"records\":";
-    out += std::to_string(obs::flightRecordCount());
-    out += ",\"capacity\":";
-    out += std::to_string(obs::flightCapacity());
-    out += ",\"dumps\":";
-    out += std::to_string(flightDumps);
-    out += "}}";
-    return out;
-  }
-
   // ------------------------------------------------------------ frames
 
   void handleFrame(Session& s, const FrameHeader& header,
@@ -1166,12 +480,12 @@ struct Server::Impl {
     obsCount("net.frames");
     if (obs::enabled()) [[unlikely]] {
       obs::addCounter(
-          obs::counterId("net.frames", "type", frameTypeLabel(header.type)));
+          obs::counterId("net.frames", "type", frameNames(header.type).label));
     }
     if (obs::flightEnabled()) {
       // Instantaneous arrival marker, requestId-correlated: the dump shows
       // which wire request each queue wait / compile / analyze belongs to.
-      obs::recordFlight(frameFlightName(header.type), header.requestId,
+      obs::recordFlight(frameNames(header.type).flight, header.requestId,
                         obs::detail::nowNanos(), 0);
     }
     const Diagnostics diag("robustd:frame");
@@ -1187,7 +501,6 @@ struct Server::Impl {
               decodeHello(payload, options.limits, diag);
           s.helloDone = true;
           s.tenant = hello.tenant;
-          s.declaredDemand = hello.declaredDemand;
           s.weight = hello.declaredDemand;
           s.virtualTime = std::max(s.virtualTime, vtFloor);
           TenantTotals& totals = tenants[s.tenant];
@@ -1198,8 +511,7 @@ struct Server::Impl {
           appendReply(s, buildFrame(FrameType::HelloOk, header.requestId,
                                     reply));
         } catch (const ParseError& e) {
-          sendReject(s, header.requestId, e.diagnostic().category, false,
-                     e.diagnostic().format());
+          sendReject(s, header.requestId, e);
         }
         return;
       }
@@ -1262,8 +574,7 @@ struct Server::Impl {
                       work.origins.size() * 8);
           admit(s, std::move(work));
         } catch (const ParseError& e) {
-          sendReject(s, header.requestId, e.diagnostic().category, false,
-                     e.diagnostic().format());
+          sendReject(s, header.requestId, e);
         }
         return;
       }
@@ -1274,76 +585,73 @@ struct Server::Impl {
         maybeFinish(s);
         return;
       }
-      // Admin frames: answered inline on the IO thread — a snapshot is a
-      // read of state this thread already owns, so it never waits behind
-      // (or occupies) a pool worker, and no HELLO is required (a monitor
-      // is not a tenant).
-      case FrameType::Stats: {
-        try {
-          (void)decodeAdminRequest(payload, diag);
-        } catch (const ParseError& e) {
-          sendReject(s, header.requestId, e.diagnostic().category, false,
-                     e.diagnostic().format());
-          return;
-        }
-        {
-          std::lock_guard lock(mutex);
-          stats.statsRequests++;
-        }
-        const std::string json = buildStatsJson();
-        if (json.size() > options.limits.maxFrameBytes) {
-          sendReject(s, header.requestId, RejectCategory::Domain, false,
-                     "robustd: stats snapshot of " +
-                         std::to_string(json.size()) +
-                         " bytes exceeds the frame cap");
-          return;
-        }
-        appendReply(
-            s, buildFrame(FrameType::StatsOk, header.requestId,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(
-                                  json.data()),
-                              json.size())));
+      case FrameType::Stats:
+      case FrameType::TraceDump:
+        handleAdmin(s, header, payload);
         return;
-      }
-      case FrameType::TraceDump: {
-        try {
-          (void)decodeAdminRequest(payload, diag);
-        } catch (const ParseError& e) {
-          sendReject(s, header.requestId, e.diagnostic().category, false,
-                     e.diagnostic().format());
-          return;
-        }
-        std::ostringstream dump;
-        obs::writeFlightTrace(dump);
-        const std::string text = dump.str();
-        if (text.size() > options.limits.maxFrameBytes) {
-          // Refuse without draining: the records stay available for an
-          // on-fatal file dump, which has no frame cap.
-          sendReject(s, header.requestId, RejectCategory::Domain, false,
-                     "robustd: flight dump of " + std::to_string(text.size()) +
-                         " bytes exceeds the frame cap");
-          return;
-        }
-        obs::clearFlight();  // drain semantics: each record is reported once
-        {
-          std::lock_guard lock(mutex);
-          stats.traceDumps++;
-        }
-        appendReply(
-            s, buildFrame(FrameType::TraceDumpOk, header.requestId,
-                          std::span<const std::uint8_t>(
-                              reinterpret_cast<const std::uint8_t*>(
-                                  text.data()),
-                              text.size())));
-        return;
-      }
       default:
         sendReject(s, header.requestId, RejectCategory::Format, false,
                    "robustd: unexpected frame type 0x" +
                        std::to_string(static_cast<unsigned>(header.type)));
         return;
     }
+  }
+
+  /// STATS and TRACE_DUMP: answered inline on the IO thread — a snapshot
+  /// is a read of state this thread already owns, so it never waits behind
+  /// (or occupies) a pool worker, and no HELLO is required (a monitor is
+  /// not a tenant).
+  void handleAdmin(Session& s, const FrameHeader& header,
+                   std::span<const std::uint8_t> payload) {
+    try {
+      (void)decodeAdminRequest(payload, Diagnostics("robustd:frame"));
+    } catch (const ParseError& e) {
+      sendReject(s, header.requestId, e);
+      return;
+    }
+    const bool isStats = header.type == FrameType::Stats;
+    std::string text;
+    if (isStats) {
+      {
+        std::lock_guard lock(mutex);
+        stats.statsRequests++;
+      }
+      text = statsJson();
+    } else {
+      text = drainFlightTrace(options.limits.maxFrameBytes);
+    }
+    if (text.size() > options.limits.maxFrameBytes) {
+      sendReject(s, header.requestId, RejectCategory::Domain, false,
+                 std::string(isStats ? "robustd: stats snapshot of "
+                                     : "robustd: flight dump of ") +
+                     std::to_string(text.size()) +
+                     " bytes exceeds the frame cap");
+      return;
+    }
+    if (!isStats) {
+      std::lock_guard lock(mutex);
+      stats.traceDumps++;
+    }
+    const std::span<const std::uint8_t> bytes(
+        reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
+    appendReply(s, buildFrame(isStats ? FrameType::StatsOk
+                                      : FrameType::TraceDumpOk,
+                              header.requestId, bytes));
+  }
+
+  /// Runs on the IO thread, which owns the sessions and the tenant ledger,
+  /// so the snapshot is internally consistent: every completed batch is
+  /// either in the counters or not yet drained — never half-applied.
+  std::string statsJson() {
+    StatsGauges gauges{.poolWorkers = pool.size(),
+                       .poolBusy = poolBusy,
+                       .virtualTimeFloor = vtFloor,
+                       .cacheEntries = cache.entries(),
+                       .flightDumps = flightDumps};
+    for (const auto& [fd, sp] : sessions) {
+      gauges.pausedSessions += sp->paused ? 1 : 0;
+    }
+    return buildStatsJson(snapshot(), options, gauges, tenants);
   }
 
   bool requireHello(Session& s, std::uint32_t requestId) {
@@ -1357,8 +665,7 @@ struct Server::Impl {
 
   void admit(Session& s, Work&& work) {
     work.enqueueNanos = obs::detail::nowNanos();
-    s.backlogBytes += work.bytes;
-    s.pending.push_back(std::move(work));
+    queueWork(s, std::move(work));
     noteBacklog(s);
     updatePause(s);
     dispatch();
@@ -1366,100 +673,63 @@ struct Server::Impl {
 
   void readFrom(Session& s) {
     char chunk[65536];
-    for (;;) {
-      if (s.paused || s.closing) {
-        break;
-      }
+    while (!s.paused && !s.closing) {
       const ssize_t n = ::read(s.fd, chunk, sizeof(chunk));
       if (n > 0) {
         s.in.insert(s.in.end(), chunk, chunk + n);
-        if (!parseFrames(s)) {
-          return;  // session aborted or went fatal
-        }
+        parseFrames(s);
         continue;
       }
-      if (n == 0) {
-        // Peer closed. A clean client said BYE first; anything still
-        // queued or unread marks an unclean disconnect. Either way the
-        // session is torn down now and nobody else notices.
-        abortSession(s);
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         return;
       }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        break;
-      }
-      if (errno == EINTR) {
+      if (n < 0 && errno == EINTR) {
         continue;
       }
+      // Peer closed (n == 0) or the socket failed. A clean client said BYE
+      // first; anything still queued or unread marks an unclean
+      // disconnect. Either way the session is torn down now and nobody
+      // else notices.
       abortSession(s);
       return;
     }
   }
 
-  /// Consumes every complete frame in the input buffer. Returns false when
-  /// the session was closed underneath (fatal reject path keeps the
-  /// session alive to flush, so it returns true).
-  bool parseFrames(Session& s) {
-    for (;;) {
-      if (s.closing) {
-        return true;
-      }
-      const std::size_t available = s.in.size() - s.inPos;
-      if (available < kHeaderBytes) {
-        break;
-      }
-      const Diagnostics diag("robustd:frame");
-      FrameHeader header;
+  /// Handles every complete frame in the input buffer. A fatal reject
+  /// keeps the session alive to flush it, but stops the parse.
+  void parseFrames(Session& s) {
+    while (!s.closing) {
+      std::optional<Frame> frame;
       try {
-        header = decodeFrameHeader(
-            std::span<const std::uint8_t>(s.in.data() + s.inPos,
-                                          kHeaderBytes),
-            options.limits, diag);
+        frame = nextFrame(s, options.limits);
       } catch (const ParseError& e) {
         sendReject(s, 0, e.diagnostic().category, true,
                    e.diagnostic().format());
-        return true;
+        return;
       }
-      if (available < kHeaderBytes + header.payloadBytes) {
-        break;  // wait for the rest of the payload
+      if (!frame) {
+        return;  // wait for the rest of the frame
       }
-      if (!isClientFrameType(static_cast<std::uint8_t>(header.type))) {
+      if (!isClientFrameType(static_cast<std::uint8_t>(frame->header.type))) {
         // The stream is still framed; answer per-request and move on.
-        s.inPos += kHeaderBytes + header.payloadBytes;
-        sendReject(s, header.requestId, RejectCategory::Format, false,
+        sendReject(s, frame->header.requestId, RejectCategory::Format, false,
                    "robustd: frame type 0x" +
-                       std::to_string(static_cast<unsigned>(header.type)) +
+                       std::to_string(
+                           static_cast<unsigned>(frame->header.type)) +
                        " is not a client request");
         continue;
       }
-      const std::span<const std::uint8_t> payload(
-          s.in.data() + s.inPos + kHeaderBytes, header.payloadBytes);
-      s.inPos += kHeaderBytes + header.payloadBytes;
-      handleFrame(s, header, payload);
+      handleFrame(s, frame->header, frame->payload);
     }
-    // Compact the consumed prefix once it dominates the buffer.
-    if (s.inPos > 0 && (s.inPos >= s.in.size() || s.inPos > 1u << 16)) {
-      s.in.erase(s.in.begin(),
-                 s.in.begin() + static_cast<std::ptrdiff_t>(s.inPos));
-      s.inPos = 0;
-    }
-    return true;
   }
 
   void flushTo(Session& s) {
     while (!s.out.empty()) {
       const std::vector<std::uint8_t>& front = s.out.front();
-      const std::size_t left = front.size() - s.outPos;
-      const ssize_t n = ::write(s.fd, front.data() + s.outPos, left);
+      const ssize_t n =
+          ::write(s.fd, front.data() + s.outPos, front.size() - s.outPos);
       if (n > 0) {
-        s.outPos += static_cast<std::size_t>(n);
-        s.outBytes -= static_cast<std::size_t>(n);
-        s.backlogBytes -= std::min(s.backlogBytes,
-                                   static_cast<std::size_t>(n));
-        if (s.outPos == front.size()) {
-          s.out.pop_front();
-          s.outPos = 0;
-        }
+        consumeWritten(s, static_cast<std::size_t>(n));
         continue;
       }
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -1480,35 +750,36 @@ struct Server::Impl {
   // ------------------------------------------------------------ IO loop
 
   void ioLoop() {
-    std::vector<Poller::Event> events;
+    std::array<epoll_event, 64> events{};
     while (!stopping.load(std::memory_order_relaxed)) {
-      poller->wait(events, 200);
-      for (const Poller::Event& ev : events) {
-        if (ev.fd == wakeRead) {
-          char sink[256];
-          while (::read(wakeRead, sink, sizeof(sink)) > 0) {
-          }
+      const int n = ::epoll_wait(epfd, events.data(),
+                                 static_cast<int>(events.size()), 200);
+      for (int i = 0; i < n; ++i) {
+        const int fd = events[i].data.fd;
+        const std::uint32_t ready = events[i].events;
+        if (fd == wakeFd) {
+          drainWake();
           continue;
         }
-        if (ev.fd == listenFd) {
+        if (fd == listenFd) {
           acceptAll();
           continue;
         }
-        const auto it = sessions.find(ev.fd);
+        const auto it = sessions.find(fd);
         if (it == sessions.end()) {
           continue;  // closed earlier this round
         }
         Session& s = *it->second;
-        if (ev.error) {
+        if ((ready & (EPOLLERR | EPOLLHUP)) != 0) {
           abortSession(s);
           continue;
         }
-        if (ev.writable) {
+        if ((ready & EPOLLOUT) != 0) {
           flushTo(s);
         }
         // flushTo may have closed the session; re-find before reading.
-        const auto again = sessions.find(ev.fd);
-        if (again == sessions.end() || !ev.readable) {
+        const auto again = sessions.find(fd);
+        if (again == sessions.end() || (ready & EPOLLIN) == 0) {
           continue;
         }
         readFrom(*again->second);
@@ -1522,24 +793,18 @@ struct Server::Impl {
   /// replies are dropped), then close every session with a report.
   void shutdownSessions() {
     while (poolBusy > 0) {
-      std::vector<Poller::Event> events;
-      poller->wait(events, 50);
-      drainCompletionsDiscarding();
+      epoll_event ignored{};
+      (void)::epoll_wait(epfd, &ignored, 1, 50);
+      drainWake();
+      std::lock_guard lock(mutex);
+      poolBusy -= std::min(poolBusy, completions.size());
+      completions.clear();
     }
     while (!sessions.empty()) {
       Session& s = *sessions.begin()->second;
       discardPending(s);
       closeSession(s, /*disconnected=*/false);
     }
-  }
-
-  void drainCompletionsDiscarding() {
-    std::vector<Completion> batch;
-    {
-      std::lock_guard lock(mutex);
-      batch.swap(completions);
-    }
-    poolBusy -= std::min(poolBusy, batch.size());
   }
 };
 
@@ -1550,20 +815,24 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   ROBUST_REQUIRE(!impl_->started, "robustd: server already started");
-  impl_->poller = std::make_unique<Poller>(impl_->options.forcePoll);
+  if (impl_->epfd < 0) {
+    impl_->epfd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (impl_->epfd < 0) {
+      const int err = errno;
+      throw std::system_error(err, std::generic_category(),
+                              "robustd: epoll_create1() failed (errno " +
+                                  std::to_string(err) + ")");
+    }
+  }
   impl_->openListenSocket();
-  int pipeFds[2];
-  if (::pipe(pipeFds) != 0) {
+  impl_->wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (impl_->wakeFd < 0) {
     ::close(impl_->listenFd);
     impl_->listenFd = -1;
-    throw std::runtime_error("robustd: pipe() failed");
+    throw std::runtime_error("robustd: eventfd() failed");
   }
-  impl_->wakeRead = pipeFds[0];
-  impl_->wakeWrite = pipeFds[1];
-  setNonBlocking(impl_->wakeRead);
-  setNonBlocking(impl_->wakeWrite);
-  impl_->poller->add(impl_->listenFd, true, false);
-  impl_->poller->add(impl_->wakeRead, true, false);
+  impl_->watch(EPOLL_CTL_ADD, impl_->listenFd, true, false);
+  impl_->watch(EPOLL_CTL_ADD, impl_->wakeFd, true, false);
   impl_->stopping.store(false);
   impl_->started = true;
   impl_->ioThread = std::thread([this] { impl_->ioLoop(); });
@@ -1588,10 +857,9 @@ void Server::stop() {
     ::close(impl_->listenFd);
     impl_->listenFd = -1;
   }
-  if (impl_->wakeRead >= 0) {
-    ::close(impl_->wakeRead);
-    ::close(impl_->wakeWrite);
-    impl_->wakeRead = impl_->wakeWrite = -1;
+  if (impl_->wakeFd >= 0) {
+    ::close(impl_->wakeFd);
+    impl_->wakeFd = -1;
   }
   if (!impl_->options.unixPath.empty()) {
     ::unlink(impl_->options.unixPath.c_str());
@@ -1605,9 +873,6 @@ const std::string& Server::unixPath() const noexcept {
   return impl_->options.unixPath;
 }
 
-ServerStats Server::stats() const {
-  std::lock_guard lock(impl_->mutex);
-  return impl_->stats;
-}
+ServerStats Server::stats() const { return impl_->snapshot(); }
 
 }  // namespace robust::net

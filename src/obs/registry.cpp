@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "robust/obs/flight.hpp"
+#include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
 
@@ -553,34 +554,6 @@ std::int64_t steadyNowNanos() noexcept {
       .count();
 }
 
-/// JSON string escaping for span names (names are literals, but stay safe).
-void writeEscaped(std::ostream& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -657,7 +630,7 @@ void writeTrace(std::ostream& out) {
       }
       first = false;
       out << "{\"name\":\"";
-      writeEscaped(out, e.name);
+      out << json::escape(e.name);
       out << "\",\"cat\":\"robust\",\"ph\":\"X\",\"pid\":1,\"tid\":" << (t + 1);
       // Microseconds with nanosecond precision: deterministic formatting.
       std::snprintf(buf, sizeof(buf), "%lld.%03lld",
@@ -790,7 +763,7 @@ void writeFlightTrace(std::ostream& out) {
       }
       first = false;
       out << "{\"name\":\"";
-      writeEscaped(out, r.name);
+      out << json::escape(r.name);
       out << "\",\"cat\":\"flight\",\"ph\":\"X\",\"pid\":1,\"tid\":" << (t + 1);
       std::snprintf(buf, sizeof(buf), "%lld.%03lld",
                     static_cast<long long>(r.startNs / 1000),

@@ -5,41 +5,14 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "robust/obs/json_lite.hpp"
+
 namespace robust::obs {
 
 namespace {
 
-void writeEscaped(std::ostream& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
 void writeString(std::ostream& out, std::string_view s) {
-  out << '"';
-  writeEscaped(out, s);
-  out << '"';
+  out << '"' << json::escape(s) << '"';
 }
 
 /// %.17g — the same rendering the savers use, so values round-trip.

@@ -47,11 +47,13 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 
 std::string ArgParser::getString(const std::string& key,
                                  const std::string& fallback) const {
+  queried_.insert(key);
   const auto it = values_.find(key);
   return it != values_.end() ? it->second : fallback;
 }
 
 double ArgParser::getDouble(const std::string& key, double fallback) const {
+  queried_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
@@ -69,6 +71,7 @@ double ArgParser::getDouble(const std::string& key, double fallback) const {
 
 std::int64_t ArgParser::getInt(const std::string& key,
                                std::int64_t fallback) const {
+  queried_.insert(key);
   const auto it = values_.find(key);
   if (it == values_.end()) {
     return fallback;
@@ -85,7 +88,18 @@ std::int64_t ArgParser::getInt(const std::string& key,
 }
 
 bool ArgParser::has(const std::string& key) const {
+  queried_.insert(key);
   return values_.contains(key);
+}
+
+std::vector<std::string> ArgParser::unknownOptions() const {
+  std::vector<std::string> unknown;
+  for (const auto& [key, value] : values_) {
+    if (!queried_.contains(key)) {
+      unknown.push_back(key);
+    }
+  }
+  return unknown;
 }
 
 }  // namespace robust

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
 
 #include "robust/core/compiled.hpp"
 #include "robust/core/validation.hpp"
@@ -329,6 +330,14 @@ struct SweepParam {
   std::uint64_t seed;
   NormKind norm;
 };
+
+// gtest's default printer dumps the struct's raw bytes, padding included,
+// and CMake's test discovery names each case from that printout, so the
+// ctest ids changed between builds. Print the fields instead:
+// ".../OracleNeverBeatsAnalytic/seed3_l2".
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  *os << "seed" << param.seed << '_' << toString(param.norm);
+}
 
 class AnalyticVsOracle : public ::testing::TestWithParam<SweepParam> {};
 

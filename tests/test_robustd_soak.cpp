@@ -253,19 +253,6 @@ TEST(RobustdSoak, TenantsStayBitIdenticalUnderChaos) {
   server.stop();
 }
 
-TEST(RobustdSoak, PollBackendAnswersTheSameBits) {
-  ServerOptions options;
-  options.tcpPort = 0;
-  options.workers = 1;
-  options.forcePoll = true;
-  Server server(std::move(options));
-  server.start();
-  EXPECT_EQ(runTenant(server.port(), 1, 2, 16), 0u);
-  const ServerStats stats = waitForBalance(server);
-  EXPECT_EQ(stats.sessionsActive, 0u);
-  server.stop();
-}
-
 TEST(RobustdSoak, EvictedSpecsStayUsableForSessionsThatPinnedThem) {
   ServerOptions options;
   options.tcpPort = 0;
@@ -609,16 +596,15 @@ void collectPaths(const Value& v, const std::string& prefix,
   }
 }
 
-// The same serial workload against the epoll and poll backends must
-// produce STATS documents with identical key-path structure and identical
-// values on every deterministic counter (wall-clock latency digests and
-// global flight-ring occupancy may differ).
-TEST(RobustdSoak, CrossBackendStatsAreStructurallyIdentical) {
-  const auto runBackend = [](bool forcePoll) {
+// The same serial workload run twice must produce STATS documents with
+// identical key-path structure and identical values on every deterministic
+// counter (wall-clock latency digests and global flight-ring occupancy may
+// differ).
+TEST(RobustdSoak, StatsAreStructurallyIdenticalAcrossRuns) {
+  const auto runOnce = [] {
     ServerOptions options;
     options.tcpPort = 0;
     options.workers = 1;
-    options.forcePoll = forcePoll;
     Server server(std::move(options));
     server.start();
     EXPECT_EQ(runTenant(server.port(), 1, 3, 16), 0u);
@@ -631,14 +617,14 @@ TEST(RobustdSoak, CrossBackendStatsAreStructurallyIdentical) {
     server.stop();
     return text;
   };
-  const Value epoll = robust::obs::json::parse(runBackend(false));
-  const Value poll = robust::obs::json::parse(runBackend(true));
+  const Value first = robust::obs::json::parse(runOnce());
+  const Value second = robust::obs::json::parse(runOnce());
 
-  std::set<std::string> epollPaths;
-  std::set<std::string> pollPaths;
-  collectPaths(epoll, "", epollPaths);
-  collectPaths(poll, "", pollPaths);
-  EXPECT_EQ(epollPaths, pollPaths) << "backends disagree on document shape";
+  std::set<std::string> firstPaths;
+  std::set<std::string> secondPaths;
+  collectPaths(first, "", firstPaths);
+  collectPaths(second, "", secondPaths);
+  EXPECT_EQ(firstPaths, secondPaths) << "runs disagree on document shape";
 
   for (const char* path :
        {"server.sessions_opened", "server.sessions_closed", "server.frames",
@@ -647,8 +633,8 @@ TEST(RobustdSoak, CrossBackendStatsAreStructurallyIdentical) {
         "rejects.total", "tenants.tenant1.frames", "tenants.tenant1.batches",
         "tenants.tenant1.instances", "tenants.tenant1.registers",
         "tenants.tenant1.latency.analyze.count"}) {
-    EXPECT_EQ(statNumber(epoll, path), statNumber(poll, path))
-        << "backends disagree on " << path;
+    EXPECT_EQ(statNumber(first, path), statNumber(second, path))
+        << "runs disagree on " << path;
   }
 }
 
@@ -662,16 +648,15 @@ std::int64_t soakClock() noexcept {
 // Under the test clock, a serial single-tenant flow reads the clock in a
 // deterministic order (one arrival event per frame, one enqueue stamp and
 // two work timestamps per dispatched request), so the TRACE_DUMP drain
-// must be BYTE-identical between the epoll and poll backends.
-TEST(RobustdSoak, TraceDumpIsByteDeterministicAcrossBackends) {
-  const auto runBackend = [](bool forcePoll) {
+// must be BYTE-identical between two runs.
+TEST(RobustdSoak, TraceDumpIsByteDeterministicAcrossRuns) {
+  const auto runOnce = [] {
     robust::obs::clearFlight();
     gSoakClock.store(0, std::memory_order_relaxed);
     robust::obs::detail::setClockForTesting(&soakClock);
     ServerOptions options;
     options.tcpPort = 0;
     options.workers = 1;
-    options.forcePoll = forcePoll;
     Server server(std::move(options));
     server.start();
 
@@ -693,16 +678,15 @@ TEST(RobustdSoak, TraceDumpIsByteDeterministicAcrossBackends) {
     return dump;
   };
   robust::obs::setFlightCapacity(robust::obs::kDefaultFlightCapacity);
-  const std::string epollDump = runBackend(false);
-  const std::string pollDump = runBackend(true);
-  EXPECT_EQ(epollDump, pollDump)
-      << "flight dump bytes differ between epoll and poll";
+  const std::string firstDump = runOnce();
+  const std::string secondDump = runOnce();
+  EXPECT_EQ(firstDump, secondDump) << "flight dump bytes differ between runs";
   // The dump is real: it holds the per-frame arrival events (including the
   // TRACE_DUMP frame itself) and both work spans, requestId-correlated.
-  EXPECT_NE(epollDump.find("robustd.frame.hello"), std::string::npos);
-  EXPECT_NE(epollDump.find("robustd.frame.trace_dump"), std::string::npos);
-  EXPECT_NE(epollDump.find("robustd.work.register"), std::string::npos);
-  EXPECT_NE(epollDump.find("robustd.work.analyze"), std::string::npos);
+  EXPECT_NE(firstDump.find("robustd.frame.hello"), std::string::npos);
+  EXPECT_NE(firstDump.find("robustd.frame.trace_dump"), std::string::npos);
+  EXPECT_NE(firstDump.find("robustd.work.register"), std::string::npos);
+  EXPECT_NE(firstDump.find("robustd.work.analyze"), std::string::npos);
   // Draining left nothing behind inside the dump itself: a second dump on
   // a fresh connection right after would have started empty. (The ring was
   // cleared as part of the drain; the frames after it re-populate it.)

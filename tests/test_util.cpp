@@ -423,6 +423,19 @@ TEST(Args, RejectsMalformed) {
   EXPECT_THROW((void)args.getInt("num", 0), InvalidArgumentError);
 }
 
+TEST(Args, UnknownOptionsAreTheOnesNeverQueried) {
+  // A misspelled "--wokers" must be reportable, not silently ignored.
+  const char* argv[] = {"prog", "--workers", "4", "--wokers", "4", "--quiet"};
+  const ArgParser args(6, argv);
+  EXPECT_EQ(args.getInt("workers", 0), 4);
+  EXPECT_EQ(args.unknownOptions(),
+            (std::vector<std::string>{"quiet", "wokers"}));
+  // has() counts as a query, present or not; absent keys are never unknown.
+  EXPECT_TRUE(args.has("quiet"));
+  EXPECT_FALSE(args.has("missing"));
+  EXPECT_EQ(args.unknownOptions(), std::vector<std::string>{"wokers"});
+}
+
 TEST(Args, LaterDuplicateWins) {
   const char* argv[] = {"prog", "--k", "1", "--k", "2"};
   const ArgParser args(5, argv);
