@@ -19,9 +19,9 @@
 #include <thread>
 
 #include "robust/net/server.hpp"
-#include "robust/obs/flight.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/report.hpp"
+#include "robust/obs/trace.hpp"
 #include "robust/util/args.hpp"
 #include "robust/util/diagnostics.hpp"
 #include "robust/util/error.hpp"
@@ -46,7 +46,8 @@ void printUsage() {
       "  --flight-dir DIR  dump the flight recorder here on fatal rejects\n"
       "                    and on a session-ledger imbalance at exit\n"
       "  --flight N        flight-recorder ring capacity per thread\n"
-      "                    (default 512; 0 disables; ROBUST_FLIGHT env too)\n"
+      "                    (default 512, at most 65536; 0 disables;\n"
+      "                    ROBUST_FLIGHT env too)\n"
       "  --help            this text\n"
       "\n"
       "Unknown options are rejected (exit 2).");
@@ -78,8 +79,10 @@ int main(int argc, char** argv) try {
                  unknown.front().c_str());
     return 2;
   }
-  if (flightCap < 0) {
-    std::fprintf(stderr, "robustd: --flight must be >= 0\n");
+  if (flightCap < 0 || static_cast<std::uint64_t>(flightCap) >
+                           robust::obs::kMaxRecordsPerThread) {
+    std::fprintf(stderr, "robustd: --flight must be in 0..%zu\n",
+                 robust::obs::kMaxRecordsPerThread);
     return 2;
   }
   robust::obs::setFlightCapacity(static_cast<std::size_t>(flightCap));

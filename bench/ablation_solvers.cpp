@@ -33,8 +33,10 @@ int main(int argc, char** argv) {
     }
     const double level = num::dot(w, origin) * rng.uniform(1.5, 4.0);
     exact.push_back((level - num::dot(w, origin)) / num::norm2(w));
+    std::string name = "phi";  // not `+`: GCC 12 -Wrestrict (bug 105651)
+    name += std::to_string(f);
     affine.push_back(core::PerformanceFeature{
-        "phi" + std::to_string(f), core::ImpactFunction::affine(w, 0.0),
+        name, core::ImpactFunction::affine(w, 0.0),
         core::ToleranceBounds::atMost(level)});
   }
   const core::PerturbationParameter parameter{"lambda", origin, false, ""};
@@ -86,8 +88,10 @@ int main(int argc, char** argv) {
     const double r = distToCenter * rng.uniform(1.5, 3.0);  // origin inside
     quadExact.push_back(r - distToCenter);
     const num::Vec c = center;
+    std::string name = "q";
+    name += std::to_string(f);
     quad.push_back(core::PerformanceFeature{
-        "q" + std::to_string(f),
+        name,
         core::ImpactFunction::callable(
             [c](std::span<const double> x) {
               double s = 0.0;

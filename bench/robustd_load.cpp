@@ -20,7 +20,7 @@
 //     non-fatal Structure reject), and disconnect mid-frame — none of
 //     which may disturb any fair tenant's bits.
 //
-//   robustd_load --unix /tmp/robustd.sock --tenants 4 --batches 8 \
+//   robustd_load --unix /tmp/robustd.sock --tenants 4 --batches 8
 //                --instances 64 --chaos --greedy
 #include <atomic>
 #include <cstdio>

@@ -92,7 +92,9 @@ int main(int argc, char** argv) {
   std::cout << "\napplication assignments:\n";
   TablePrinter assign({"machine", "mapping A", "mapping B"});
   for (std::size_t j = 0; j < scenario.machines; ++j) {
-    assign.addRow({"m" + std::to_string(j + 1),
+    std::string machine = "m";  // not `+`: GCC 12 -Wrestrict (bug 105651)
+    machine += std::to_string(j + 1);
+    assign.addRow({machine,
                    assignmentsOf(result.mappings[idxA], j, scenario.graph),
                    assignmentsOf(result.mappings[idxB], j, scenario.graph)});
   }

@@ -144,15 +144,21 @@ SystemGraph buildDag(const ScenarioOptions& options, Pcg32& rng) {
     }
   }
 
+  // Not `"s" + std::to_string(n)`: GCC 12 -Wrestrict (bug 105651).
+  const auto nodeName = [](const char* prefix, std::size_t n) {
+    std::string name = prefix;
+    name += std::to_string(n);
+    return name;
+  };
   SystemGraph graph;
   for (std::size_t s = 0; s < options.sensorRates.size(); ++s) {
-    graph.addSensor("s" + std::to_string(s + 1), options.sensorRates[s]);
+    graph.addSensor(nodeName("s", s + 1), options.sensorRates[s]);
   }
   for (std::size_t i = 0; i < apps; ++i) {
-    graph.addApplication("a" + std::to_string(i + 1));
+    graph.addApplication(nodeName("a", i + 1));
   }
   for (std::size_t t = 0; t < options.actuators; ++t) {
-    graph.addActuator("act" + std::to_string(t + 1));
+    graph.addActuator(nodeName("act", t + 1));
   }
   for (const DraftEdge& e : edges) {
     graph.addEdge(e.from, e.to, e.trigger);

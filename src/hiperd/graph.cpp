@@ -346,7 +346,9 @@ void SystemGraph::writeDot(std::ostream& os) const {
         n.kind == NodeKind::Sensor ? 's'
                                    : (n.kind == NodeKind::Application ? 'a'
                                                                       : 't');
-    return std::string(1, prefix) + std::to_string(n.index);
+    std::string id(1, prefix);
+    id += std::to_string(n.index);  // not `+`: GCC 12 -Wrestrict (bug 105651)
+    return id;
   };
   for (const Edge& e : edges_) {
     os << "  " << nodeId(e.from) << " -> " << nodeId(e.to);

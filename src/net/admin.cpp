@@ -5,9 +5,9 @@
 #include <filesystem>
 #include <sstream>
 
-#include "robust/obs/flight.hpp"
 #include "robust/obs/json_lite.hpp"
 #include "robust/obs/report.hpp"
+#include "robust/obs/trace.hpp"
 
 namespace robust::net {
 

@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "daemon.hpp"
-#include "robust/obs/flight.hpp"
 #include "robust/obs/metrics.hpp"
+#include "robust/obs/trace.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/thread_pool.hpp"
 

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "robust/obs/flight.hpp"
 #include "robust/obs/trace.hpp"
 
 namespace robust::net {

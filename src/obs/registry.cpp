@@ -1,10 +1,11 @@
-// Metrics registry + trace collector. One translation unit because the two
+// Metrics registry + span recorder. One translation unit because the two
 // share the per-thread shard machinery: a thread's counter slots and its
-// trace buffer live in the same shard, registered once and retired together
-// when the thread exits.
+// two span rings (trace and flight) live in the same shard, registered once
+// and retired together when the thread exits.
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -18,7 +19,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "robust/obs/flight.hpp"
 #include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
@@ -40,32 +40,56 @@ constexpr std::size_t kMaxHistograms = 64;
 /// Series that absorbs every registration past a table's capacity. The
 /// last slot of each table is kept free for it.
 constexpr std::string_view kOverflowName = "obs.overflow";
-/// Per-thread span cap: traces stay bounded on pathological runs; overflow
-/// is counted, not silently ignored.
-constexpr std::size_t kMaxSpansPerThread = 1u << 16;
-/// Retired flight rings kept for post-mortem dumps; beyond this the oldest
-/// retired thread's ring is dropped (the recorder stays bounded even under
-/// thread churn).
-constexpr std::size_t kMaxRetiredFlightThreads = 64;
 
-struct TraceEvent {
-  const char* name;       ///< string literal, never owned
+/// One completed span (32 bytes). Trace spans carry requestId 0.
+struct SpanRecord {
+  const char* name;         ///< string literal, never owned
+  std::uint64_t requestId;  ///< wire correlation id (0 = none)
   std::int64_t startNs;
   std::int64_t durationNs;
 };
 
-struct FlightRecord {
-  const char* name;          ///< string literal, never owned
-  std::uint64_t requestId;   ///< wire correlation id (0 = none)
-  std::int64_t startNs;
-  std::int64_t durationNs;
-  std::uint64_t seq;         ///< per-thread record ordinal (ring order)
+/// One thread's bounded span ring, owner-written under `mutex` (contended
+/// only by an export, clear or count). It grows lazily up to its capacity,
+/// then overwrites the oldest record in place: a full ring never allocates.
+struct SpanRing {
+  std::mutex mutex;
+  std::vector<SpanRecord> records;
+  std::size_t next = 0;  ///< overwrite cursor: the oldest record once full
+
+  /// Rotates the records into recording order (oldest first).
+  void restoreOrder() {
+    std::rotate(records.begin(),
+                records.begin() + static_cast<std::ptrdiff_t>(next),
+                records.end());
+    next = 0;
+  }
+
+  void push(const SpanRecord& record, std::size_t capacity) {
+    std::lock_guard lock(mutex);
+    if (records.size() != capacity && next != 0) {
+      // The capacity changed since this ring wrapped: at most once per
+      // thread per change, restore order and keep the newest records.
+      restoreOrder();
+    }
+    if (records.size() > capacity) {
+      records.erase(records.begin(),
+                    records.end() - static_cast<std::ptrdiff_t>(capacity));
+    }
+    if (records.size() < capacity) {
+      records.push_back(record);
+      return;
+    }
+    records[next] = record;
+    if (++next == records.size()) {
+      next = 0;
+    }
+  }
 };
 
 /// One thread's private slots. Owner-incremented with relaxed atomics; the
 /// snapshot reads the same atomics, so concurrent merge is race-free. The
-/// trace buffer is the only mutex-guarded part (append vs export), and it
-/// is touched only while recording is enabled.
+/// span rings are the only mutex-guarded part.
 struct Shard {
   std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
   std::array<std::atomic<std::uint64_t>, kMaxHistograms> histCount{};
@@ -74,16 +98,8 @@ struct Shard {
              kMaxHistograms>
       histBuckets{};
   std::uint32_t tid = 0;
-  std::mutex traceMutex;
-  std::vector<TraceEvent> trace;
-  std::uint64_t droppedSpans = 0;
-  // Flight-recorder ring: owner-written under flightMutex (uncontended in
-  // steady state — a dump is the only other reader), overwriting the
-  // oldest record once full.
-  std::mutex flightMutex;
-  std::vector<FlightRecord> flight;
-  std::size_t flightNext = 0;   ///< overwrite cursor once the ring is full
-  std::uint64_t flightSeq = 0;  ///< next record ordinal
+  SpanRing trace;   ///< obs::Span, while enabled(); kMaxRecordsPerThread
+  SpanRing flight;  ///< recordFlight, always on; flightCapacity()
 };
 
 /// Totals of threads that have exited (their shards are freed on exit, so
@@ -94,17 +110,20 @@ struct RetiredTotals {
   std::array<std::uint64_t, kMaxHistograms> histSum{};
   std::array<std::array<std::uint64_t, kHistogramBuckets>, kMaxHistograms>
       histBuckets{};
-  std::uint64_t droppedSpans = 0;
 };
 
-struct RetiredTrace {
+/// One thread's records in recording order, tagged with its shard tid.
+struct ThreadSpans {
   std::uint32_t tid = 0;
-  std::vector<TraceEvent> events;
+  std::vector<SpanRecord> records;
 };
 
-struct RetiredFlight {
-  std::uint32_t tid = 0;
-  std::vector<FlightRecord> records;  ///< ring order already restored
+/// One span recorder: the ring `ring` of every live shard plus the rings
+/// of exited threads, at most `maxRetiredThreads` of them.
+struct SpanRecorder {
+  SpanRing Shard::*ring;
+  std::size_t maxRetiredThreads;
+  std::vector<ThreadSpans> retired{};
 };
 
 /// One kind's registered names; a metric's id is its index in `names`.
@@ -125,26 +144,15 @@ struct Registry {
   NameTable histogramTable{kMaxHistograms};
   std::vector<Shard*> shards;
   RetiredTotals retired;
-  std::vector<RetiredTrace> retiredTrace;
-  std::vector<RetiredFlight> retiredFlight;
+  // Exited threads' trace rings are all kept; at most 64 flight rings are
+  // (oldest dropped first), so thread churn cannot grow a post-mortem dump.
+  SpanRecorder trace{&Shard::trace, SIZE_MAX};
+  SpanRecorder flight{&Shard::flight, 64};
   std::array<std::atomic<std::int64_t>, kMaxGauges> gauges{};
   std::uint32_t nextTid = 1;
 };
 
 std::atomic<std::size_t> gFlightCapacity{kDefaultFlightCapacity};
-
-/// A ring's records in chronological (sequence) order: the slice after the
-/// overwrite cursor is oldest.
-std::vector<FlightRecord> unrollRing(const Shard& shard) {
-  std::vector<FlightRecord> out;
-  out.reserve(shard.flight.size());
-  const std::size_t n = shard.flight.size();
-  const std::size_t cursor = shard.flightNext < n ? shard.flightNext : 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(shard.flight[(cursor + i) % n]);
-  }
-  return out;
-}
 
 /// Leaked singleton: thread_local shard handles retire through it during
 /// thread (and process) teardown, so it must never be destroyed.
@@ -169,16 +177,17 @@ void retireShard(Shard* shard) {
           shard->histBuckets[i][b].load(std::memory_order_relaxed);
     }
   }
-  reg.retired.droppedSpans += shard->droppedSpans;
-  if (!shard->trace.empty()) {
-    reg.retiredTrace.push_back(
-        RetiredTrace{shard->tid, std::move(shard->trace)});
-  }
-  if (!shard->flight.empty()) {
-    if (reg.retiredFlight.size() >= kMaxRetiredFlightThreads) {
-      reg.retiredFlight.erase(reg.retiredFlight.begin());
+  for (SpanRecorder* recorder : {&reg.trace, &reg.flight}) {
+    SpanRing& ring = shard->*recorder->ring;
+    if (ring.records.empty()) {
+      continue;
     }
-    reg.retiredFlight.push_back(RetiredFlight{shard->tid, unrollRing(*shard)});
+    if (recorder->retired.size() >= recorder->maxRetiredThreads) {
+      recorder->retired.erase(recorder->retired.begin());
+    }
+    ring.restoreOrder();
+    recorder->retired.push_back(
+        ThreadSpans{shard->tid, std::move(ring.records)});
   }
   reg.shards.erase(std::find(reg.shards.begin(), reg.shards.end(), shard));
   delete shard;
@@ -327,11 +336,17 @@ const bool gEnvInitialized = [] {
   }
   if (const char* flight = std::getenv("ROBUST_FLIGHT");
       flight != nullptr && *flight != '\0') {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(flight, &end, 10);
-    if (end != nullptr && *end == '\0') {
-      gFlightCapacity.store(static_cast<std::size_t>(parsed),
-                            std::memory_order_relaxed);
+    // A bare decimal in [0, kMaxRecordsPerThread]: no sign, no spaces.
+    const char* end = flight + std::strlen(flight);
+    std::size_t parsed = 0;
+    const auto [stop, ec] = std::from_chars(flight, end, parsed);
+    if (ec == std::errc{} && stop == end && parsed <= kMaxRecordsPerThread) {
+      gFlightCapacity.store(parsed, std::memory_order_relaxed);
+    } else {
+      std::fprintf(stderr,
+                   "obs: ignoring ROBUST_FLIGHT=%s (want 0..%zu records per "
+                   "thread)\n",
+                   flight, kMaxRecordsPerThread);
     }
   }
   return true;
@@ -571,52 +586,52 @@ void setClockForTesting(std::int64_t (*fn)() noexcept) noexcept {
 
 void recordSpan(const char* name, std::int64_t startNanos) noexcept {
   const std::int64_t duration = nowNanos() - startNanos;
-  Shard& shard = localShard();
-  std::lock_guard lock(shard.traceMutex);
-  if (shard.trace.size() >= kMaxSpansPerThread) {
-    ++shard.droppedSpans;
-    return;
-  }
-  shard.trace.push_back(TraceEvent{name, startNanos, duration});
+  localShard().trace.push(SpanRecord{name, 0, startNanos, duration},
+                          kMaxRecordsPerThread);
 }
 
 }  // namespace detail
 
-void writeTrace(std::ostream& out) {
-  // Collect (tid, events) pairs from live shards and retired threads, then
-  // remap tids to dense 1-based ids ordered by first span start so exports
-  // are deterministic under a test clock.
-  struct ThreadEvents {
-    std::uint32_t tid = 0;
-    std::vector<TraceEvent> events;
-  };
-  std::vector<ThreadEvents> threads;
-  {
-    Registry& reg = registry();
-    std::lock_guard lock(reg.mutex);
-    for (Shard* shard : reg.shards) {
-      std::lock_guard traceLock(shard->traceMutex);
-      if (!shard->trace.empty()) {
-        threads.push_back(ThreadEvents{shard->tid, shard->trace});
-      }
-    }
-    for (const RetiredTrace& retired : reg.retiredTrace) {
-      threads.push_back(ThreadEvents{retired.tid, retired.events});
+namespace {
+
+/// Every thread's records of `recorder`, live shards first, then exited
+/// threads; each in recording order.
+std::vector<ThreadSpans> collectSpans(const SpanRecorder& recorder) {
+  std::vector<ThreadSpans> threads;
+  Registry& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  for (Shard* shard : reg.shards) {
+    SpanRing& ring = shard->*recorder.ring;
+    std::lock_guard ringLock(ring.mutex);
+    if (!ring.records.empty()) {
+      ring.restoreOrder();
+      threads.push_back(ThreadSpans{shard->tid, ring.records});
     }
   }
-  for (ThreadEvents& t : threads) {
-    std::sort(t.events.begin(), t.events.end(),
-              [](const TraceEvent& a, const TraceEvent& b) {
-                return a.startNs < b.startNs ||
-                       (a.startNs == b.startNs && a.durationNs > b.durationNs);
-              });
+  threads.insert(threads.end(), recorder.retired.begin(),
+                 recorder.retired.end());
+  return threads;
+}
+
+/// Serializes `recorder` as Chrome trace-event JSON. Deterministic under
+/// the test clock: each thread's records sort by (start ascending,
+/// duration descending) with ties kept in recording order, threads by
+/// (first start, tid), and tids are remapped to dense 1-based ids.
+void writeChromeTrace(std::ostream& out, const SpanRecorder& recorder,
+                      const char* category, bool withRequestId) {
+  std::vector<ThreadSpans> threads = collectSpans(recorder);
+  for (ThreadSpans& t : threads) {
+    std::stable_sort(t.records.begin(), t.records.end(),
+                     [](const SpanRecord& a, const SpanRecord& b) {
+                       return a.startNs < b.startNs ||
+                              (a.startNs == b.startNs &&
+                               a.durationNs > b.durationNs);
+                     });
   }
   std::sort(threads.begin(), threads.end(),
-            [](const ThreadEvents& a, const ThreadEvents& b) {
-              const std::int64_t sa =
-                  a.events.empty() ? INT64_MAX : a.events.front().startNs;
-              const std::int64_t sb =
-                  b.events.empty() ? INT64_MAX : b.events.front().startNs;
+            [](const ThreadSpans& a, const ThreadSpans& b) {
+              const std::int64_t sa = a.records.front().startNs;
+              const std::int64_t sb = b.records.front().startNs;
               return sa < sb || (sa == sb && a.tid < b.tid);
             });
 
@@ -624,26 +639,62 @@ void writeTrace(std::ostream& out) {
   bool first = true;
   char buf[64];
   for (std::size_t t = 0; t < threads.size(); ++t) {
-    for (const TraceEvent& e : threads[t].events) {
+    for (const SpanRecord& r : threads[t].records) {
       if (!first) {
         out << ',';
       }
       first = false;
-      out << "{\"name\":\"";
-      out << json::escape(e.name);
-      out << "\",\"cat\":\"robust\",\"ph\":\"X\",\"pid\":1,\"tid\":" << (t + 1);
+      out << "{\"name\":\"" << json::escape(r.name) << "\",\"cat\":\""
+          << category << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << (t + 1);
       // Microseconds with nanosecond precision: deterministic formatting.
       std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(e.startNs / 1000),
-                    static_cast<long long>(e.startNs % 1000));
+                    static_cast<long long>(r.startNs / 1000),
+                    static_cast<long long>(r.startNs % 1000));
       out << ",\"ts\":" << buf;
       std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(e.durationNs / 1000),
-                    static_cast<long long>(e.durationNs % 1000));
-      out << ",\"dur\":" << buf << '}';
+                    static_cast<long long>(r.durationNs / 1000),
+                    static_cast<long long>(r.durationNs % 1000));
+      out << ",\"dur\":" << buf;
+      if (withRequestId) {
+        out << ",\"args\":{\"requestId\":" << r.requestId << '}';
+      }
+      out << '}';
     }
   }
   out << "]}\n";
+}
+
+void clearSpans(SpanRecorder& recorder) noexcept {
+  Registry& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  recorder.retired.clear();
+  for (Shard* shard : reg.shards) {
+    SpanRing& ring = shard->*recorder.ring;
+    std::lock_guard ringLock(ring.mutex);
+    ring.records.clear();
+    ring.next = 0;
+  }
+}
+
+std::uint64_t countSpans(const SpanRecorder& recorder) noexcept {
+  Registry& reg = registry();
+  std::lock_guard lock(reg.mutex);
+  std::uint64_t total = 0;
+  for (const ThreadSpans& retired : recorder.retired) {
+    total += retired.records.size();
+  }
+  for (Shard* shard : reg.shards) {
+    SpanRing& ring = shard->*recorder.ring;
+    std::lock_guard ringLock(ring.mutex);
+    total += ring.records.size();
+  }
+  return total;
+}
+
+}  // namespace
+
+void writeTrace(std::ostream& out) {
+  writeChromeTrace(out, registry().trace, "robust", false);
 }
 
 void writeTrace(const std::string& path) {
@@ -654,28 +705,7 @@ void writeTrace(const std::string& path) {
   writeTrace(out);
 }
 
-void clearTrace() noexcept {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  reg.retiredTrace.clear();
-  reg.retired.droppedSpans = 0;
-  for (Shard* shard : reg.shards) {
-    std::lock_guard traceLock(shard->traceMutex);
-    shard->trace.clear();
-    shard->droppedSpans = 0;
-  }
-}
-
-std::uint64_t droppedSpanCount() noexcept {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  std::uint64_t total = reg.retired.droppedSpans;
-  for (Shard* shard : reg.shards) {
-    std::lock_guard traceLock(shard->traceMutex);
-    total += shard->droppedSpans;
-  }
-  return total;
-}
+void clearTrace() noexcept { clearSpans(registry().trace); }
 
 // --- flight recorder -----------------------------------------------------
 
@@ -684,99 +714,23 @@ std::size_t flightCapacity() noexcept {
 }
 
 void setFlightCapacity(std::size_t perThreadRecords) noexcept {
-  gFlightCapacity.store(perThreadRecords, std::memory_order_relaxed);
+  gFlightCapacity.store(std::min(perThreadRecords, kMaxRecordsPerThread),
+                        std::memory_order_relaxed);
 }
 
 void recordFlight(const char* name, std::uint64_t requestId,
                   std::int64_t startNanos,
                   std::int64_t durationNanos) noexcept {
-  const std::size_t cap = gFlightCapacity.load(std::memory_order_relaxed);
-  if (cap == 0) {
+  const std::size_t capacity = gFlightCapacity.load(std::memory_order_relaxed);
+  if (capacity == 0) {
     return;
   }
-  Shard& shard = localShard();
-  std::lock_guard lock(shard.flightMutex);
-  if (shard.flight.size() > cap) {
-    // Capacity was lowered since this ring filled: keep the newest `cap`
-    // records and restore plain ring order. Happens at most once per
-    // thread per capacity change.
-    std::vector<FlightRecord> ordered = unrollRing(shard);
-    shard.flight.assign(ordered.end() - static_cast<std::ptrdiff_t>(cap),
-                        ordered.end());
-    shard.flightNext = 0;
-  }
-  const FlightRecord rec{name, requestId, startNanos, durationNanos,
-                         shard.flightSeq++};
-  if (shard.flight.size() < cap) {
-    shard.flight.push_back(rec);
-  } else {
-    shard.flight[shard.flightNext] = rec;
-    shard.flightNext = (shard.flightNext + 1) % shard.flight.size();
-  }
+  localShard().flight.push(
+      SpanRecord{name, requestId, startNanos, durationNanos}, capacity);
 }
 
 void writeFlightTrace(std::ostream& out) {
-  // Same deterministic shape as writeTrace(): records sorted by (start,
-  // sequence) within a thread, threads by (first start, tid), tids
-  // remapped densely — plus the requestId as an event arg.
-  struct ThreadRecords {
-    std::uint32_t tid = 0;
-    std::vector<FlightRecord> records;
-  };
-  std::vector<ThreadRecords> threads;
-  {
-    Registry& reg = registry();
-    std::lock_guard lock(reg.mutex);
-    for (Shard* shard : reg.shards) {
-      std::lock_guard flightLock(shard->flightMutex);
-      if (!shard->flight.empty()) {
-        threads.push_back(ThreadRecords{shard->tid, unrollRing(*shard)});
-      }
-    }
-    for (const RetiredFlight& retired : reg.retiredFlight) {
-      threads.push_back(ThreadRecords{retired.tid, retired.records});
-    }
-  }
-  for (ThreadRecords& t : threads) {
-    std::sort(t.records.begin(), t.records.end(),
-              [](const FlightRecord& a, const FlightRecord& b) {
-                return a.startNs < b.startNs ||
-                       (a.startNs == b.startNs && a.seq < b.seq);
-              });
-  }
-  std::sort(threads.begin(), threads.end(),
-            [](const ThreadRecords& a, const ThreadRecords& b) {
-              const std::int64_t sa =
-                  a.records.empty() ? INT64_MAX : a.records.front().startNs;
-              const std::int64_t sb =
-                  b.records.empty() ? INT64_MAX : b.records.front().startNs;
-              return sa < sb || (sa == sb && a.tid < b.tid);
-            });
-
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  bool first = true;
-  char buf[64];
-  for (std::size_t t = 0; t < threads.size(); ++t) {
-    for (const FlightRecord& r : threads[t].records) {
-      if (!first) {
-        out << ',';
-      }
-      first = false;
-      out << "{\"name\":\"";
-      out << json::escape(r.name);
-      out << "\",\"cat\":\"flight\",\"ph\":\"X\",\"pid\":1,\"tid\":" << (t + 1);
-      std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(r.startNs / 1000),
-                    static_cast<long long>(r.startNs % 1000));
-      out << ",\"ts\":" << buf;
-      std::snprintf(buf, sizeof(buf), "%lld.%03lld",
-                    static_cast<long long>(r.durationNs / 1000),
-                    static_cast<long long>(r.durationNs % 1000));
-      out << ",\"dur\":" << buf;
-      out << ",\"args\":{\"requestId\":" << r.requestId << "}}";
-    }
-  }
-  out << "]}\n";
+  writeChromeTrace(out, registry().flight, "flight", true);
 }
 
 void writeFlightTrace(const std::string& path) {
@@ -788,29 +742,10 @@ void writeFlightTrace(const std::string& path) {
   writeFlightTrace(out);
 }
 
-void clearFlight() noexcept {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  reg.retiredFlight.clear();
-  for (Shard* shard : reg.shards) {
-    std::lock_guard flightLock(shard->flightMutex);
-    shard->flight.clear();
-    shard->flightNext = 0;
-  }
-}
+void clearFlight() noexcept { clearSpans(registry().flight); }
 
 std::uint64_t flightRecordCount() noexcept {
-  Registry& reg = registry();
-  std::lock_guard lock(reg.mutex);
-  std::uint64_t total = 0;
-  for (const RetiredFlight& retired : reg.retiredFlight) {
-    total += retired.records.size();
-  }
-  for (Shard* shard : reg.shards) {
-    std::lock_guard flightLock(shard->flightMutex);
-    total += shard->flight.size();
-  }
-  return total;
+  return countSpans(registry().flight);
 }
 
 }  // namespace robust::obs

@@ -10,6 +10,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -26,7 +27,6 @@
 #include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
 #include "robust/numeric/simd.hpp"
-#include "robust/obs/flight.hpp"
 #include "robust/obs/json_lite.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/report.hpp"
@@ -421,6 +421,21 @@ std::int64_t fakeClock() noexcept {
   return t;
 }
 
+/// Constant test clock: every span starts at the same instant and lasts 0.
+std::int64_t constantClock() noexcept { return 7000; }
+
+std::string traceText() {
+  std::ostringstream out;
+  obs::writeTrace(out);
+  return out.str();
+}
+
+std::string flightDumpText() {
+  std::ostringstream out;
+  obs::writeFlightTrace(out);
+  return out.str();
+}
+
 std::string goldenPath() {
   return std::string(ROBUST_TEST_DATA_DIR) + "/obs_trace_golden.json";
 }
@@ -493,15 +508,61 @@ TEST_F(ObsTrace, ClearTraceDiscardsRecordedSpans) {
   EXPECT_EQ(out.str().find("to_be_cleared"), std::string::npos);
 }
 
+// Records that tie on (start, duration) serialize in the order they were
+// recorded, in both recorders: the rings unroll oldest first and the one
+// serializer sorts stably.
+TEST_F(ObsTrace, TiedSpansSerializeInRecordingOrder) {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    char buf[8];
+    for (int i = 0; i < 40; ++i) {
+      std::snprintf(buf, sizeof(buf), "n%02d", i);
+      out.emplace_back(buf);
+    }
+    return out;
+  }();
+  obs::detail::setClockForTesting(&constantClock);
+  for (const std::string& name : names) {
+    const obs::Span span(name.c_str());
+    obs::recordFlight(name.c_str(), 1, obs::detail::nowNanos(), 0);
+  }
+  obs::detail::setClockForTesting(nullptr);
+  for (const std::string& dump : {traceText(), flightDumpText()}) {
+    const auto doc = obs::json::parse(dump);
+    const auto* events = doc.find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    ASSERT_EQ(events->array.size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      EXPECT_EQ(events->array[i].find("name")->string, names[i]) << dump;
+    }
+  }
+}
+
+// Past its capacity a thread's trace ring keeps its newest spans.
+TEST_F(ObsTrace, RingKeepsNewestSpansPastCapacity) {
+  gFakeNow = 1000;
+  obs::detail::setClockForTesting(&fakeClock);
+  for (int i = 0; i < 3; ++i) {
+    const obs::Span span("ring.oldest");
+  }
+  for (std::size_t i = 0; i < obs::kMaxRecordsPerThread; ++i) {
+    const obs::Span span("ring.newest");
+  }
+  obs::detail::setClockForTesting(nullptr);
+  const std::string dump = traceText();
+  EXPECT_EQ(dump.find("ring.oldest"), std::string::npos);
+  const std::string newest = "\"name\":\"ring.newest\"";
+  std::size_t count = 0;
+  for (std::size_t at = dump.find(newest); at != std::string::npos;
+       at = dump.find(newest, at + newest.size())) {
+    ++count;
+  }
+  EXPECT_EQ(count, obs::kMaxRecordsPerThread);
+}
+
 // ---------------------------------------------------------------- flight
 
 using ObsFlight = ObsFixture;
-
-std::string flightDumpText() {
-  std::ostringstream out;
-  obs::writeFlightTrace(out);
-  return out.str();
-}
 
 // The flight recorder runs independently of obs::enabled(): it is the
 // always-on crash-context ring, gated only by its capacity.
@@ -535,22 +596,84 @@ TEST_F(ObsFlight, RingWrapsKeepingNewestRecords) {
   EXPECT_LT(dump.find("\"requestId\":3"), dump.find("\"requestId\":6"));
 }
 
+/// Records one flight span timed by two clock reads, as robustd's pool
+/// workers do around each request.
+void recordTimedFlight(const char* name, std::uint64_t requestId) {
+  const std::int64_t start = obs::detail::nowNanos();
+  obs::recordFlight(name, requestId, start, obs::detail::nowNanos() - start);
+}
+
+/// The requestIds of a flight dump, in serialized order.
+std::vector<double> dumpedRequestIds() {
+  const auto doc = obs::json::parse(flightDumpText());
+  std::vector<double> ids;
+  for (const auto& event : doc.find("traceEvents")->array) {
+    ids.push_back(event.find("args")->find("requestId")->number);
+  }
+  return ids;
+}
+
+// Raising or lowering the capacity of a wrapped ring keeps its newest
+// records in recording order (the records tie on start, so the dump order
+// is the ring order).
+TEST_F(ObsFlight, CapacityChangesKeepNewestRecordsInOrder) {
+  const auto record = [](std::uint64_t first, std::uint64_t last) {
+    for (std::uint64_t id = first; id <= last; ++id) {
+      obs::recordFlight("flight.resize", id, 1000, 10);
+    }
+  };
+  obs::setFlightCapacity(4);
+  record(0, 6);
+  obs::setFlightCapacity(8);
+  record(7, 8);
+  EXPECT_EQ(dumpedRequestIds(), (std::vector<double>{3, 4, 5, 6, 7, 8}));
+  obs::setFlightCapacity(2);
+  record(9, 9);
+  EXPECT_EQ(dumpedRequestIds(), (std::vector<double>{8, 9}));
+  obs::setFlightCapacity(obs::kMaxRecordsPerThread + 1);
+  EXPECT_EQ(obs::flightCapacity(), obs::kMaxRecordsPerThread);
+}
+
+// ROBUST_FLIGHT is read once at startup, so each case re-executes the test
+// binary with the variable set (threadsafe death-test style) and checks the
+// capacity the child started with. A plain TEST: the fixture would reset
+// the capacity in the child.
+TEST(ObsFlightEnv, CapacityIsBoundedAndMalformedValuesAreDiagnosed) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto expectStartupCapacity = [](const char* value,
+                                        std::size_t expected,
+                                        const char* stderrPattern) {
+    ASSERT_EQ(::setenv("ROBUST_FLIGHT", value, 1), 0);
+    EXPECT_EXIT(std::exit(obs::flightCapacity() == expected ? 0 : 1),
+                ::testing::ExitedWithCode(0), stderrPattern)
+        << "ROBUST_FLIGHT=" << value;
+    ::unsetenv("ROBUST_FLIGHT");
+  };
+  const char* const kIgnored = "obs: ignoring ROBUST_FLIGHT=";
+  for (const char* bad : {"-1", "abc", "65537", "18446744073709551616", "+8",
+                          " 8", "8k"}) {
+    expectStartupCapacity(bad, obs::kDefaultFlightCapacity, kIgnored);
+  }
+  expectStartupCapacity("0", 0, "");
+  expectStartupCapacity("8", 8, "");
+  expectStartupCapacity("65536", obs::kMaxRecordsPerThread, "");
+}
+
 TEST_F(ObsFlight, ZeroCapacityDisablesRecording) {
   obs::setFlightCapacity(0);
   EXPECT_FALSE(obs::flightEnabled());
   obs::recordFlight("flight.off", 1, 100, 10);
-  {
-    const obs::FlightSpan span("flight.off_span", 2);
-  }
+  gFakeNow = 1000000;
+  obs::detail::setClockForTesting(&fakeClock);
+  recordTimedFlight("flight.off_span", 2);
+  obs::detail::setClockForTesting(nullptr);
   EXPECT_EQ(obs::flightRecordCount(), 0u);
 }
 
-TEST_F(ObsFlight, FlightSpanMeasuresWithTestClock) {
+TEST_F(ObsFlight, RecordFlightMeasuresWithTestClock) {
   gFakeNow = 1000000;
   obs::detail::setClockForTesting(&fakeClock);
-  {
-    const obs::FlightSpan span("flight.span", 42);
-  }  // two clock reads, 500 ns apart
+  recordTimedFlight("flight.span", 42);  // two clock reads, 500 ns apart
   obs::detail::setClockForTesting(nullptr);
   const std::string dump = flightDumpText();
   EXPECT_NE(dump.find("\"name\":\"flight.span\""), std::string::npos);
@@ -571,9 +694,7 @@ TEST_F(ObsFlight, DumpIsDeterministicAndIncludesRetiredThreads) {
       obs::recordFlight("flight.worker", 11, 2000, 100);
     });
     worker.join();  // the worker's ring retires at thread exit
-    {
-      const obs::FlightSpan span("flight.main", 12);
-    }
+    recordTimedFlight("flight.main", 12);
     obs::detail::setClockForTesting(nullptr);
     return flightDumpText();
   };

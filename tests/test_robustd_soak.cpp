@@ -18,7 +18,6 @@
 #include "robust/net/client.hpp"
 #include "robust/net/server.hpp"
 #include "robust/net/wire.hpp"
-#include "robust/obs/flight.hpp"
 #include "robust/obs/json_lite.hpp"
 #include "robust/obs/trace.hpp"
 #include "robust/util/rng.hpp"
