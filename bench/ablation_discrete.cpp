@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   hiperd::Fig4Options options;
   options.mappings = static_cast<std::size_t>(args.getInt("mappings", 40));
   options.seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
+  args.rejectUnknownOptions("ablation_discrete");
 
   const auto result = hiperd::runFig4(options);
   const auto& scenario = result.generated.scenario;

@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
   const double tau = args.getDouble("tau", 1.2);
+  const auto trials = static_cast<int>(args.getInt("trials", 2000));
+  args.rejectUnknownOptions("ablation_error_models");
 
   sched::EtcOptions etcOptions;
   Pcg32 rng(seed);
@@ -32,7 +34,7 @@ int main(int argc, char** argv) {
             << formatDouble(analysis.robustness) << " seconds\n\n";
 
   sim::StudyOptions options;
-  options.trials = static_cast<int>(args.getInt("trials", 2000));
+  options.trials = trials;
   options.seed = seed;
   for (const auto model :
        {sim::ErrorModel::GaussianRelative,

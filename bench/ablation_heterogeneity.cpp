@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   sched::Fig3Options options;
   options.mappings = static_cast<std::size_t>(args.getInt("mappings", 400));
   options.seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
+  args.rejectUnknownOptions("ablation_heterogeneity");
 
   std::cout << "# Ablation: Fig. 3 structure vs task/machine heterogeneity ("
             << options.mappings << " mappings per point)\n\n";

@@ -34,6 +34,8 @@ int main(int argc, char** argv) {
   const auto randomCount =
       static_cast<std::size_t>(args.getInt("random", 300));
   const std::string reportPath = args.getString("report", "");
+  const auto iterations = static_cast<int>(args.getInt("iters", 3000));
+  args.rejectUnknownOptions("ablation_mapping_search");
 
   obs::RunReport runReport;
   runReport.tool = "ablation_mapping_search";
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
     return -report.metric;  // minimize the negated metric
   };
   sched::AnnealingOptions annealing;
-  annealing.iterations = static_cast<int>(args.getInt("iters", 3000));
+  annealing.iterations = iterations;
   annealing.seed = seed;
   const sched::Mapping annealed = sched::annealMapping(
       scenario.graph.applicationCount(), scenario.machines,

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   const auto mappings = static_cast<std::size_t>(args.getInt("mappings", 400));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
   const double tau = args.getDouble("tau", 1.2);
+  args.rejectUnknownOptions("ablation_norms");
 
   sched::EtcOptions etcOptions;
   Pcg32 etcRng = makeStream(seed, 0);

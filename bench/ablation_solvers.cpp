@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
   const auto featureCount =
       static_cast<std::size_t>(args.getInt("features", 50));
+  args.rejectUnknownOptions("ablation_solvers");
 
   // Random affine features over a 3-sensor load vector (the HiPer-D shape).
   Pcg32 rng(seed);

@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   sched::Fig3Options options;
   options.mappings = static_cast<std::size_t>(args.getInt("mappings", 400));
   options.seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
+  args.rejectUnknownOptions("ablation_tau");
 
   std::cout << "# Ablation: robustness vs tolerance tau (" << options.mappings
             << " mappings per point)\n\n";

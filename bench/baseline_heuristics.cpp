@@ -19,6 +19,7 @@ int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const int seeds = static_cast<int>(args.getInt("seeds", 20));
   const double tau = args.getDouble("tau", 1.2);
+  args.rejectUnknownOptions("baseline_heuristics");
 
   const std::pair<sched::EtcConsistency, const char*> classes[] = {
       {sched::EtcConsistency::Inconsistent, "inconsistent"},

@@ -186,6 +186,7 @@ int main(int argc, char** argv) {
   const int warmup = static_cast<int>(args.getInt("warmup", 1));
   const auto threads = static_cast<std::size_t>(args.getInt("threads", 0));
   const std::string reportPath = args.getString("obs_report", "");
+  args.rejectUnknownOptions("degradation_curve");
 
   try {
     const BenchSpec spec = benchSpec(rows, dims);

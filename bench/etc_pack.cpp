@@ -20,7 +20,8 @@
 //       with trailing bytes after the declared payload is rejected with
 //       the categorized trailing-bytes diagnostic, not described.
 //
-// Exit code 0 on success; 1 on usage or conversion errors (printed).
+// Exit code 0 on success; 1 on usage or conversion errors (printed); 2 on
+// an unknown option.
 #include <cstdint>
 #include <cstring>
 #include <exception>
@@ -65,6 +66,7 @@ std::ofstream openBinaryOut(const std::string& path) {
 int runPack(const ArgParser& args) {
   const std::string csvPath = args.getString("csv", "");
   const std::string outPath = args.getString("out", "");
+  args.rejectUnknownOptions("etc_pack");
   if (csvPath.empty() || outPath.empty()) return usage();
 
   std::ifstream in(csvPath);
@@ -91,6 +93,7 @@ int runPack(const ArgParser& args) {
 int runUnpack(const ArgParser& args) {
   const std::string inPath = args.getString("in", "");
   const std::string csvPath = args.getString("csv", "");
+  args.rejectUnknownOptions("etc_pack");
   if (inPath.empty() || csvPath.empty()) return usage();
 
   // Materialize through the validated loader (payload finiteness included)
@@ -126,11 +129,12 @@ int runGen(const ArgParser& args) {
   const auto instances =
       static_cast<std::uint64_t>(args.getInt("instances", 0));
   const std::string outPath = args.getString("out", "");
-  if (dim == 0 || instances == 0 || outPath.empty()) return usage();
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
   const auto baseSeed =
       static_cast<std::uint64_t>(args.getInt("base-seed", 6));
   const double spread = args.getDouble("spread", 0.01);
+  args.rejectUnknownOptions("etc_pack");
+  if (dim == 0 || instances == 0 || outPath.empty()) return usage();
 
   // The perf-bench origin: the same uniform(0.5, 1.5) draw stream
   // stream_throughput's problem generator uses, so generated files probe
@@ -160,6 +164,7 @@ int runGen(const ArgParser& args) {
 
 int runInfo(const ArgParser& args) {
   const std::string inPath = args.getString("in", "");
+  args.rejectUnknownOptions("etc_pack");
   if (inPath.empty()) return usage();
   // Opening the reader runs full header validation: bad magic, unknown
   // flags, nonzero reserved bytes, shape/size mismatches, and trailing

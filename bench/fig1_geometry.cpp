@@ -21,6 +21,8 @@ int main(int argc, char** argv) {
   const double c2 = args.getDouble("c2", 3.0);
   const double tau = args.getDouble("tau", 1.3);
   const auto points = static_cast<int>(args.getInt("points", 11));
+  const auto rays = static_cast<int>(args.getInt("rays", 32));
+  args.rejectUnknownOptions("fig1_geometry");
 
   // The machine's finishing time F(C) = C1 + C2; M_orig = F(C_orig).
   const double mOrig = c1 + c2;
@@ -68,7 +70,7 @@ int main(int argc, char** argv) {
                      core::ToleranceBounds::atMost(betaMax))
             .compile();
     core::BoundaryTraceOptions traceOptions;
-    traceOptions.rays = static_cast<int>(args.getInt("rays", 32));
+    traceOptions.rays = rays;
     const auto curve = core::traceBoundary2D(curved, 0, traceOptions);
     const auto curvedReport = curved.evaluate();
     std::cout << "\ncurved boundary {pi_1^2/" << formatDouble(betaMax)

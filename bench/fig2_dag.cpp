@@ -14,6 +14,8 @@ int main(int argc, char** argv) {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
+  const bool dot = args.has("dot");
+  args.rejectUnknownOptions("fig2_dag");
 
   const auto generated =
       hiperd::generateScenario(hiperd::ScenarioOptions{}, seed);
@@ -46,7 +48,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  if (args.has("dot")) {
+  if (dot) {
     std::cout << "\n";
     graph.writeDot(std::cout);
   } else {

@@ -22,6 +22,8 @@ int main(int argc, char** argv) {
   options.mappings = static_cast<std::size_t>(args.getInt("mappings", 1000));
   options.seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
   options.tau = args.getDouble("tau", 1.2);
+  const bool csvOut = args.has("csv");
+  args.rejectUnknownOptions("fig3_makespan");
 
   const auto rows = sched::runFig3(options);
 
@@ -30,7 +32,7 @@ int main(int argc, char** argv) {
             << options.etc.machines << " machines, tau = " << options.tau
             << "\n";
 
-  if (args.has("csv")) {
+  if (csvOut) {
     CsvWriter csv(std::cout);
     csv.writeRow({"makespan", "robustness", "load_balance",
                   "n_makespan_machine", "max_count", "in_s1"});

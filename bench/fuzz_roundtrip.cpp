@@ -169,6 +169,7 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(args.getInt("scenarios", 20));
   const int mutations = static_cast<int>(args.getInt("mutations", 500));
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
+  args.rejectUnknownOptions("fuzz_roundtrip");
 
   // ------------------------------------------------ phase 1: round trips
   int etcRoundTrips = 0;

@@ -275,6 +275,7 @@ int main(int argc, char** argv) {
   cfg.seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
   cfg.chaos = args.has("chaos");
   cfg.greedy = args.has("greedy");
+  args.rejectUnknownOptions("robustd_load");
   if (cfg.unixPath.empty() && cfg.port == 0) {
     std::fprintf(stderr,
                  "robustd_load: need --unix PATH or --port N of a running "

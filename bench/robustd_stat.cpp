@@ -184,6 +184,7 @@ int main(int argc, char** argv) {
   const std::int64_t count = args.getInt("count", 0);
   const std::string jsonPath = args.getString("json", "");
   const std::string tracePath = args.getString("trace-dump", "");
+  args.rejectUnknownOptions("robustd_stat");
 
   if (unixPath.empty() && port == 0) {
     std::fprintf(stderr, "robustd_stat: need --unix PATH or --port N\n");

@@ -114,21 +114,24 @@ core::StreamResult serialFold(const core::CompiledProblem& problem,
 int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const std::string filePath = args.getString("file", "");
+  const auto rows = static_cast<std::size_t>(args.getInt("rows", 4096));
+  const int reps = static_cast<int>(args.getInt("reps", 3));
+  const int warmup = static_cast<int>(args.getInt("warmup", 1));
+  const std::string reportPath = args.getString("obs_report", "");
+  const bool sampleGiven = args.has("sample");
+  const std::int64_t sampleArg = args.getInt("sample", 0);
+
+  core::StreamOptions options;
+  options.threads = static_cast<std::size_t>(args.getInt("threads", 0));
+  options.shardInstances =
+      static_cast<std::size_t>(args.getInt("shard", 4096));
+  args.rejectUnknownOptions("stream_throughput");
   if (filePath.empty()) {
     std::cerr << "usage: stream_throughput --file BATCH.rbi [--rows 4096] "
                  "[--reps 3] [--warmup 1] [--threads 0] [--shard 4096] "
                  "[--sample 256] [--obs_report PATH]\n";
     return 1;
   }
-  const auto rows = static_cast<std::size_t>(args.getInt("rows", 4096));
-  const int reps = static_cast<int>(args.getInt("reps", 3));
-  const int warmup = static_cast<int>(args.getInt("warmup", 1));
-  const std::string reportPath = args.getString("obs_report", "");
-
-  core::StreamOptions options;
-  options.threads = static_cast<std::size_t>(args.getInt("threads", 0));
-  options.shardInstances =
-      static_cast<std::size_t>(args.getInt("shard", 4096));
 
   try {
     const core::InstanceFileReader reader(filePath);
@@ -141,9 +144,9 @@ int main(int argc, char** argv) {
     const core::CompiledProblem problem = metricBenchProblem(rows, dim);
 
     // ---- differential sanity on the head of the file ------------------
-    const auto sample = static_cast<std::uint64_t>(args.getInt(
-        "sample", static_cast<std::int64_t>(std::min<std::uint64_t>(
-                      256, instances))));
+    const std::uint64_t sample =
+        sampleGiven ? static_cast<std::uint64_t>(sampleArg)
+                    : std::min<std::uint64_t>(256, instances);
     if (sample > 0 && sample <= instances) {
       util::MmapFile::View view;
       const std::span<const double> head =

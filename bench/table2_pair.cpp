@@ -63,15 +63,23 @@ int main(int argc, char** argv) {
   options.seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
   const double slackTol = args.getDouble("slack-tol", 0.005);
   const double minRho = args.getDouble("min-robustness", 50.0);
+  args.rejectUnknownOptions("table2_pair");
 
   const auto result = hiperd::runFig4(options);
   const auto& scenario = result.generated.scenario;
-  const auto [idxA, idxB] = hiperd::findTable2Pair(result.rows, slackTol, minRho);
+  const auto pair = hiperd::findTable2Pair(result.rows, slackTol, minRho);
 
   std::cout << "# Table 2 analog: two mappings, similar slack, dissimilar "
                "robustness\n";
   std::cout << "# initial sensor loads: lambda_orig = ("
             << lambdaString(scenario.lambdaOrig) << ")\n\n";
+  if (!pair) {
+    std::cout << "no pair of the " << options.mappings
+              << " mappings has robustness >= " << formatDouble(minRho)
+              << " and slack within " << formatDouble(slackTol) << "\n";
+    return 0;
+  }
+  const auto [idxA, idxB] = *pair;
 
   const auto& rowA = result.rows[idxA];
   const auto& rowB = result.rows[idxB];

@@ -78,6 +78,7 @@ int main(int argc, char** argv) {
   etcOptions.apps = static_cast<std::size_t>(args.getInt("apps", 24));
   etcOptions.machines =
       static_cast<std::size_t>(args.getInt("machines", 6));
+  args.rejectUnknownOptions("drift_reallocation");
   Pcg32 etcRng(seed);
   sched::EtcMatrix etc = sched::generateEtc(etcOptions, etcRng);
   sched::Mapping mapping = sched::minMinMapping(etc);

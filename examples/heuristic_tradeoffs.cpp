@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
   sched::EtcOptions etcOptions;
   etcOptions.apps = static_cast<std::size_t>(args.getInt("apps", 20));
   etcOptions.machines = static_cast<std::size_t>(args.getInt("machines", 5));
+  args.rejectUnknownOptions("heuristic_tradeoffs");
   Pcg32 rng(seed);
   const sched::EtcMatrix etc = sched::generateEtc(etcOptions, rng);
 

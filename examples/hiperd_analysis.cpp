@@ -22,6 +22,9 @@ int main(int argc, char** argv) {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
+  const std::string scenarioPath = args.getString("save-scenario", "");
+  const std::string dotPath = args.getString("dot", "");
+  args.rejectUnknownOptions("hiperd_analysis");
 
   hiperd::ScenarioOptions options;  // defaults = the paper's Section 4.3
   const auto generated = hiperd::generateScenario(options, seed);
@@ -168,7 +171,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string scenarioPath = args.getString("save-scenario", "");
   if (!scenarioPath.empty()) {
     std::ofstream out(scenarioPath);
     hiperd::saveScenario(scenario, out);
@@ -176,7 +178,6 @@ int main(int argc, char** argv) {
               << " (analyze later with robustness_cli --scenario)\n";
   }
 
-  const std::string dotPath = args.getString("dot", "");
   if (!dotPath.empty()) {
     std::ofstream out(dotPath);
     scenario.graph.writeDot(out);

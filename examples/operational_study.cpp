@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 7));
   const double tau = args.getDouble("tau", 1.2);
+  const auto trials = static_cast<int>(args.getInt("trials", 2000));
+  args.rejectUnknownOptions("operational_study");
 
   sched::EtcOptions etcOptions;
   Pcg32 rng(seed);
@@ -52,7 +54,7 @@ int main(int argc, char** argv) {
 
   // (b) Stochastic study.
   sim::StudyOptions options;
-  options.trials = static_cast<int>(args.getInt("trials", 2000));
+  options.trials = trials;
   options.seed = seed;
   options.model = sim::ErrorModel::GaussianRelative;
   const auto points = sim::runMakespanStudy(system, options);

@@ -57,14 +57,15 @@ void analyzeOne(const sched::EtcMatrix& etc, const sched::Mapping& mapping,
 
 int runEtcMode(const ArgParser& args) {
   const std::string path = args.getString("etc", "");
+  const double tau = args.getDouble("tau", 1.2);
+  const std::string mappingText = args.getString("mapping", "");
+  args.rejectUnknownOptions("robustness_cli");
   std::ifstream file(path);
   ROBUST_REQUIRE(file.good(), "cannot open ETC file '" + path + "'");
   const sched::EtcMatrix etc = sched::loadEtcCsv(file);
-  const double tau = args.getDouble("tau", 1.2);
   std::cout << "ETC instance: " << etc.apps() << " applications x "
             << etc.machines() << " machines, tau = " << tau << "\n\n";
 
-  const std::string mappingText = args.getString("mapping", "");
   if (!mappingText.empty()) {
     const sched::Mapping mapping(parseMapping(mappingText), etc.machines());
     ROBUST_REQUIRE(mapping.apps() == etc.apps(),
@@ -89,6 +90,9 @@ int runEtcMode(const ArgParser& args) {
 
 int runScenarioMode(const ArgParser& args) {
   const std::string path = args.getString("scenario", "");
+  const auto mappingSeed =
+      static_cast<std::uint64_t>(args.getInt("mapping-seed", 1));
+  args.rejectUnknownOptions("robustness_cli");
   std::ifstream file(path);
   ROBUST_REQUIRE(file.good(), "cannot open scenario file '" + path + "'");
   const hiperd::HiperdScenario scenario = hiperd::loadScenario(file);
@@ -97,13 +101,13 @@ int runScenarioMode(const ArgParser& args) {
             << " sensors, " << scenario.graph.paths().size() << " paths, "
             << scenario.machines << " machines\n";
 
-  Pcg32 rng(static_cast<std::uint64_t>(args.getInt("mapping-seed", 1)));
+  Pcg32 rng(mappingSeed);
   const auto mapping = sched::randomMapping(
       scenario.graph.applicationCount(), scenario.machines, rng);
   const hiperd::HiperdSystem system(scenario, mapping);
   const auto problem = core::CompiledProblem::compile(system.toSpec());
   const auto report = problem.evaluate();
-  std::cout << "random mapping (seed " << args.getInt("mapping-seed", 1)
+  std::cout << "random mapping (seed " << mappingSeed
             << "): slack " << formatDouble(system.slack()) << "\n\n";
   core::printReport(std::cout, report, problem.parameter());
   const auto sensitivity =
@@ -116,7 +120,8 @@ int runScenarioMode(const ArgParser& args) {
   return 0;
 }
 
-int runDemoMode() {
+int runDemoMode(const ArgParser& args) {
+  args.rejectUnknownOptions("robustness_cli");
   sched::EtcOptions options;
   Pcg32 rng(1);
   const sched::EtcMatrix etc = sched::generateEtc(options, rng);
@@ -145,7 +150,7 @@ int main(int argc, char** argv) {
     if (args.has("scenario")) {
       return runScenarioMode(args);
     }
-    return runDemoMode();
+    return runDemoMode(args);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

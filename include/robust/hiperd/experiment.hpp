@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,10 @@ struct Fig4Result {
 /// (excluding the near-violation corner, where tiny metrics make ratios
 /// meaningless), the pair with the largest robustness ratio (max / min).
 /// Returns {indexLow, indexHigh} ordered so the first has the smaller
-/// robustness; throws if no eligible pair exists.
-[[nodiscard]] std::pair<std::size_t, std::size_t> findTable2Pair(
-    const std::vector<Fig4Row>& rows, double slackTolerance = 0.005,
-    double minRobustness = 10.0);
+/// robustness, or nothing when no pair is eligible (a legitimate outcome
+/// for a valid Fig. 4 set); throws only when `rows` has fewer than two.
+[[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>>
+findTable2Pair(const std::vector<Fig4Row>& rows,
+               double slackTolerance = 0.005, double minRobustness = 10.0);
 
 }  // namespace robust::hiperd

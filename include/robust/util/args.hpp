@@ -15,8 +15,9 @@ namespace robust {
 /// Parses `--key value` and `--flag` style options. Malformed tokens and
 /// malformed numeric values throw. Every getter and has() records the key
 /// it asked for, so after reading its options a binary can reject the
-/// rest with unknownOptions(): robustd does, exiting 2 on a typo; the bench
-/// and example harnesses do not check and ignore options they never read.
+/// rest: robustd checks unknownOptions(), and every bench and example
+/// harness calls rejectUnknownOptions() once it has read all it accepts,
+/// so a typo exits 2 instead of running on defaults.
 class ArgParser {
  public:
   /// Parses argv; later duplicates override earlier ones.
@@ -40,6 +41,11 @@ class ArgParser {
   /// Options given on the command line that no getter or has() has asked
   /// for so far, in sorted order.
   [[nodiscard]] std::vector<std::string> unknownOptions() const;
+
+  /// When unknownOptions() is not empty, names each one on stderr as
+  /// "<program>: unknown option --<key>" and exits the process with
+  /// status 2; otherwise returns.
+  void rejectUnknownOptions(const char* program) const;
 
  private:
   std::map<std::string, std::string> values_;

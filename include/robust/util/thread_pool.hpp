@@ -1,9 +1,9 @@
-// A small fixed-size thread pool with a blocking parallel_for.
+// A thread pool, and the one shard loop every parallel call site runs on.
 //
 // Experiment drivers evaluate thousands of independent mappings; each
 // evaluation is pure given its substream RNG, so a static block partition is
 // both deterministic and contention-free (no shared mutable state beyond the
-// output slots, which are disjoint).
+// output slots, which are disjoint). Steady-state calls start no threads.
 #pragma once
 
 #include <condition_variable>
@@ -16,6 +16,9 @@
 #include <vector>
 
 namespace robust {
+
+/// Largest thread count ROBUST_THREADS accepts or forEachShard uses.
+inline constexpr std::size_t kMaxThreads = 1024;
 
 /// Fixed-size worker pool. Tasks are arbitrary void() callables; submission
 /// is thread-safe; destruction joins all workers after draining the queue.
@@ -45,15 +48,18 @@ class ThreadPool {
   /// wait() (clearing it, so the pool remains usable).
   void wait();
 
+  /// Starts workers until the pool has at least `threads`; never shrinks.
+  void grow(std::size_t threads);
+
   /// Number of worker threads.
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const;
 
  private:
   void workerLoop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable cvTask_;
   std::condition_variable cvDone_;
   std::size_t inFlight_ = 0;
@@ -72,10 +78,42 @@ class ThreadPool {
 /// otherwise hardware concurrency (minimum 1). Read once and cached.
 [[nodiscard]] std::size_t defaultThreadCount() noexcept;
 
-/// Runs body(i) for i in [begin, end) across the pool in contiguous blocks
-/// and blocks until completion. With a single hardware thread this degrades
-/// gracefully to a serial loop (no pool spun up). If body throws, the first
-/// exception is rethrown here after every block has finished.
+/// min(threads, shards, kMaxThreads), with threads = 0 meaning
+/// defaultThreadCount(): how many participants forEachShard uses.
+[[nodiscard]] std::size_t shardParticipants(std::size_t shards,
+                                            std::size_t threads) noexcept;
+
+/// Threads the shared pool behind forEachShard has started so far.
+[[nodiscard]] std::size_t sharedPoolThreads();
+
+using ShardBody =
+    std::function<void(std::size_t shard, std::size_t participant)>;
+
+/// The shard loop: runs body(shard, participant) once per shard in
+/// [0, shards). The caller is participant 0; up to
+/// shardParticipants(shards, threads) - 1 threads of one lazily started,
+/// never shrinking process-wide pool help by dynamic ticket, and concurrent
+/// body calls never share a participant. The lowest-index shard exception
+/// is rethrown after all shards finish. Reentrant: the caller runs every
+/// unclaimed shard itself and waits only for shards running elsewhere.
+void forEachShard(std::size_t shards, std::size_t threads,
+                  const ShardBody& body);
+
+/// Splits [0, n) into shardParticipants(n, threads) contiguous blocks
+/// [n*b/blocks, n*(b+1)/blocks) and runs body(lo, hi, scratch) for each on
+/// the shard loop, with one default-constructed Scratch per participant.
+template <class Scratch, class Body>
+void forEachBlock(std::size_t n, std::size_t threads, Body&& body) {
+  const std::size_t blocks = shardParticipants(n, threads);
+  std::vector<Scratch> scratch(blocks);
+  forEachShard(blocks, blocks, [&](std::size_t b, std::size_t participant) {
+    body(n * b / blocks, n * (b + 1) / blocks, scratch[participant]);
+  });
+}
+
+/// Runs body(i) for i in [begin, end) in contiguous blocks of
+/// ceil(n / workers) on the shard loop. If body throws, the lowest block's
+/// exception is rethrown after every block has finished.
 void parallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& body,
                  std::size_t threads = 0);

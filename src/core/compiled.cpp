@@ -1116,29 +1116,15 @@ void CompiledProblem::analyzeBatch(std::span<const AnalysisInstance> instances,
     static const obs::MetricId kBatches = obs::counterId("core.batches");
     obs::addCounter(kBatches);
   }
-  std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    EvalWorkspace workspace;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = evaluate(instances[i], workspace);
-    }
-    return;
-  }
-  // One contiguous block per worker; each block reuses its own workspace
-  // and writes disjoint output slots, so results are independent of the
-  // worker count.
-  std::vector<EvalWorkspace> workspaces(workers);
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        const std::size_t lo = n * b / workers;
-        const std::size_t hi = n * (b + 1) / workers;
+  // One block and workspace per participant; output slots are disjoint, so
+  // results are independent of the worker count.
+  forEachBlock<EvalWorkspace>(
+      n, threads,
+      [&](std::size_t lo, std::size_t hi, EvalWorkspace& workspace) {
         for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = evaluate(instances[i], workspaces[b]);
+          out[i] = evaluate(instances[i], workspace);
         }
-      },
-      workers);
+      });
 }
 
 std::vector<RobustnessReport> CompiledProblem::analyzeBatch(
@@ -1337,23 +1323,13 @@ void CompiledProblem::analyzeBatchMetric(
   }
   const obs::Span span("core.analyzeBatchMetric");
 
-  std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    MetricWorkspace workspace;
-    metricBlock(instances, out, 0, n, workspace, prune);
-    return;
-  }
-  // One contiguous block per worker, same partition as analyzeBatch:
-  // results are independent of the worker count.
-  std::vector<MetricWorkspace> workspaces(workers);
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        metricBlock(instances, out, n * b / workers, n * (b + 1) / workers,
-                    workspaces[b], prune);
-      },
-      workers);
+  // Same block partition as analyzeBatch: results are independent of the
+  // worker count.
+  forEachBlock<MetricWorkspace>(
+      n, threads,
+      [&](std::size_t lo, std::size_t hi, MetricWorkspace& workspace) {
+        metricBlock(instances, out, lo, hi, workspace, prune);
+      });
 }
 
 std::vector<MetricResult> CompiledProblem::analyzeBatchMetric(

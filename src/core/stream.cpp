@@ -376,7 +376,19 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
 
   std::vector<ShardOutcome> outcomes(static_cast<std::size_t>(nShards));
   SharedMin shared;
-  auto processShard = [&](std::uint64_t s, Arena& arena) {
+  // Any shard claim order is fine: each shard writes only its own outcome
+  // slot and the shared incumbent is a monotone minimum of exact metrics.
+  std::vector<Arena> arenas(shardParticipants(nShards, opt_.threads));
+  std::atomic<std::int64_t> inflight{0};
+  forEachShard(nShards, opt_.threads, [&](std::size_t s, std::size_t worker) {
+    const std::int64_t running =
+        inflight.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (obs::enabled()) [[unlikely]] {
+      static const obs::MetricId kInflight =
+          obs::gaugeId("core.stream.inflight_high_water");
+      obs::maxGauge(kInflight, running);
+    }
+    Arena& arena = arenas[worker];
     const std::uint64_t first = s * shard;
     const auto count =
         static_cast<std::size_t>(std::min<std::uint64_t>(shard,
@@ -386,66 +398,10 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
             ? reader->read(first, count, arena.view)
             : values.subspan(static_cast<std::size_t>(first) * dim,
                              count * dim);
-    scanShard(vals, first, count, arena,
-              outcomes[static_cast<std::size_t>(s)], shared, validate,
+    scanShard(vals, first, count, arena, outcomes[s], shared, validate,
               source);
-  };
-
-  std::size_t workers =
-      opt_.threads == 0 ? defaultThreadCount() : opt_.threads;
-  workers = static_cast<std::size_t>(
-      std::min<std::uint64_t>(workers, nShards));
-  if (workers <= 1) {
-    Arena arena;
-    for (std::uint64_t s = 0; s < nShards; ++s) {
-      processShard(s, arena);
-    }
-  } else {
-    // Dynamic shard tickets over a fixed worker set: any claim order is
-    // fine because each shard writes only its own outcome slot and the
-    // shared incumbent is a monotone minimum of exact metrics. A worker
-    // failure is captured per shard and the lowest-index failure is
-    // rethrown after the join — deterministic error surfacing, and a
-    // throw can never tear down the pool mid-task.
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(nShards));
-    std::atomic<std::uint64_t> ticket{0};
-    std::atomic<std::int64_t> inflight{0};
-    ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        Arena arena;
-        for (;;) {
-          const std::uint64_t s =
-              ticket.fetch_add(1, std::memory_order_relaxed);
-          if (s >= nShards) {
-            return;
-          }
-          if (obs::enabled()) [[unlikely]] {
-            static const obs::MetricId kInflight =
-                obs::gaugeId("core.stream.inflight_high_water");
-            obs::maxGauge(kInflight,
-                          inflight.fetch_add(1, std::memory_order_relaxed) +
-                              1);
-          } else {
-            inflight.fetch_add(1, std::memory_order_relaxed);
-          }
-          try {
-            processShard(s, arena);
-          } catch (...) {
-            errors[static_cast<std::size_t>(s)] = std::current_exception();
-          }
-          inflight.fetch_sub(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    pool.wait();
-    for (const std::exception_ptr& err : errors) {
-      if (err) {
-        std::rethrow_exception(err);
-      }
-    }
-  }
+    inflight.fetch_sub(1, std::memory_order_relaxed);
+  });
 
   // Fixed-order pairwise reduction over the shard winners. Every combine
   // keeps the lower-shard side on ties, so the tree computes the same

@@ -93,8 +93,10 @@ double regularizedIncompleteBeta(double a, double b, double x) {
   if (x >= 1.0) {
     return 1.0;
   }
-  const double lnBeta =
-      std::lgamma(a) + std::lgamma(b) - std::lgamma(a + b);
+  // lgamma_r: std::lgamma's write to the global signgam races across threads.
+  int sign = 0;
+  const double lnBeta = ::lgamma_r(a, &sign) + ::lgamma_r(b, &sign) -
+                        ::lgamma_r(a + b, &sign);
   const double front =
       std::exp(a * std::log(x) + b * std::log(1.0 - x) - lnBeta);
   // The continued fraction converges fast only on one side of the mean;

@@ -1,7 +1,6 @@
 #include "robust/curve/curve.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <exception>
@@ -314,62 +313,31 @@ class CurveEngine {
     return floorRadius ? std::floor(hi) : hi;
   }
 
-  /// Shard dispatcher shared by both lanes. Samples land in disjoint
-  /// output slots and each is a pure function of its substream, so the
-  /// result is identical for every worker count and shard schedule; the
-  /// dynamic ticket only balances load. Per-shard exceptions are captured
-  /// and the lowest shard index rethrows after the pool drains.
+  /// Shard dispatcher shared by both lanes, on the shared executor with
+  /// one scratch per participant. Samples land in disjoint output slots
+  /// and each is a pure function of its substream, so the result is
+  /// identical for every worker count and shard schedule; the lowest shard
+  /// index's exception is rethrown after every shard has finished.
   template <typename MakeScratch, typename Body>
   static void forEachSample(std::size_t n, std::size_t shardSize,
                             std::size_t threads, MakeScratch makeScratch,
                             Body body) {
     shardSize = std::max<std::size_t>(1, shardSize);
     const std::size_t nShards = (n + shardSize - 1) / shardSize;
-    std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-    workers = std::min(workers, nShards);
-    auto runShard = [&](std::size_t s, auto& scratch) {
-      const std::size_t lo = s * shardSize;
-      const std::size_t hi = std::min(n, lo + shardSize);
-      for (std::size_t i = lo; i < hi; ++i) {
-        body(i, scratch);
+    std::vector<decltype(makeScratch())> scratch;
+    while (scratch.size() < shardParticipants(nShards, threads)) {
+      scratch.push_back(makeScratch());
+    }
+    forEachShard(nShards, threads, [&](std::size_t s, std::size_t worker) {
+      const std::size_t hi = std::min(n, (s + 1) * shardSize);
+      for (std::size_t i = s * shardSize; i < hi; ++i) {
+        body(i, scratch[worker]);
       }
       if (obs::enabled()) [[unlikely]] {
         static const obs::MetricId kShards = obs::counterId("curve.shards");
         obs::addCounter(kShards);
       }
-    };
-    if (workers <= 1) {
-      auto scratch = makeScratch();
-      for (std::size_t s = 0; s < nShards; ++s) {
-        runShard(s, scratch);
-      }
-      return;
-    }
-    std::atomic<std::size_t> ticket{0};
-    std::vector<std::exception_ptr> errors(nShards);
-    ThreadPool pool(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        auto scratch = makeScratch();
-        for (;;) {
-          const std::size_t s = ticket.fetch_add(1, std::memory_order_relaxed);
-          if (s >= nShards) {
-            break;
-          }
-          try {
-            runShard(s, scratch);
-          } catch (...) {
-            errors[s] = std::current_exception();
-          }
-        }
-      });
-    }
-    pool.wait();
-    for (auto& e : errors) {
-      if (e) {
-        std::rethrow_exception(e);
-      }
-    }
+    });
   }
 
   static CurveResult run(const core::CompiledProblem& p,

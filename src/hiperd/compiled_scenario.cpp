@@ -570,33 +570,16 @@ sched::MappingObjective robustnessObjective(const CompiledScenario& compiled) {
 std::vector<core::RobustnessReport> CompiledScenario::analyzeMappings(
     std::span<const sched::Mapping> mappings, std::size_t threads) const {
   std::vector<core::RobustnessReport> out(mappings.size());
-  const std::size_t n = mappings.size();
-  if (n == 0) {
-    return out;
-  }
   const obs::Span span("hiperd.analyzeMappings");
-  std::size_t workers = threads == 0 ? defaultThreadCount() : threads;
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    ScenarioWorkspace workspace;
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = analyze(mappings[i], workspace);
-    }
-    return out;
-  }
-  // One contiguous block per worker with a dedicated workspace; output
-  // slots are disjoint, so results are independent of the worker count.
-  std::vector<ScenarioWorkspace> workspaces(workers);
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        const std::size_t lo = n * b / workers;
-        const std::size_t hi = n * (b + 1) / workers;
+  // One block and workspace per participant; output slots are disjoint,
+  // so results are independent of the worker count.
+  forEachBlock<ScenarioWorkspace>(
+      mappings.size(), threads,
+      [&](std::size_t lo, std::size_t hi, ScenarioWorkspace& workspace) {
         for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = analyze(mappings[i], workspaces[b]);
+          out[i] = analyze(mappings[i], workspace);
         }
-      },
-      workers);
+      });
   return out;
 }
 

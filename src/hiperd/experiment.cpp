@@ -31,22 +31,15 @@ Fig4Result runFig4(const Fig4Options& options) {
   // every thread count.
   const CompiledScenario compiled = scenario.compile();
   result.rows.resize(options.mappings);
-  const std::size_t n = options.mappings;
-  std::size_t workers =
-      options.threads == 0 ? defaultThreadCount() : options.threads;
-  workers = std::min(workers, n);
-  std::vector<ScenarioWorkspace> workspaces(std::max<std::size_t>(workers, 1));
-  parallelFor(
-      0, workers,
-      [&](std::size_t b) {
-        const std::size_t lo = n * b / workers;
-        const std::size_t hi = n * (b + 1) / workers;
+  forEachBlock<ScenarioWorkspace>(
+      options.mappings, options.threads,
+      [&](std::size_t lo, std::size_t hi, ScenarioWorkspace& workspace) {
         for (std::size_t m = lo; m < hi; ++m) {
           const HiperdSystem system(scenario, result.mappings[m]);
           Fig4Row row;
           row.slack = system.slack();
-          const auto& report = compiled.analyze(result.mappings[m],
-                                                workspaces[b]);
+          const auto& report =
+              compiled.analyze(result.mappings[m], workspace);
           row.robustness =
               std::isfinite(report.metric) ? report.metric : -1.0;
           const auto& binding = report.radii[report.bindingFeature];
@@ -54,12 +47,11 @@ Fig4Result runFig4(const Fig4Options& options) {
           row.lambdaStar = binding.boundaryPoint;
           result.rows[m] = row;
         }
-      },
-      workers);
+      });
   return result;
 }
 
-std::pair<std::size_t, std::size_t> findTable2Pair(
+std::optional<std::pair<std::size_t, std::size_t>> findTable2Pair(
     const std::vector<Fig4Row>& rows, double slackTolerance,
     double minRobustness) {
   ROBUST_REQUIRE(rows.size() >= 2, "findTable2Pair: need at least two rows");
@@ -101,10 +93,7 @@ std::pair<std::size_t, std::size_t> findTable2Pair(
       }
     }
   }
-  ROBUST_REQUIRE(bestRatio > 0.0,
-                 "findTable2Pair: no pair with positive robustness within "
-                 "the slack tolerance");
-  return best;
+  return bestRatio > 0.0 ? std::optional(best) : std::nullopt;
 }
 
 }  // namespace robust::hiperd

@@ -336,7 +336,7 @@ Mapping localSearch(const EtcMatrix& etc, Mapping start,
                     const LocalSearchOptions& options) {
   return detail::localSearchDriver(
       detail::EtcMoves(etc, std::move(start), objective), options.maxRounds,
-      options.threads == 0 ? defaultThreadCount() : options.threads);
+      options.threads);
 }
 
 Mapping annealMapping(std::size_t apps, std::size_t machines, Mapping start,

@@ -16,7 +16,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -122,16 +121,18 @@ class ObjectiveMoves {
 };
 
 /// Steepest descent over single-application reassignments with a
-/// `threads`-worker neighborhood scan. Each worker holds a copy of the
-/// evaluator tracking the same incumbent; the scan only tries moves, so the
-/// workers share nothing, and the chosen move is committed to every copy.
+/// `threads`-worker neighborhood scan (0 = defaultThreadCount()). Each
+/// worker holds a copy of the evaluator tracking the same incumbent; the
+/// scan only tries moves, so the workers share nothing, and the chosen move
+/// is committed to every copy.
 template <class Moves>
 Mapping localSearchDriver(Moves moves, int maxRounds, std::size_t threads) {
   ROBUST_REQUIRE(maxRounds > 0, "localSearch: maxRounds must be > 0");
   const obs::Span span("sched.localSearch");
   const std::size_t apps = moves.mapping().apps();
   const std::size_t machines = moves.mapping().machines();
-  const std::size_t workers = std::max<std::size_t>(1, std::min(threads, apps));
+  const std::size_t workers =
+      std::max<std::size_t>(1, shardParticipants(apps, threads));
   double currentValue = moves.value();
   std::vector<Moves> evaluators;
   evaluators.reserve(workers);
@@ -148,7 +149,7 @@ Mapping localSearchDriver(Moves moves, int maxRounds, std::size_t threads) {
   };
   std::vector<BlockBest> blockBests(workers, BlockBest{currentValue});
   const std::size_t chunk = (apps + workers - 1) / workers;
-  auto scanBlock = [&](std::size_t w) {
+  auto scanBlock = [&](std::size_t w, std::size_t) {
     Moves& evaluator = evaluators[w];
     const std::size_t lo = w * chunk;
     const std::size_t hi = std::min(apps, lo + chunk);
@@ -171,10 +172,6 @@ Mapping localSearchDriver(Moves moves, int maxRounds, std::size_t threads) {
     blockBests[w] = best;
   };
 
-  std::unique_ptr<ThreadPool> pool;
-  if (workers > 1) {
-    pool = std::make_unique<ThreadPool>(workers);
-  }
   for (int round = 0; round < maxRounds; ++round) {
     if (obs::enabled()) [[unlikely]] {
       static const obs::MetricId kRounds =
@@ -184,14 +181,7 @@ Mapping localSearchDriver(Moves moves, int maxRounds, std::size_t threads) {
       obs::addCounter(kRounds);
       obs::addCounter(kProbes, apps * (machines - 1));
     }
-    if (pool) {
-      for (std::size_t w = 0; w < workers; ++w) {
-        pool->submit([&scanBlock, w] { scanBlock(w); });
-      }
-      pool->wait();
-    } else {
-      scanBlock(0);
-    }
+    forEachShard(workers, workers, scanBlock);
     // Reduce block winners in ascending block order with strict <, so the
     // global winner is again the lowest-(app, machine) minimizer — exactly
     // the move the serial scan picks, for any worker count.

@@ -1,5 +1,6 @@
 #include "robust/util/args.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 
 #include "robust/util/error.hpp"
@@ -100,6 +101,16 @@ std::vector<std::string> ArgParser::unknownOptions() const {
     }
   }
   return unknown;
+}
+
+void ArgParser::rejectUnknownOptions(const char* program) const {
+  const std::vector<std::string> unknown = unknownOptions();
+  for (const std::string& key : unknown) {
+    std::fprintf(stderr, "%s: unknown option --%s\n", program, key.c_str());
+  }
+  if (!unknown.empty()) {
+    std::exit(2);
+  }
 }
 
 }  // namespace robust

@@ -1,7 +1,9 @@
 #include "robust/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <utility>
 
 #include "robust/obs/metrics.hpp"
@@ -22,7 +24,7 @@ std::size_t parseThreadCount(const char* text) noexcept {
   }
   char* end = nullptr;
   const unsigned long parsed = std::strtoul(text, &end, 10);
-  if (end == text || *end != '\0' || parsed == 0 || parsed > 1024) {
+  if (end == text || *end != '\0' || parsed == 0 || parsed > kMaxThreads) {
     return 0;
   }
   return static_cast<std::size_t>(parsed);
@@ -39,13 +41,23 @@ std::size_t defaultThreadCount() noexcept {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = defaultThreadCount();
+  grow(threads != 0 ? threads : defaultThreadCount());
+}
+
+void ThreadPool::grow(std::size_t threads) {
+  std::lock_guard lock(mutex_);
+  if (obs::enabled() && threads > workers_.size()) [[unlikely]] {
+    static const obs::MetricId kSpawns = obs::counterId("util.pool_spawns");
+    obs::addCounter(kSpawns, threads - workers_.size());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+  while (workers_.size() < threads) {
     workers_.emplace_back([this] { workerLoop(); });
   }
+}
+
+std::size_t ThreadPool::size() const {
+  std::lock_guard lock(mutex_);
+  return workers_.size();
 }
 
 ThreadPool::~ThreadPool() {
@@ -130,37 +142,94 @@ void ThreadPool::workerLoop() {
   }
 }
 
+std::size_t shardParticipants(std::size_t shards,
+                              std::size_t threads) noexcept {
+  return std::min({threads != 0 ? threads : defaultThreadCount(), shards,
+                   kMaxThreads});
+}
+
+namespace {
+
+// The pool behind forEachShard, never destroyed: joining its idle workers
+// from a static destructor would race the statics they use.
+ThreadPool& sharedPool() {
+  static ThreadPool* const pool = new ThreadPool(1);
+  return *pool;
+}
+
+// One forEachShard call, shared with its helpers: a helper that starts
+// after the call returned finds no ticket left and never touches `body`.
+struct ShardRun {
+  ShardRun(std::size_t n, const ShardBody& fn)
+      : shards(n), body(&fn), errors(n) {}
+
+  // Claims and runs shards until none is left, then counts them done.
+  void drain(std::size_t participant) {
+    std::size_t ran = 0;
+    for (std::size_t s; (s = ticket.fetch_add(1)) < shards; ++ran) {
+      try {
+        (*body)(s, participant);
+      } catch (...) {
+        errors[s] = std::current_exception();
+      }
+    }
+    if (ran > 0 && done.fetch_add(ran) + ran == shards) {
+      done.notify_all();
+    }
+  }
+
+  const std::size_t shards;
+  const ShardBody* const body;
+  std::vector<std::exception_ptr> errors;  ///< slot s written by its runner
+  std::atomic<std::size_t> ticket{0};
+  std::atomic<std::size_t> done{0};
+};
+
+}  // namespace
+
+std::size_t sharedPoolThreads() { return sharedPool().size(); }
+
+void forEachShard(std::size_t shards, std::size_t threads,
+                  const ShardBody& body) {
+  const std::size_t participants = shardParticipants(shards, threads);
+  if (participants <= 1) {
+    for (std::size_t s = 0; s < shards; ++s) {
+      body(s, 0);
+    }
+    return;
+  }
+  const auto run = std::make_shared<ShardRun>(shards, body);
+  ThreadPool& pool = sharedPool();
+  pool.grow(participants - 1);
+  for (std::size_t helper = 1; helper < participants; ++helper) {
+    pool.submit([run, helper] { run->drain(helper); });
+  }
+  run->drain(0);
+  // Waits only for shards other threads have claimed and are running.
+  for (std::size_t d; (d = run->done.load()) != shards;) {
+    run->done.wait(d);
+  }
+  // Taken here, so no exception dies on a helper dropping `run` late.
+  for (const std::exception_ptr& error : std::exchange(run->errors, {})) {
+    if (error) {
+      std::rethrow_exception(error);
+    }
+  }
+}
+
 void parallelFor(std::size_t begin, std::size_t end,
                  const std::function<void(std::size_t)>& body,
                  std::size_t threads) {
-  if (begin >= end) {
-    return;
-  }
-  const std::size_t n = end - begin;
-  std::size_t workers = threads != 0 ? threads : defaultThreadCount();
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    for (std::size_t i = begin; i < end; ++i) {
+  const std::size_t n = begin < end ? end - begin : 0;
+  const std::size_t workers = shardParticipants(n, threads);
+  const std::size_t chunk = workers == 0 ? 0 : (n + workers - 1) / workers;
+  forEachShard(workers, workers, [&](std::size_t block, std::size_t) {
+    const std::size_t lo = begin + block * chunk;
+    const std::size_t hi = std::min(end, lo + chunk);
+    for (std::size_t i = lo; i < hi; ++i) {
       body(i);
     }
-    return;
-  }
-
-  ThreadPool pool(workers);
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (std::size_t w = 0; w < workers; ++w) {
-    const std::size_t lo = begin + w * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) {
-      break;
-    }
-    pool.submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) {
-        body(i);
-      }
-    });
-  }
-  pool.wait();
+  });
 }
 
 }  // namespace robust

@@ -26,7 +26,7 @@ TEST(FindTable2Pair, PicksLargestRatioWithinTolerance) {
       row(0.304, 200.0),
       row(0.80, 50.0),   // alone in its slack window
   };
-  const auto [lo, hi] = hiperd::findTable2Pair(rows, 0.005, 1.0);
+  const auto [lo, hi] = hiperd::findTable2Pair(rows, 0.005, 1.0).value();
   EXPECT_EQ(lo, 0u);
   EXPECT_EQ(hi, 1u);
 }
@@ -36,7 +36,7 @@ TEST(FindTable2Pair, OrdersSmallerRobustnessFirst) {
       row(0.40, 300.0),
       row(0.401, 100.0),
   };
-  const auto [lo, hi] = hiperd::findTable2Pair(rows, 0.01, 1.0);
+  const auto [lo, hi] = hiperd::findTable2Pair(rows, 0.01, 1.0).value();
   EXPECT_EQ(lo, 1u);
   EXPECT_EQ(hi, 0u);
 }
@@ -46,20 +46,36 @@ TEST(FindTable2Pair, RespectsMinRobustness) {
       row(0.10, 1.0),  row(0.101, 10.0),   // ratio 10 but below threshold
       row(0.50, 100.0), row(0.501, 150.0), // ratio 1.5, eligible
   };
-  const auto [lo, hi] = hiperd::findTable2Pair(rows, 0.01, 50.0);
+  const auto [lo, hi] = hiperd::findTable2Pair(rows, 0.01, 50.0).value();
   EXPECT_EQ(lo, 2u);
   EXPECT_EQ(hi, 3u);
 }
 
-TEST(FindTable2Pair, ThrowsWhenNoEligiblePair) {
+TEST(FindTable2Pair, EmptyWhenNoEligiblePair) {
+  // No eligible pair is a result, not an error; a single row still throws.
   const std::vector<hiperd::Fig4Row> none = {
       row(0.1, 100.0), row(0.5, 200.0),  // slack gap too wide
   };
-  EXPECT_THROW((void)hiperd::findTable2Pair(none, 0.01, 1.0),
-               InvalidArgumentError);
+  EXPECT_FALSE(hiperd::findTable2Pair(none, 0.01, 1.0).has_value());
   const std::vector<hiperd::Fig4Row> single = {row(0.1, 100.0)};
   EXPECT_THROW((void)hiperd::findTable2Pair(single, 0.01, 1.0),
                InvalidArgumentError);
+}
+
+TEST(FindTable2Pair, SeededFig4SetWithoutAPairIsEmpty) {
+  // A valid Fig. 4 set with no Table 2 pair: at seed 4 only a few of the
+  // 200 mappings are feasible and no two share a 0.005 slack window.
+  hiperd::Fig4Options options;
+  options.mappings = 200;
+  options.seed = 4;
+  const hiperd::Fig4Result result = hiperd::runFig4(options);
+  ASSERT_EQ(result.rows.size(), 200u);
+  std::size_t feasible = 0;
+  for (const hiperd::Fig4Row& r : result.rows) {
+    feasible += r.robustness > 0.0 ? 1 : 0;
+  }
+  EXPECT_GE(feasible, 2u);
+  EXPECT_FALSE(hiperd::findTable2Pair(result.rows).has_value());
 }
 
 TEST(Fig3Driver, NonDefaultInstanceShapes) {

@@ -154,7 +154,9 @@ TEST_F(Fig4Pipeline, MostMappingsFeasibleAtOperatingPoint) {
 }
 
 TEST_F(Fig4Pipeline, Table2PairExists) {
-  const auto [lo, hi] = hiperd::findTable2Pair(result().rows, 0.01, 5.0);
+  const auto pair = hiperd::findTable2Pair(result().rows, 0.01, 5.0);
+  ASSERT_TRUE(pair.has_value());
+  const auto [lo, hi] = *pair;
   const auto& a = result().rows[lo];
   const auto& b = result().rows[hi];
   EXPECT_LE(std::fabs(a.slack - b.slack), 0.01);

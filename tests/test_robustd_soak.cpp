@@ -309,10 +309,15 @@ TEST(RobustdSoak, BackpressureDefersReadsWithoutCorruptingReplies) {
 
   // Pipeline many ANALYZE frames without reading a single reply; the
   // server must defer reads instead of buffering unboundedly, then answer
-  // every request in order with the offline bits.
+  // every request in order with the offline bits. All frames go out in
+  // one write (under 40 KiB, below the server's 64 KiB read chunk), so one
+  // read pass parses them all. Backlog is settled only when the IO thread
+  // drains a completion, after that pass, so the 2048-byte bound trips
+  // however fast the worker runs.
   constexpr std::size_t kPipelined = 24;
   constexpr std::size_t kInstances = 16;
   std::vector<std::vector<double>> batches;
+  std::vector<std::uint8_t> pipeline;
   for (std::size_t b = 0; b < kPipelined; ++b) {
     batches.push_back(makeBatch(spec, 99, b, kInstances));
     std::vector<std::uint8_t> payload;
@@ -321,8 +326,9 @@ TEST(RobustdSoak, BackpressureDefersReadsWithoutCorruptingReplies) {
                                batches.back(), payload);
     const std::vector<std::uint8_t> frame = robust::net::buildFrame(
         FrameType::Analyze, static_cast<std::uint32_t>(1000 + b), payload);
-    client.sendRaw(frame);
+    pipeline.insert(pipeline.end(), frame.begin(), frame.end());
   }
+  client.sendRaw(pipeline);
   const robust::util::Diagnostics diag("soak");
   const robust::net::WireLimits limits;
   for (std::size_t b = 0; b < kPipelined; ++b) {

@@ -1,12 +1,19 @@
 // Unit tests for robust_util: RNG determinism and stream independence,
-// statistics, table/CSV output, argument parsing, and the thread pool.
+// statistics, table/CSV output, argument parsing, the thread pool and the
+// shared shard loop.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <cstring>
@@ -16,6 +23,13 @@
 
 #include <unistd.h>
 
+#include "robust/core/compiled.hpp"
+#include "robust/core/instance_file.hpp"
+#include "robust/core/stream.hpp"
+#include "robust/curve/curve.hpp"
+#include "robust/obs/metrics.hpp"
+#include "robust/scheduling/etc.hpp"
+#include "robust/scheduling/heuristics.hpp"
 #include "robust/util/args.hpp"
 #include "robust/util/diagnostics.hpp"
 #include "robust/util/error.hpp"
@@ -436,6 +450,20 @@ TEST(Args, UnknownOptionsAreTheOnesNeverQueried) {
   EXPECT_EQ(args.unknownOptions(), std::vector<std::string>{"wokers"});
 }
 
+TEST(Args, RejectUnknownOptionsNamesEachAndExitsTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* argv[] = {"prog", "--seed", "4", "--bogus", "1", "--quiet"};
+  const ArgParser args(6, argv);
+  EXPECT_EQ(args.getInt("seed", 0), 4);
+  EXPECT_EXIT(args.rejectUnknownOptions("harness"),
+              ::testing::ExitedWithCode(2),
+              "harness: unknown option --bogus\n"
+              "harness: unknown option --quiet");
+  EXPECT_TRUE(args.has("bogus"));
+  EXPECT_TRUE(args.has("quiet"));
+  args.rejectUnknownOptions("harness");  // all read: returns
+}
+
 TEST(Args, LaterDuplicateWins) {
   const char* argv[] = {"prog", "--k", "1", "--k", "2"};
   const ArgParser args(5, argv);
@@ -648,6 +676,220 @@ TEST(ThreadPool, DefaultThreadCountIsPositiveAndCached) {
   EXPECT_GE(first, 1u);
   EXPECT_LE(first, 1024u);
   EXPECT_EQ(defaultThreadCount(), first);
+}
+
+// ---------------------------------------------------------- shard loop
+
+/// A small affine problem for the stream, curve and metric lanes.
+core::CompiledProblem shardProblem() {
+  Pcg32 rng(11);
+  core::ProblemSpec spec;
+  spec.parameter.name = "pi";
+  spec.parameter.origin.assign(6, 1.0);
+  for (int r = 0; r < 12; ++r) {
+    num::Vec weights(6);
+    for (double& w : weights) {
+      w = rng.uniform(0.1, 2.0);
+    }
+    double atOrigin = 0.0;
+    for (const double w : weights) {
+      atOrigin += w;
+    }
+    spec.features.push_back(core::PerformanceFeature{
+        "F_" + std::to_string(r),
+        core::ImpactFunction::affine(std::move(weights)),
+        core::ToleranceBounds::atMost(atOrigin * rng.uniform(1.05, 3.0))});
+  }
+  return core::CompiledProblem::compile(std::move(spec));
+}
+
+std::vector<double> shardValues(std::size_t instances) {
+  std::vector<double> values(instances * 6);
+  Pcg32 rng(12);
+  for (double& v : values) {
+    v = rng.uniform(0.9, 1.1);
+  }
+  return values;
+}
+
+bool sameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Runs `fn` on its own thread and aborts the process if it has not
+/// returned within `limit`: a deadlocked executor cannot be unwound, and a
+/// hang must fail with this test's name rather than at the ctest timeout.
+template <class Fn>
+void finishesWithin(std::chrono::seconds limit, Fn fn) {
+  auto done = std::async(std::launch::async, std::move(fn));
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "shard loop did not finish within %llds\n",
+                 static_cast<long long>(limit.count()));
+    std::abort();
+  }
+  done.get();
+}
+
+TEST(ForEachShard, RunsEveryShardOnceWithDistinctParticipants) {
+  constexpr std::size_t kShards = 40;
+  std::vector<std::atomic<int>> hits(kShards);
+  std::vector<std::atomic<int>> busy(shardParticipants(kShards, 3));
+  std::atomic<bool> shared{false};
+  forEachShard(kShards, 3, [&](std::size_t s, std::size_t participant) {
+    if (busy.at(participant).fetch_add(1) != 0) {
+      shared = true;
+    }
+    hits[s].fetch_add(1);
+    busy[participant].fetch_sub(1);
+  });
+  for (const auto& h : hits) {
+    EXPECT_EQ(h.load(), 1);
+  }
+  EXPECT_FALSE(shared.load());
+  EXPECT_EQ(shardParticipants(kShards, 3), 3u);
+  EXPECT_EQ(shardParticipants(2, 3), 2u);
+  EXPECT_EQ(shardParticipants(0, 3), 0u);
+}
+
+TEST(ForEachShard, LowestFailingShardIsRethrownWhateverTheTiming) {
+  // Shards 2 and 5 throw; in every round the other one is delayed, so the
+  // higher index fails first in time on half the rounds.
+  for (int round = 0; round < 8; ++round) {
+    const std::size_t late = round % 2 == 0 ? 2 : 5;
+    std::atomic<int> ran{0};
+    try {
+      forEachShard(8, 4, [&](std::size_t s, std::size_t) {
+        ran.fetch_add(1);
+        if (s != 2 && s != 5) {
+          return;
+        }
+        if (s == late) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        }
+        throw std::runtime_error("shard " + std::to_string(s));
+      });
+      FAIL() << "expected a shard exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 2") << "round " << round;
+    }
+    EXPECT_EQ(ran.load(), 8) << "every shard runs before the rethrow";
+  }
+}
+
+TEST(ForEachShard, NestedCallsOnASaturatedPoolFinishWithSerialBits) {
+  const core::CompiledProblem problem = shardProblem();
+  const std::vector<double> values = shardValues(300);
+  core::StreamOptions streamSerial;
+  streamSerial.shardInstances = 16;
+  streamSerial.threads = 1;
+  curve::CurveOptions curveSerial;
+  curveSerial.samples = 600;
+  curveSerial.shardSamples = 64;
+  curveSerial.threads = 1;
+  curveSerial.useCache = false;
+  const core::StreamResult streamRef =
+      core::analyzeStreamValues(problem, values, streamSerial);
+  const curve::CurveResult curveRef = curve::computeCurve(problem, curveSerial);
+
+  // Grow the pool a little, then give the outer loop one participant per
+  // pool thread plus the caller, held at a barrier until all are inside:
+  // every nested call then finds the pool busy and must run its own shards.
+  forEachShard(4, 4, [](std::size_t, std::size_t) {});
+  const std::size_t participants = sharedPoolThreads() + 1;
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<int> mismatches{0};
+  finishesWithin(std::chrono::seconds(60), [&] {
+    forEachShard(2 * participants, participants,
+                 [&](std::size_t s, std::size_t) {
+      if (s < participants) {
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < participants &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      }
+      if (s % 2 == 0) {
+        core::StreamOptions options = streamSerial;
+        options.threads = 2;
+        const core::StreamResult got =
+            core::analyzeStreamValues(problem, values, options);
+        if (!sameBits(got.metric, streamRef.metric) ||
+            got.argminInstance != streamRef.argminInstance ||
+            got.bindingFeature != streamRef.bindingFeature) {
+          mismatches.fetch_add(1);
+        }
+      } else {
+        curve::CurveOptions options = curveSerial;
+        options.threads = 2;
+        const curve::CurveResult got = curve::computeCurve(problem, options);
+        for (std::size_t i = 0; i < got.radii.size(); ++i) {
+          if (!sameBits(got.radii[i], curveRef.radii[i])) {
+            mismatches.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ForEachShard, SteadyStateStartsNoThreads) {
+  const bool wasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  const core::CompiledProblem problem = shardProblem();
+  const std::vector<double> values = shardValues(200);
+  std::vector<core::AnalysisInstance> instances(200);
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    instances[i].origin = std::span<const double>(values).subspan(i * 6, 6);
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("robust_util_shards_" + std::to_string(::getpid()) + ".rbi"))
+          .string();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    core::InstanceFileWriter writer(out, 6);
+    writer.appendBatch(values);
+    writer.finish();
+  }
+  core::StreamOptions stream;
+  stream.shardInstances = 16;
+  stream.threads = 2;
+  curve::CurveOptions curveOptions;
+  curveOptions.samples = 400;
+  curveOptions.shardSamples = 64;
+  curveOptions.threads = 2;
+  curveOptions.useCache = false;  // a cache hit would skip the pool
+  sched::EtcOptions etcOptions;
+  etcOptions.apps = 24;
+  etcOptions.machines = 4;
+  Pcg32 rng(5);
+  const sched::EtcMatrix etc = sched::generateEtc(etcOptions, rng);
+  const sched::Mapping start =
+      sched::randomMapping(etc.apps(), etc.machines(), rng);
+  sched::LocalSearchOptions search;
+  search.threads = 2;
+  const auto everyLane = [&] {
+    (void)core::analyzeStream(problem, path, stream);
+    (void)curve::computeCurve(problem, curveOptions);
+    (void)problem.analyzeBatchMetric(instances, 2);
+    (void)sched::localSearch(etc, start,
+                             sched::EtcObjective::negatedRobustness(1.2),
+                             search);
+  };
+  everyLane();  // warm-up: may start the pool's threads
+  const std::uint64_t spawned =
+      obs::snapshotMetrics().counter("util.pool_spawns");
+  for (int i = 0; i < 5; ++i) {
+    everyLane();
+  }
+  EXPECT_EQ(obs::snapshotMetrics().counter("util.pool_spawns"), spawned);
+  EXPECT_GE(sharedPoolThreads(), 1u);
+  obs::setEnabled(wasEnabled);
+  std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------- timer
