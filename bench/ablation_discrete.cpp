@@ -15,7 +15,7 @@
 #include "robust/util/stats.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
 
@@ -68,4 +68,6 @@ int main(int argc, char** argv) {
                "most\n~2 objects per data set here — cheap insurance, as the "
                "paper chose.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("ablation_discrete");
 }

@@ -12,7 +12,7 @@
 #include "robust/util/args.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
@@ -63,4 +63,6 @@ int main(int argc, char** argv) {
                "the worst-case radius is against\ntypical (non-adversarial) "
                "errors — most perturbations beyond rho still succeed.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("ablation_error_models");
 }

@@ -11,7 +11,7 @@
 #include "robust/util/stats.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
 
@@ -49,4 +49,6 @@ int main(int argc, char** argv) {
                "whose binding machine\nis not the makespan machine "
                "(outliers below the S1 lines).\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("ablation_heterogeneity");
 }

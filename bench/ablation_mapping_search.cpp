@@ -27,7 +27,7 @@
 #include "robust/util/args.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
@@ -164,4 +164,6 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote run report to " << reportPath << "\n";
   }
   return 0;
+} catch (...) {
+  return robust::harnessFailure("ablation_mapping_search");
 }

@@ -37,7 +37,7 @@ double spearman(const std::vector<double>& xs, const std::vector<double>& ys) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto mappings = static_cast<std::size_t>(args.getInt("mappings", 400));
@@ -93,4 +93,6 @@ int main(int argc, char** argv) {
                "agree but can flip when machines\nwith different application "
                "counts compete for the minimum.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("ablation_norms");
 }

@@ -1,11 +1,14 @@
-// Ablation: radius solver accuracy and cost. Runs the four solvers
-// (analytic hyperplane, KKT-Newton, ray search, Monte-Carlo) on the same
-// feature sets — the affine HiPer-D features, plus quadratic variants that
-// exercise the convex-programming path of Section 3.2 — and reports each
-// solver's maximum relative error against the exact answer and its cost.
+// Ablation: radius solver accuracy and cost. Runs the analytic hyperplane
+// and KKT-Newton solvers through CompiledProblem, and num::raySearch (the
+// cross-check KKT-Newton runs inside num::solveNearestPoint) on its own,
+// on the same feature sets — the affine HiPer-D features, plus quadratic
+// variants that exercise the convex-programming path of Section 3.2 — and
+// reports each solver's maximum relative error against the exact answer
+// and its cost.
 //
 // Run: ./ablation_solvers [--seed S] [--features N]
 #include <cmath>
+#include <functional>
 #include <iostream>
 
 #include "robust/core/compiled.hpp"
@@ -14,8 +17,62 @@
 #include "robust/util/table.hpp"
 #include "robust/util/timer.hpp"
 
-int main(int argc, char** argv) {
-  using namespace robust;
+namespace {
+
+using namespace robust;
+
+/// Times `radiusOf` over every feature and adds one row with its maximum
+/// and mean relative error against `exact`.
+void addSolverRow(TablePrinter& table, const char* name,
+                  const std::vector<double>& exact,
+                  const std::function<double(std::size_t)>& radiusOf) {
+  Stopwatch watch;
+  double maxErr = 0.0;
+  double sumErr = 0.0;
+  for (std::size_t f = 0; f < exact.size(); ++f) {
+    const double err = std::fabs(radiusOf(f) - exact[f]) / exact[f];
+    maxErr = std::max(maxErr, err);
+    sumErr += err;
+  }
+  // nanos(): integer clock ticks, so the analytic path's sub-microsecond
+  // per-radius cost survives the division instead of rounding to 0.
+  const auto count = static_cast<double>(exact.size());
+  table.addRow({name, formatDouble(maxErr, 3), formatDouble(sumErr / count, 3),
+                formatDouble(static_cast<double>(watch.nanos()) * 1e-3 / count,
+                             4)});
+}
+
+/// One table of solver rows over `features`: each CompiledProblem solver
+/// in `solvers`, then num::raySearch against each feature's upper bound.
+void printSolverTable(
+    const std::vector<core::PerformanceFeature>& features,
+    const core::PerturbationParameter& parameter,
+    const std::vector<double>& exact,
+    std::initializer_list<std::pair<core::SolverKind, const char*>> solvers) {
+  TablePrinter table(
+      {"solver", "max rel error", "mean rel error", "us per radius"});
+  for (const auto& [solver, name] : solvers) {
+    core::AnalyzerOptions options;
+    options.solver = solver;
+    const auto problem = core::CompiledProblem::compile(
+        {.features = features, .parameter = parameter, .options = options});
+    addSolverRow(table, name, exact,
+                 [&](std::size_t f) { return problem.radiusOf(f).radius; });
+  }
+  addSolverRow(table, "ray-search", exact, [&](std::size_t f) {
+    num::NearestPointProblem nearest;
+    nearest.g = features[f].impact.field();
+    nearest.gradient = features[f].impact.gradientField();
+    nearest.level = *features[f].bounds.max;
+    nearest.origin = parameter.origin;
+    return num::raySearch(nearest).distance;
+  });
+  table.print(std::cout);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
   const auto featureCount =
@@ -44,35 +101,9 @@ int main(int argc, char** argv) {
 
   std::cout << "# Ablation: solver accuracy and cost on " << featureCount
             << " affine features (exact answers known)\n\n";
-  TablePrinter table(
-      {"solver", "max rel error", "mean rel error", "us per radius"});
-  for (const auto& [solver, name] :
-       {std::pair{core::SolverKind::Analytic, "analytic"},
-        std::pair{core::SolverKind::KktNewton, "kkt-newton"},
-        std::pair{core::SolverKind::RaySearch, "ray-search"},
-        std::pair{core::SolverKind::MonteCarlo, "monte-carlo(4096)"}}) {
-    core::AnalyzerOptions options;
-    options.solver = solver;
-    const auto problem = core::CompiledProblem::compile(
-        {.features = affine, .parameter = parameter, .options = options});
-    Stopwatch watch;
-    double maxErr = 0.0;
-    double sumErr = 0.0;
-    for (std::size_t f = 0; f < featureCount; ++f) {
-      const auto radius = problem.radiusOf(f);
-      const double err = std::fabs(radius.radius - exact[f]) / exact[f];
-      maxErr = std::max(maxErr, err);
-      sumErr += err;
-    }
-    // nanos(): integer clock ticks, so the analytic path's sub-microsecond
-    // per-radius cost survives the division instead of rounding to 0.
-    const double usPer = static_cast<double>(watch.nanos()) * 1e-3 /
-                         static_cast<double>(featureCount);
-    table.addRow({name, formatDouble(maxErr, 3),
-                  formatDouble(sumErr / static_cast<double>(featureCount), 3),
-                  formatDouble(usPer, 4)});
-  }
-  table.print(std::cout);
+  printSolverTable(affine, parameter, exact,
+                   {{core::SolverKind::Analytic, "analytic"},
+                    {core::SolverKind::KktNewton, "kkt-newton"}});
 
   // Quadratic (convex, non-affine) features: exact answer via the sphere
   // geometry of g(x) = ||x - c||^2.
@@ -110,36 +141,13 @@ int main(int argc, char** argv) {
             }),
         core::ToleranceBounds::atMost(r * r)});
   }
-  TablePrinter qtable(
-      {"solver", "max rel error", "mean rel error", "us per radius"});
-  for (const auto& [solver, name] :
-       {std::pair{core::SolverKind::KktNewton, "kkt-newton"},
-        std::pair{core::SolverKind::RaySearch, "ray-search"},
-        std::pair{core::SolverKind::MonteCarlo, "monte-carlo(4096)"}}) {
-    core::AnalyzerOptions options;
-    options.solver = solver;
-    const auto problem = core::CompiledProblem::compile(
-        {.features = quad, .parameter = parameter, .options = options});
-    Stopwatch watch;
-    double maxErr = 0.0;
-    double sumErr = 0.0;
-    for (std::size_t f = 0; f < quad.size(); ++f) {
-      const auto radius = problem.radiusOf(f);
-      const double err =
-          std::fabs(radius.radius - quadExact[f]) / quadExact[f];
-      maxErr = std::max(maxErr, err);
-      sumErr += err;
-    }
-    const double usPer = static_cast<double>(watch.nanos()) * 1e-3 /
-                         static_cast<double>(quad.size());
-    qtable.addRow({name, formatDouble(maxErr, 3),
-                   formatDouble(sumErr / static_cast<double>(quad.size()), 3),
-                   formatDouble(usPer, 4)});
-  }
-  qtable.print(std::cout);
+  printSolverTable(quad, parameter, quadExact,
+                   {{core::SolverKind::KktNewton, "kkt-newton"}});
   std::cout << "\nexpected shape: analytic is exact and cheapest; KKT-Newton "
-               "is exact to\ntolerance; ray search matches on convex "
-               "problems; Monte-Carlo is a biased-high\nestimator whose cost "
-               "buys an assumption-free oracle.\n";
+               "is exact to\ntolerance and includes the ray-search "
+               "cross-check in its cost; ray search\nalone matches on convex "
+               "problems.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("ablation_solvers");
 }

@@ -12,7 +12,7 @@
 #include "robust/util/stats.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
 
@@ -49,4 +49,6 @@ int main(int argc, char** argv) {
             << formatDouble(fit.slope) << ", r^2 = " << formatDouble(fit.r2, 6)
             << " (Eq. 6 predicts r^2 = 1)\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("ablation_tau");
 }

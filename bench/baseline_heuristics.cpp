@@ -14,7 +14,7 @@
 #include "robust/util/stats.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const int seeds = static_cast<int>(args.getInt("seeds", 20));
@@ -64,4 +64,6 @@ int main(int argc, char** argv) {
                "by 1/sqrt(n_j) but also shrinks the binding gap less) — the\n"
                "two criteria genuinely rank mappers differently.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("baseline_heuristics");
 }

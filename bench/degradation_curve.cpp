@@ -138,7 +138,7 @@ num::Vec sampleDirection(const core::CompiledProblem& problem,
     rnd::standardNormalPair(rng, z0, z1);
     g[k] = z0;
   }
-  const double norm = curve::displacementNorm(problem, {g.data(), g.size()});
+  const double norm = problem.displacementNorm(g);
   if (norm > 0.0) {
     for (double& v : g) {
       v /= norm;
@@ -173,7 +173,7 @@ bool naiveViolates(const BenchSpec& spec, std::span<const double> origin,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const auto rows = static_cast<std::size_t>(args.getInt("rows", 256));
   const auto dims = static_cast<std::size_t>(args.getInt("dims", 64));
@@ -403,4 +403,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (...) {
+  return robust::harnessFailure("degradation_curve");
 }

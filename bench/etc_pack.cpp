@@ -20,11 +20,11 @@
 //       with trailing bytes after the declared payload is rejected with
 //       the categorized trailing-bytes diagnostic, not described.
 //
-// Exit code 0 on success; 1 on usage or conversion errors (printed); 2 on
-// an unknown option.
+// Exit code 0 on success; 1 on usage or I/O errors (printed); 2 on an
+// unknown option, a malformed option value, or input the library rejects
+// as malformed.
 #include <cstdint>
 #include <cstring>
-#include <exception>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -214,18 +214,15 @@ int runInfo(const ArgParser& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   if (argc < 2) return usage();
   const std::string command = argv[1];
   const ArgParser args(argc - 1, argv + 1);
-  try {
-    if (command == "pack") return runPack(args);
-    if (command == "unpack") return runUnpack(args);
-    if (command == "gen") return runGen(args);
-    if (command == "info") return runInfo(args);
-  } catch (const std::exception& err) {
-    std::cerr << "etc_pack: " << err.what() << '\n';
-    return 1;
-  }
+  if (command == "pack") return runPack(args);
+  if (command == "unpack") return runUnpack(args);
+  if (command == "gen") return runGen(args);
+  if (command == "info") return runInfo(args);
   return usage();
+} catch (...) {
+  return harnessFailure("etc_pack");
 }

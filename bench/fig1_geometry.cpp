@@ -14,7 +14,7 @@
 #include "robust/util/args.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const double c1 = args.getDouble("c1", 4.0);
@@ -97,4 +97,6 @@ int main(int argc, char** argv) {
             << formatDouble(std::min(c1, c2), 6)
             << " (not binding for tau > 1 + min(C)/M).\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("fig1_geometry");
 }

@@ -10,7 +10,7 @@
 #include "robust/util/args.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
@@ -55,4 +55,6 @@ int main(int argc, char** argv) {
     std::cout << "\n(pass --dot to emit Graphviz source)\n";
   }
   return 0;
+} catch (...) {
+  return robust::harnessFailure("fig2_dag");
 }

@@ -14,7 +14,7 @@
 #include "robust/util/stats.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
 
@@ -152,4 +152,6 @@ int main(int argc, char** argv) {
   std::cout << "outliers on or below their S1(x) line: " << below << "/"
             << outliers << " (paper: all)\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("fig3_makespan");
 }

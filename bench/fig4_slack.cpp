@@ -15,7 +15,7 @@
 #include "robust/util/stats.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
 
@@ -134,4 +134,6 @@ int main(int argc, char** argv) {
             << ", computation " << computeBound << ", communication "
             << commBound << "\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("fig4_slack");
 }

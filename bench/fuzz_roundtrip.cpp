@@ -162,7 +162,7 @@ void probeImage(const std::string& image, FuzzCounts& counts) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const auto etcCases = static_cast<std::uint64_t>(args.getInt("etc", 120));
   const auto scenarioCases =
@@ -361,4 +361,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "all fuzz properties held\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("fuzz_roundtrip");
 }

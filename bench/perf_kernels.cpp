@@ -87,25 +87,6 @@ void BM_KktNewtonQuadratic(benchmark::State& state) {
 }
 BENCHMARK(BM_KktNewtonQuadratic)->Arg(3)->Arg(10)->Arg(30);
 
-void BM_MonteCarloRadius(benchmark::State& state) {
-  num::NearestPointProblem problem;
-  problem.g = [](std::span<const double> x) {
-    double s = 0.0;
-    for (double xi : x) {
-      s += xi * xi;
-    }
-    return s;
-  };
-  problem.level = 1e6;
-  problem.origin = num::Vec(3, 10.0);
-  num::SolverOptions options;
-  options.samples = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(num::monteCarloRadius(problem, options));
-  }
-}
-BENCHMARK(BM_MonteCarloRadius)->Arg(256)->Arg(1024)->Arg(4096);
-
 void BM_EtcGeneration(benchmark::State& state) {
   sched::EtcOptions options;
   options.apps = static_cast<std::size_t>(state.range(0));

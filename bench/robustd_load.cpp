@@ -262,7 +262,7 @@ bool chaosBogusKeyThenVanish(const Config& cfg) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const robust::ArgParser args(argc, argv);
   Config cfg;
   cfg.unixPath = args.getString("unix", "");
@@ -331,4 +331,6 @@ int main(int argc, char** argv) {
       cfg.greedy ? ", greedy tenant ran" : "",
       cfg.chaos ? ", chaos injected" : "");
   return (mismatches.load() == 0 && failures.load() == 0) ? 0 : 1;
+} catch (...) {
+  return robust::harnessFailure("robustd_load");
 }

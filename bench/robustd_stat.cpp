@@ -172,7 +172,7 @@ void writeFile(const std::string& path, const std::string& text) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const robust::ArgParser args(argc, argv);
   if (args.has("help")) {
     printUsage();
@@ -247,4 +247,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "robustd_stat: %s\n", e.what());
     return 2;
   }
+} catch (...) {
+  return robust::harnessFailure("robustd_stat");
 }

@@ -111,7 +111,7 @@ core::StreamResult serialFold(const core::CompiledProblem& problem,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const std::string filePath = args.getString("file", "");
   const auto rows = static_cast<std::size_t>(args.getInt("rows", 4096));
@@ -248,4 +248,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   return 0;
+} catch (...) {
+  return robust::harnessFailure("stream_throughput");
 }

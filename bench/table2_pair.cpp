@@ -54,7 +54,7 @@ std::string computeFunctionOf(const robust::hiperd::HiperdScenario& scenario,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
 
@@ -121,4 +121,6 @@ int main(int argc, char** argv) {
   std::cout << "\npaper's pair for reference: robustness 353 vs 1166 "
                "(ratio 3.3x) at slack 0.5961 vs 0.5914.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("table2_pair");
 }

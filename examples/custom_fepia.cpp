@@ -15,16 +15,18 @@
 //                               T_db = 0.004 (l1 + l2)^2 + 0.1 l2
 //                               T_e2e = T_fe + T_db
 //   Step 4 (analysis):          robustness radii via the KKT-Newton convex
-//                               solver, cross-checked by ray search and the
-//                               Monte-Carlo oracle, then validated by
+//                               solver (with its ray-search cross-check),
+//                               checked against the nearest violation over
+//                               sampled directions, then validated by
 //                               sampling.
 //
-// Run: ./custom_fepia
+// Run: ./custom_fepia (exits 1 when a sampled check contradicts rho)
 #include <iostream>
 #include <span>
 
 #include "robust/core/fepia.hpp"
 #include "robust/core/validation.hpp"
+#include "robust/curve/curve.hpp"
 #include "robust/util/table.hpp"
 
 int main() {
@@ -43,66 +45,48 @@ int main() {
     return 0.2 * l[0] + 0.3 * l[1] + dbTime(l);
   };
 
-  auto build = [&](core::AnalyzerOptions options) {
-    return core::FepiaBuilder(
-               "per-tier and end-to-end response times stay within SLOs "
-               "despite request-rate surges")
-        .perturbation("lambda (request rates)", {50.0, 30.0},
-                      /*discrete=*/false, "requests per second")
-        .affineFeature("T_frontend", {0.2, 0.3}, 0.0,
-                       core::ToleranceBounds::atMost(40.0))
-        .feature("T_database",
-                 core::ImpactFunction::callable(dbTime, dbGradient),
-                 core::ToleranceBounds::atMost(60.0))
-        .feature("T_end_to_end", core::ImpactFunction::callable(e2eTime),
-                 core::ToleranceBounds::atMost(85.0))
-        .options(options)
-        .compile();
-  };
+  const auto problem =
+      core::FepiaBuilder(
+          "per-tier and end-to-end response times stay within SLOs "
+          "despite request-rate surges")
+          .perturbation("lambda (request rates)", {50.0, 30.0},
+                        /*discrete=*/false, "requests per second")
+          .affineFeature("T_frontend", {0.2, 0.3}, 0.0,
+                         core::ToleranceBounds::atMost(40.0))
+          .feature("T_database",
+                   core::ImpactFunction::callable(dbTime, dbGradient),
+                   core::ToleranceBounds::atMost(60.0))
+          .feature("T_end_to_end", core::ImpactFunction::callable(e2eTime),
+                   core::ToleranceBounds::atMost(85.0))
+          .compile();
 
-  // Step 4 with three independent solvers.
-  TablePrinter table({"solver", "rho", "binding feature", "lambda*"});
-  for (const auto solver :
-       {core::SolverKind::Auto, core::SolverKind::RaySearch,
-        core::SolverKind::MonteCarlo}) {
-    core::AnalyzerOptions options;
-    options.solver = solver;
-    options.solverOptions.samples = 20000;  // tighten the MC oracle
-    const auto report = build(options).evaluate();
-    const auto& binding = report.radii[report.bindingFeature];
-    std::string lambdaStar = "(";
-    lambdaStar += formatDouble(binding.boundaryPoint[0]);
-    lambdaStar += ", ";
-    lambdaStar += formatDouble(binding.boundaryPoint[1]);
-    lambdaStar += ")";
-    const char* name = solver == core::SolverKind::Auto
-                           ? "auto (analytic/KKT)"
-                           : (solver == core::SolverKind::RaySearch
-                                  ? "ray search"
-                                  : "monte carlo (upper bound)");
-    table.addRow({name, formatDouble(report.metric, 6), binding.feature,
-                  lambdaStar});
+  // Step 4: the analytic lane for the affine tier, KKT-Newton for the
+  // curved ones.
+  const auto report = problem.evaluate();
+  const auto& binding = report.radii[report.bindingFeature];
+  TablePrinter table({"feature", "radius", "method"});
+  for (const auto& radius : report.radii) {
+    table.addRow({radius.feature, formatDouble(radius.radius, 6),
+                  radius.method});
   }
   table.print(std::cout);
+  std::cout << "rho = " << formatDouble(report.metric, 6) << ", binding "
+            << binding.feature << " at lambda* = ("
+            << formatDouble(binding.boundaryPoint[0]) << ", "
+            << formatDouble(binding.boundaryPoint[1]) << ")\n";
 
-  // Norm ablation: how far can the load move under different norms?
-  std::cout << "\nnorm ablation (Monte Carlo for non-Euclidean norms):\n";
-  TablePrinter norms({"norm", "rho"});
-  for (const auto norm :
-       {core::NormKind::L1, core::NormKind::L2, core::NormKind::LInf}) {
-    core::AnalyzerOptions options;
-    options.norm = norm;
-    options.solver = norm == core::NormKind::L2 ? core::SolverKind::Auto
-                                                : core::SolverKind::MonteCarlo;
-    options.solverOptions.samples = 20000;
-    const auto report = build(options).evaluate();
-    norms.addRow({core::toString(norm), formatDouble(report.metric, 6)});
-  }
-  norms.print(std::cout);
+  // Sampled cross-check: the nearest violation along any sampled direction
+  // can be no closer than rho, the distance to the nearest violation.
+  curve::CurveOptions curveOptions;
+  curveOptions.samples = 4096;
+  const auto sampled = curve::computeCurve(problem, curveOptions);
+  const double nearestSampled = sampled.radii.front();
+  const bool sampledOk = nearestSampled >= report.metric;
+  std::cout << "\nnearest violation over " << curveOptions.samples
+            << " sampled directions: " << formatDouble(nearestSampled, 6)
+            << (sampledOk ? " >= rho" : " < rho (contradicts rho)") << "\n";
 
   // Empirical validation of the guarantee.
-  const auto problem = build({});
-  const auto report = problem.evaluate();
   const auto validation = core::validateRadius(problem, report.metric);
   std::cout << "\nvalidation: " << validation.violationsInside << "/"
             << validation.samplesInside << " violations inside rho, "
@@ -128,5 +112,5 @@ int main() {
     sweep.addRow({std::move(point), formatDouble(shifted.metric, 6)});
   }
   sweep.print(std::cout);
-  return 0;
+  return sampledOk && validation.violationsInside == 0 ? 0 : 1;
 }

@@ -66,7 +66,7 @@ Lane makeLane(sched::EtcMatrix etc, sched::Mapping mapping, double tau,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 7));
   const auto updates =
@@ -198,4 +198,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "OK\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("drift_reallocation");
 }

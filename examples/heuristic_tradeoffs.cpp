@@ -31,7 +31,7 @@ void report(robust::TablePrinter& table, const std::string& name,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 42));
@@ -102,4 +102,6 @@ int main(int argc, char** argv) {
                "makespan\nalone cannot distinguish robust mappings from "
                "fragile ones.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("heuristic_tradeoffs");
 }

@@ -9,7 +9,7 @@
 #include <fstream>
 #include <iostream>
 
-#include "robust/core/validation.hpp"
+#include "robust/curve/curve.hpp"
 #include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
 #include "robust/hiperd/pipeline_sim.hpp"
@@ -18,7 +18,7 @@
 #include "robust/util/args.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 2003));
@@ -124,20 +124,17 @@ int main(int argc, char** argv) {
   // Empirical violation profile around the sensor-load metric.
   if (report.metric > 0.0) {
     const auto problem = core::CompiledProblem::compile(system.toSpec());
-    const std::vector<double> radii = {0.5 * report.metric,
-                                       1.0 * report.metric,
-                                       1.5 * report.metric,
-                                       2.5 * report.metric};
-    core::ValidationOptions vopts;
-    vopts.samples = 2000;
-    const auto curve =
-        core::violationProbabilityCurve(problem, radii, vopts);
+    curve::CurveOptions curveOptions;
+    curveOptions.samples = 2000;
+    const auto degradation = curve::computeCurve(problem, curveOptions);
     std::cout << "\nviolation probability vs perturbation norm "
                  "(sampled):\n";
-    for (const auto& point : curve) {
-      std::cout << "  ||delta|| = " << formatDouble(point.radius, 5)
+    for (const double factor : {0.5, 1.0, 1.5, 2.5}) {
+      const double radius = factor * report.metric;
+      std::cout << "  ||delta|| = " << formatDouble(radius, 5)
                 << "  ->  P(violation) = "
-                << formatDouble(point.probability, 3) << "\n";
+                << formatDouble(degradation.probabilityAt(radius), 3)
+                << "\n";
     }
   }
 
@@ -184,4 +181,6 @@ int main(int argc, char** argv) {
     std::cout << "\nwrote DAG to " << dotPath << " (render: dot -Tpng)\n";
   }
   return 0;
+} catch (...) {
+  return robust::harnessFailure("hiperd_analysis");
 }

@@ -15,7 +15,7 @@
 #include "robust/util/args.hpp"
 #include "robust/util/table.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace robust;
   const ArgParser args(argc, argv);
   const auto seed = static_cast<std::uint64_t>(args.getInt("seed", 7));
@@ -75,4 +75,6 @@ int main(int argc, char** argv) {
                "random errors of the same\nsize almost never do — the gap "
                "is what a worst-case metric buys: certainty.\n";
   return 0;
+} catch (...) {
+  return robust::harnessFailure("operational_study");
 }

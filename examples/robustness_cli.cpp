@@ -141,18 +141,15 @@ int runDemoMode(const ArgParser& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    const ArgParser args(argc, argv);
-    if (args.has("etc")) {
-      return runEtcMode(args);
-    }
-    if (args.has("scenario")) {
-      return runScenarioMode(args);
-    }
-    return runDemoMode(args);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
+int main(int argc, char** argv) try {
+  const ArgParser args(argc, argv);
+  if (args.has("etc")) {
+    return runEtcMode(args);
   }
+  if (args.has("scenario")) {
+    return runScenarioMode(args);
+  }
+  return runDemoMode(args);
+} catch (...) {
+  return harnessFailure("robustness_cli");
 }

@@ -200,6 +200,19 @@ class CompiledProblem {
   /// True when `origin` satisfies every compiled constraint.
   [[nodiscard]] bool originFeasible(std::span<const double> origin) const;
 
+  /// The violation predicate every sampler shares: true when some feature
+  /// leaves its tolerance bounds at the perturbation point `x`. A point
+  /// that breaks a hard constraint lies outside the perturbation space the
+  /// radius search counts, so it never violates.
+  [[nodiscard]] bool violates(std::span<const double> x) const;
+
+  /// Size of a displacement from the origin under the problem's norm: the
+  /// maximum over subspaces of the block norm (L1/L2/LInf on the
+  /// fixed-order blocked kernels, so bit-identical across SIMD targets;
+  /// the weighted norm as a plain element-order loop).
+  [[nodiscard]] double displacementNorm(
+      std::span<const double> displacement) const;
+
   /// Precomputed dual norm of an affine feature's weight row under `norm`
   /// (NaN for callable features, and for NormKind::Weighted when the
   /// compiled options carry no norm weights).

@@ -48,8 +48,12 @@ struct DiscreteOptions {
 
 /// Computes certified discrete-radius bounds for a compiled problem whose
 /// perturbation parameter is integer-valued (parameter().discrete). The
-/// origin must itself be a lattice point. Throws InvalidArgumentError on a
-/// non-discrete parameter or non-integer origin.
+/// origin must itself be a lattice point, and the perturbation space one
+/// L2 subspace: the lattice distances and the shell enumeration are
+/// Euclidean. A violation is CompiledProblem::violates, so a lattice point
+/// that breaks a hard constraint is never a certificate. Throws
+/// InvalidArgumentError on a non-discrete parameter, a non-integer origin,
+/// or any other norm or subspace layout.
 [[nodiscard]] DiscreteRadiusBounds discreteRadiusBounds(
     const CompiledProblem& problem, const DiscreteOptions& options = {});
 

@@ -28,12 +28,11 @@ enum class NormKind { L1, L2, LInf, Weighted };
 
 /// Strategy for computing a radius.
 enum class SolverKind {
-  Auto,        ///< analytic for affine impacts, KKT-Newton (with ray-search
-               ///< fallback) otherwise
-  Analytic,    ///< point-to-hyperplane closed form; affine impacts only
-  KktNewton,   ///< damped Newton on the KKT system (L2 only)
-  RaySearch,   ///< gradient-alignment ray iteration (L2 only)
-  MonteCarlo,  ///< random-direction upper bound (any norm)
+  Auto,       ///< analytic for affine impacts, KKT-Newton (with ray-search
+              ///< cross-check) otherwise
+  Analytic,   ///< point-to-hyperplane closed form; affine impacts only
+  KktNewton,  ///< damped Newton on the KKT system with the ray-search
+              ///< cross-check of num::solveNearestPoint (L2 only)
 };
 
 /// Options controlling the analysis.

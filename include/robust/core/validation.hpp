@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "robust/core/compiled.hpp"
 
@@ -30,33 +28,17 @@ struct ValidationOptions {
   int samples = 2000;          ///< draws per regime
   double boundaryMargin = 1.05;///< "just beyond" factor for tightness probes
   std::uint64_t seed = 99;     ///< sampling seed
-  NormKind norm = NormKind::L2;
-  num::Vec normWeights;        ///< for NormKind::Weighted (positive, one per
-                               ///< perturbation component)
 };
 
-/// Samples perturbations of norm <= radius (uniform direction, norm scaled)
-/// and counts bound violations; also probes just beyond the radius to detect
-/// slack. A correct radius yields violationsInside == 0; a *tight* radius
-/// usually yields violationsAtBoundary > 0 (not guaranteed for a margin this
-/// small when the boundary is touched at a measure-zero set of directions).
+/// Samples perturbations of norm <= radius (uniform direction, scaled under
+/// CompiledProblem::displacementNorm) and counts those that
+/// CompiledProblem::violates, so a point that breaks a hard constraint is
+/// never a violation; also probes just beyond the radius to detect slack.
+/// A correct radius yields violationsInside == 0; a *tight* radius usually
+/// yields violationsAtBoundary > 0 (not guaranteed for a margin this small
+/// when the boundary is touched at a measure-zero set of directions).
 [[nodiscard]] ValidationResult validateRadius(
     const CompiledProblem& problem, double radius,
-    const ValidationOptions& options = {});
-
-/// One point of the empirical violation profile.
-struct ViolationCurvePoint {
-  double radius = 0.0;       ///< sampled perturbation norm
-  double probability = 0.0;  ///< fraction of sampled directions violating
-};
-
-/// Estimates P(violation | ||delta|| = r) for each requested radius by
-/// sampling `options.samples` isotropic directions at exactly that norm.
-/// By the metric's guarantee the probability is 0 for every r below the
-/// (exact) robustness metric and grows beyond it — the curve shows how
-/// sharply the guarantee degrades past the certified radius.
-[[nodiscard]] std::vector<ViolationCurvePoint> violationProbabilityCurve(
-    const CompiledProblem& problem, std::span<const double> radii,
     const ValidationOptions& options = {});
 
 }  // namespace robust::core

@@ -43,7 +43,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -118,12 +117,6 @@ struct CurveResult {
 
 /// Drops every cached curve (tests and benches delimit cache behaviour).
 void clearCurveCache() noexcept;
-
-/// The norm of a displacement under the problem's perturbation geometry:
-/// the maximum over subspaces of each block's own norm (reduces to the
-/// single configured norm for legacy single-subspace problems).
-[[nodiscard]] double displacementNorm(const core::CompiledProblem& problem,
-                                      std::span<const double> displacement);
 
 /// The "robust.curve" report section as a JSON object (schema_version 1):
 /// {"schema", "schema_version", "samples", "finite", "seed", "confidence",

@@ -5,14 +5,13 @@
 //
 //     r = min  || pi - pi_orig ||_2   s.t.  g(pi) = level.
 //
-// Three solvers are provided, in decreasing order of assumptions:
-//   * kktNewton      — damped Newton on the KKT system; exact for smooth g,
-//                      one step for affine g. The paper's recommended convex
-//                      program (Section 3.2) solved directly.
-//   * raySearch      — gradient-alignment fixed-point iteration with random
-//                      restarts; derivative-light, robust for convex g.
-//   * monteCarloRadius — random-direction probing; an upper-bound estimator
-//                      used as an independent oracle in tests and ablations.
+// Two solvers are provided, in decreasing order of assumptions:
+//   * kktNewton — damped Newton on the KKT system; exact for smooth g, one
+//                 step for affine g. The paper's recommended convex program
+//                 (Section 3.2) solved directly.
+//   * raySearch — gradient-alignment fixed-point iteration with random
+//                 restarts; derivative-light, robust for convex g.
+// solveNearestPoint runs both and keeps the smaller distance.
 #pragma once
 
 #include <functional>
@@ -50,7 +49,6 @@ struct SolverOptions {
   double tolerance = 1e-9;      ///< KKT / fixed-point residual tolerance
   int maxIterations = 100;      ///< Newton or alignment iterations
   int restarts = 8;             ///< random restarts (raySearch)
-  int samples = 4096;           ///< directions (monteCarloRadius)
   double searchLimit = 1e9;     ///< max ray length when bracketing crossings
   std::uint64_t seed = 0x5eedULL;  ///< randomized-solver seed
 };
@@ -73,18 +71,6 @@ struct SolverOptions {
 /// stationarity direction). Multi-started; returns the best crossing found.
 [[nodiscard]] NearestPointResult raySearch(const NearestPointProblem& problem,
                                            const SolverOptions& options = {});
-
-/// Upper-bound estimate: minimum crossing distance over `options.samples`
-/// isotropically random directions. Converges to the radius from above as
-/// samples grow; cheap, assumption-free, and an ideal independent oracle.
-///
-/// `measure`, when provided, maps a displacement vector to its length and
-/// replaces the Euclidean norm as the minimized quantity (it must be
-/// positively homogeneous, e.g. any norm); the returned distance is then in
-/// `measure` units. Used for the l1 / linf / weighted-norm analyses.
-[[nodiscard]] NearestPointResult monteCarloRadius(
-    const NearestPointProblem& problem, const SolverOptions& options = {},
-    const ScalarField& measure = {});
 
 /// Production entry point: kktNewton, falling back to raySearch when Newton
 /// fails to converge (non-smooth or awkwardly-conditioned g).

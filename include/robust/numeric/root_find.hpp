@@ -1,6 +1,6 @@
 // One-dimensional root finding: bracket expansion, bisection, and Brent's
 // method. Used to locate boundary crossings g(x0 + t d) = level along rays,
-// which is how the ray-search and Monte-Carlo radius estimators work.
+// which is how the ray-search radius estimator works.
 #pragma once
 
 #include <functional>

@@ -13,11 +13,11 @@
 namespace robust {
 
 /// Parses `--key value` and `--flag` style options. Malformed tokens and
-/// malformed numeric values throw. Every getter and has() records the key
-/// it asked for, so after reading its options a binary can reject the
-/// rest: robustd checks unknownOptions(), and every bench and example
-/// harness calls rejectUnknownOptions() once it has read all it accepts,
-/// so a typo exits 2 instead of running on defaults.
+/// malformed numeric values throw InvalidArgumentError. Every getter and
+/// has() records the key it asked for, so after reading its options a
+/// binary can reject the rest: robustd checks unknownOptions(), and every
+/// bench and example harness calls rejectUnknownOptions() once it has read
+/// all it accepts, so a typo exits 2 instead of running on defaults.
 class ArgParser {
  public:
   /// Parses argv; later duplicates override earlier ones.
@@ -51,5 +51,22 @@ class ArgParser {
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> queried_;
 };
+
+/// The one failure path of the bench and example harnesses. Each harness
+/// wraps its main in a function-try-block whose handler returns this:
+///
+///   int main(int argc, char** argv) try {
+///     const ArgParser args(argc, argv);
+///     ...
+///   } catch (...) {
+///     return harnessFailure("fig1_geometry");
+///   }
+///
+/// Call it only while an exception is being handled. It names the
+/// exception on stderr as "<program>: <what>" and returns 2 for an
+/// InvalidArgumentError (a malformed option token or value, or an input
+/// the library rejects), so a bad command line exits 2 like an unknown
+/// option instead of aborting; any other exception returns 1.
+[[nodiscard]] int harnessFailure(const char* program) noexcept;
 
 }  // namespace robust

@@ -146,21 +146,6 @@ void addBlockDisplacement(std::span<const double> a, double gap,
 
 const std::string kInfeasibleOrigin = "infeasible-origin";
 
-double vectorNorm(std::span<const double> v, NormKind norm,
-                  std::span<const double> weights) {
-  switch (norm) {
-    case NormKind::L1:
-      return num::norm1(v);
-    case NormKind::L2:
-      return num::norm2(v);
-    case NormKind::LInf:
-      return num::normInf(v);
-    case NormKind::Weighted:
-      return num::weightedNorm2(v, weights);
-  }
-  return 0.0;  // unreachable
-}
-
 /// Interned solver-method labels ("analytic-l2", ...), so evaluation never
 /// concatenates strings.
 const std::string& analyticMethodName(NormKind norm) {
@@ -171,63 +156,22 @@ const std::string& analyticMethodName(NormKind norm) {
 
 const std::string kViolatedAtOrigin = "violated-at-origin";
 
-/// The legacy iterative/Monte-Carlo radius path for one feature and one
-/// boundary level. Kept verbatim from the pre-compiled analyzer so reports
-/// stay bit-identical.
+/// The iterative radius path for one callable (or explicitly KKT-solved)
+/// feature and one boundary level: KKT-Newton with its ray-search
+/// cross-check. Kept verbatim from the pre-compiled analyzer so reports
+/// stay bit-identical. Affine rows under the Analytic solver never get
+/// here, so an Analytic request on this path names a callable feature.
 RadiusReport radiusAgainstLevelIterative(const ImpactFunction& impact,
                                          const std::string& name,
                                          double level,
                                          std::span<const double> origin,
                                          SolverKind solver,
                                          const AnalyzerOptions& options) {
+  ROBUST_REQUIRE(solver != SolverKind::Analytic,
+                 "analytic radius requires an affine impact function");
   RadiusReport report;
   report.feature = name;
   report.boundaryLevel = level;
-
-  if (solver == SolverKind::Analytic) {
-    ROBUST_REQUIRE(impact.isAffine(),
-                   "analytic radius requires an affine impact function");
-    const auto& w = impact.weights();
-    const double c = level - impact.constant();
-    const double denom = dualNorm(w, options.norm, options.normWeights);
-    ROBUST_REQUIRE(denom > 0.0,
-                   "analytic radius: impact does not depend on the parameter");
-    const double dotOrigin = num::dot(w, origin);
-    report.radius = std::fabs(dotOrigin - c) / denom;
-    nearestOnHyperplaneInto(w, c - dotOrigin, origin, options.norm,
-                            options.normWeights, report.boundaryPoint);
-    report.method = analyticMethodName(options.norm);
-    return report;
-  }
-
-  if (solver == SolverKind::MonteCarlo) {
-    num::NearestPointProblem problem;
-    problem.g = impact.field();
-    problem.gradient = impact.gradientField();
-    problem.level = level;
-    problem.origin.assign(origin.begin(), origin.end());
-    try {
-      // For non-Euclidean norms the estimator minimizes the requested norm
-      // directly (each sampled crossing is measured in that norm).
-      num::ScalarField measure;
-      if (options.norm != NormKind::L2) {
-        const NormKind norm = options.norm;
-        const num::Vec weights = options.normWeights;
-        measure = [norm, weights](std::span<const double> d) {
-          return vectorNorm(d, norm, weights);
-        };
-      }
-      auto mc = num::monteCarloRadius(problem, options.solverOptions, measure);
-      report.radius = mc.distance;
-      report.boundaryPoint = std::move(mc.point);
-      report.method = mc.method;
-    } catch (const ConvergenceError&) {
-      report.radius = kInf;
-      report.boundReachable = false;
-      report.method = "monte-carlo";
-    }
-    return report;
-  }
 
   ROBUST_REQUIRE(options.norm == NormKind::L2,
                  "iterative radius solvers support the l2 norm only");
@@ -237,17 +181,8 @@ RadiusReport radiusAgainstLevelIterative(const ImpactFunction& impact,
   problem.level = level;
   problem.origin.assign(origin.begin(), origin.end());
   try {
-    num::NearestPointResult solved;
-    switch (solver) {
-      case SolverKind::KktNewton:
-        solved = num::solveNearestPoint(problem, options.solverOptions);
-        break;
-      case SolverKind::RaySearch:
-        solved = num::raySearch(problem, options.solverOptions);
-        break;
-      default:
-        ROBUST_REQUIRE(false, "unexpected solver kind");
-    }
+    num::NearestPointResult solved =
+        num::solveNearestPoint(problem, options.solverOptions);
     report.radius = solved.distance;
     report.boundaryPoint = std::move(solved.point);
     report.method = std::move(solved.method);
@@ -508,8 +443,8 @@ CompiledProblem CompiledProblem::compile(ProblemSpec spec) {
   const bool analyticConfig = p.options_.solver == SolverKind::Auto ||
                               p.options_.solver == SolverKind::Analytic;
   if (p.multi_) {
-    // The iterative/Monte-Carlo solvers measure plain L2 distance; under
-    // the combined block norm only the analytic affine lane is defined.
+    // The iterative solver measures plain L2 distance; under the combined
+    // block norm only the analytic affine lane is defined.
     ROBUST_REQUIRE(p.callables_.empty(),
                    "CompiledProblem: multiple subspaces require affine "
                    "features");
@@ -612,9 +547,9 @@ void CompiledProblem::radiusOfInto(std::size_t index,
     return;
   }
 
-  // Iterative / Monte-Carlo lane (and explicit-analytic on a callable,
-  // which must keep throwing exactly as the legacy analyzer did — but only
-  // after the at-origin check).
+  // Iterative lane (and explicit-analytic on a callable, which must keep
+  // throwing exactly as the legacy analyzer did — but only after the
+  // at-origin check).
   if (obs::enabled()) [[unlikely]] {
     static const obs::MetricId kSlow = obs::counterId("core.radius_slow");
     obs::addCounter(kSlow);
@@ -778,6 +713,54 @@ bool CompiledProblem::originFeasible(std::span<const double> origin) const {
     }
   }
   return true;
+}
+
+bool CompiledProblem::violates(std::span<const double> x) const {
+  if (!constraints_.empty() && !originFeasible(x)) {
+    return false;
+  }
+  for (const auto& f : features_) {
+    if (!f.bounds.contains(f.impact.evaluate(x))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+double CompiledProblem::displacementNorm(
+    std::span<const double> displacement) const {
+  ROBUST_REQUIRE(displacement.size() == dim_,
+                 "displacementNorm: displacement dimension mismatch");
+  double combined = 0.0;
+  for (std::size_t s = 0; s < subspaces_.size(); ++s) {
+    const std::size_t lo = subOffsets_[s];
+    const std::span<const double> x =
+        displacement.subspan(lo, subOffsets_[s + 1] - lo);
+    double block = 0.0;
+    switch (static_cast<NormKind>(subspaces_[s].norm)) {
+      case NormKind::L1:
+        block = num::simd::norm1Blocked(x);
+        break;
+      case NormKind::L2:
+        block = num::simd::norm2Blocked(x);
+        break;
+      case NormKind::LInf:
+        block = num::simd::normInfBlocked(x);
+        break;
+      case NormKind::Weighted: {
+        // compile() gives every weighted block one weight per component.
+        const std::vector<double>& w = subspaces_[s].normWeights;
+        double acc = 0.0;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          acc += w[i] * x[i] * x[i];
+        }
+        block = std::sqrt(acc);
+        break;
+      }
+    }
+    combined = std::max(combined, block);
+  }
+  return combined;
 }
 
 void CompiledProblem::reportInfeasibleOrigin(std::span<const double> origin,
@@ -1241,7 +1224,7 @@ MetricResult CompiledProblem::evaluateMetric(const AnalysisInstance& instance,
                                              bool prune) const {
   const std::span<const double> origin = resolveOrigin(instance);
   if (!fastSolver_) {
-    // Iterative/Monte-Carlo solver configurations stay on the full lane.
+    // Iterative solver configurations stay on the full lane.
     const RobustnessReport& full = evaluate(instance, workspace.full_);
     return MetricResult{full.metric, full.bindingFeature, full.floored};
   }

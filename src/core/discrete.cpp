@@ -13,16 +13,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool violatesAny(const CompiledProblem& problem,
-                 std::span<const double> point) {
-  for (const auto& f : problem.features()) {
-    if (!f.bounds.contains(f.impact.evaluate(point))) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Recursively enumerates integer offsets d with ||d||_2 <= limit, calling
 /// visit(point) for each lattice point origin + d. Returns false when the
 /// point budget is exhausted.
@@ -61,6 +51,10 @@ DiscreteRadiusBounds discreteRadiusBounds(const CompiledProblem& problem,
     ROBUST_REQUIRE(v == std::floor(v),
                    "discreteRadiusBounds: origin is not a lattice point");
   }
+  ROBUST_REQUIRE(problem.subspaces().size() == 1 &&
+                     problem.options().norm == NormKind::L2,
+                 "discreteRadiusBounds: the lattice search measures L2 "
+                 "distance and needs one L2 perturbation subspace");
   ROBUST_REQUIRE(options.neighborhoodRadius >= 1,
                  "discreteRadiusBounds: neighborhoodRadius must be >= 1");
 
@@ -86,7 +80,7 @@ DiscreteRadiusBounds discreteRadiusBounds(const CompiledProblem& problem,
 
   auto consider = [&](const num::Vec& candidate) {
     const double dist = num::distance2(candidate, parameter.origin);
-    if (dist < bounds.upper && violatesAny(problem, candidate)) {
+    if (dist < bounds.upper && problem.violates(candidate)) {
       bounds.upper = dist;
       bounds.violatingPoint = candidate;
     }
@@ -137,7 +131,7 @@ DiscreteRadiusBounds discreteRadiusBounds(const CompiledProblem& problem,
         [&](const num::Vec& candidate) {
           const double dist = num::distance2(candidate, parameter.origin);
           if (dist < bestExhaustive && dist > 0.0 &&
-              violatesAny(problem, candidate)) {
+              problem.violates(candidate)) {
             bestExhaustive = dist;
             bestPoint = candidate;
           }

@@ -25,29 +25,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Norm of one subspace block. L1/L2/LInf ride the fixed-order blocked
-/// kernels (bit-identical scalar vs AVX2); the weighted norm is a plain
-/// element-order loop — sequential, so equally deterministic.
-double blockNorm(core::NormKind kind, std::span<const double> x,
-                 std::span<const double> w) {
-  switch (kind) {
-    case core::NormKind::L1:
-      return num::simd::norm1Blocked(x);
-    case core::NormKind::L2:
-      return num::simd::norm2Blocked(x);
-    case core::NormKind::LInf:
-      return num::simd::normInfBlocked(x);
-    case core::NormKind::Weighted: {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        acc += w[i] * x[i] * x[i];
-      }
-      return std::sqrt(acc);
-    }
-  }
-  return 0.0;
-}
-
 /// JSON-safe number rendering: %.17g round-trip for finite values, the
 /// extreme finite double for infinities (JSON has no infinity literal),
 /// 0 for NaN. Matches the run-report writer's formatting.
@@ -64,27 +41,6 @@ void appendJsonNumber(std::ostream& out, double v) {
 }
 
 }  // namespace
-
-double displacementNorm(const core::CompiledProblem& problem,
-                        std::span<const double> displacement) {
-  ROBUST_REQUIRE(displacement.size() == problem.dimension(),
-                 "displacementNorm: displacement dimension mismatch");
-  const auto& subs = problem.subspaces();
-  double combined = 0.0;
-  for (std::size_t s = 0; s < subs.size(); ++s) {
-    const std::size_t lo = problem.subspaceOffset(s);
-    const std::size_t hi = problem.subspaceOffset(s + 1);
-    const std::span<const double> block = displacement.subspan(lo, hi - lo);
-    const auto kind = static_cast<core::NormKind>(subs[s].norm);
-    std::span<const double> w(subs[s].normWeights);
-    if (kind == core::NormKind::Weighted && w.empty()) {
-      w = std::span<const double>(problem.options().normWeights)
-              .subspan(lo, hi - lo);
-    }
-    combined = std::max(combined, blockNorm(kind, block, w));
-  }
-  return combined;
-}
 
 /// The engine proper. A class (not free functions) because it is the named
 /// friend of core::CompiledProblem: it reads the packed rows, the
@@ -202,11 +158,11 @@ class CurveEngine {
       rnd::standardNormalPair(rng, z0, z1);
       u[k] = z0;
     }
-    double norm = displacementNorm(p, {u.data(), u.size()});
+    double norm = p.displacementNorm(u);
     if (!(norm > 0.0) || !std::isfinite(norm)) {
       std::fill(u.begin(), u.end(), 0.0);
       u[0] = 1.0;
-      norm = displacementNorm(p, {u.data(), u.size()});
+      norm = p.displacementNorm(u);
     }
     const double inv = 1.0 / norm;
     for (double& v : u) {
@@ -255,22 +211,6 @@ class CurveEngine {
     return best;
   }
 
-  /// Full-lane violation predicate at one perturbation point: any feature
-  /// outside its tolerance bounds. Hard-infeasible points are outside the
-  /// perturbation space the radius search counts, so they never violate.
-  static bool violates(const core::CompiledProblem& p,
-                       std::span<const double> x) {
-    if (!p.constraints_.empty() && !p.originFeasible(x)) {
-      return false;
-    }
-    for (const auto& f : p.features_) {
-      if (!f.bounds.contains(f.impact.evaluate(x))) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// Full-lane critical radius: expanding bracket (doubling from `scale`)
   /// until the predicate fires, then 100 bisection halvings. Discrete
   /// perturbations floor the result, mirroring the Section 3.2 metric
@@ -283,7 +223,7 @@ class CurveEngine {
       for (std::size_t k = 0; k < origin.size(); ++k) {
         point[k] = origin[k] + r * u[k];
       }
-      return violates(p, {point.data(), point.size()});
+      return p.violates(point);
     };
     if (violatesAt(0.0)) {
       return 0.0;

@@ -129,7 +129,7 @@ double DriftTracker::driftDistance() const {
   for (std::size_t k = 0; k < origin_.size(); ++k) {
     delta[k] = origin_[k] - anchor_[k];
   }
-  return displacementNorm(*problem_, {delta.data(), delta.size()});
+  return problem_->displacementNorm(delta);
 }
 
 double DriftTracker::rhoLowerBound() const {

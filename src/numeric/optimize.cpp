@@ -259,50 +259,6 @@ NearestPointResult raySearch(const NearestPointProblem& problem,
   return best;
 }
 
-NearestPointResult monteCarloRadius(const NearestPointProblem& problem,
-                                    const SolverOptions& options,
-                                    const ScalarField& measure) {
-  const std::size_t n = problem.origin.size();
-  ROBUST_REQUIRE(n > 0, "monteCarloRadius: empty perturbation vector");
-
-  NearestPointResult best;
-  best.method = "monte-carlo";
-  best.distance = std::numeric_limits<double>::infinity();
-  Pcg32 rng(options.seed, /*stream=*/29);
-
-  Vec displacement(n);
-  for (int s = 0; s < options.samples; ++s) {
-    const Vec direction = randomDirection(rng, n);
-    const auto t = crossingAlongRay(problem.g, problem.level, problem.origin,
-                                    direction, options.searchLimit);
-    ++best.iterations;
-    if (!t) {
-      continue;
-    }
-    double length = *t;
-    if (measure) {
-      // crossingAlongRay returns the Euclidean length along the unit ray;
-      // re-measure the displacement in the caller's norm.
-      for (std::size_t i = 0; i < n; ++i) {
-        displacement[i] = *t * direction[i];
-      }
-      length = measure(displacement);
-    }
-    if (length < best.distance) {
-      best.distance = length;
-      best.point = Vec(problem.origin);
-      axpy(*t, direction, best.point);
-      best.converged = true;
-    }
-  }
-  if (!best.converged) {
-    throw ConvergenceError(
-        "monteCarloRadius: no sampled ray crossed the boundary",
-        std::numeric_limits<double>::infinity());
-  }
-  return best;
-}
-
 NearestPointResult solveNearestPoint(const NearestPointProblem& problem,
                                      const SolverOptions& options) {
   // Newton can converge to a spurious KKT point when g is non-smooth (every

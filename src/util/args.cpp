@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "robust/util/error.hpp"
 
@@ -111,6 +112,20 @@ void ArgParser::rejectUnknownOptions(const char* program) const {
   if (!unknown.empty()) {
     std::exit(2);
   }
+}
+
+int harnessFailure(const char* program) noexcept {
+  try {
+    throw;
+  } catch (const InvalidArgumentError& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+    return 2;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+  } catch (...) {
+    std::fprintf(stderr, "%s: unknown exception\n", program);
+  }
+  return 1;
 }
 
 }  // namespace robust

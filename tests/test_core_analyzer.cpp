@@ -11,6 +11,7 @@
 #include "robust/core/validation.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
+#include "eq6_oracle.hpp"
 
 namespace robust::core {
 namespace {
@@ -154,23 +155,36 @@ TEST(Analyzer, WeightedNormClosedForm) {
   EXPECT_NEAR(euclid.radiusOf(0).radius, 8.0 / std::sqrt(2.0), 1e-12);
 }
 
+// Weighted norm on a multi-feature system with two-sided bounds, against
+// the Eq. 6 closed form of tests/eq6_oracle.hpp.
 TEST(Analyzer, WeightedNormMonteCarloAgrees) {
-  AnalyzerOptions exact;
-  exact.norm = NormKind::Weighted;
-  exact.normWeights = {4.0, 1.0};
-  AnalyzerOptions oracle = exact;
-  oracle.solver = SolverKind::MonteCarlo;
-  oracle.solverOptions.samples = 16384;
-  const auto a = makeAffineAnalyzer({1.0, 1.0}, 0.0,
-                                    ToleranceBounds::atMost(10.0),
-                                    {1.0, 1.0}, exact);
-  const auto b = makeAffineAnalyzer({1.0, 1.0}, 0.0,
-                                    ToleranceBounds::atMost(10.0),
-                                    {1.0, 1.0}, oracle);
-  const double exactR = a.evaluate().metric;
-  const double sampledR = b.evaluate().metric;
-  EXPECT_GE(sampledR, exactR - 1e-9);
-  EXPECT_NEAR(sampledR, exactR, 0.05 * exactR);
+  AnalyzerOptions options;
+  options.norm = NormKind::Weighted;
+  options.normWeights = {4.0, 1.0, 0.25};
+  const num::Vec origin = {1.0, 2.0, 3.0};
+  std::vector<PerformanceFeature> features;
+  features.push_back(PerformanceFeature{
+      "phi0", ImpactFunction::affine({1.0, 1.0, 0.0}, 0.5),
+      ToleranceBounds::atMost(10.0)});
+  features.push_back(PerformanceFeature{
+      "phi1", ImpactFunction::affine({-2.0, 0.5, 1.5}, 1.0),
+      ToleranceBounds::between(-4.0, 12.0)});
+  features.push_back(PerformanceFeature{
+      "phi2", ImpactFunction::affine({0.0, 3.0, -1.0}, 0.0),
+      ToleranceBounds::atLeast(-2.0)});
+  const auto problem = CompiledProblem::compile(
+      {.features = features,
+       .parameter = PerturbationParameter{"pi", origin, false, ""},
+       .options = options});
+  const auto report = problem.evaluate();
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    const double exact =
+        eq6::radius(features[i], origin, options.norm, options.normWeights);
+    EXPECT_NEAR(report.radii[i].radius, exact, 1e-12 * exact) << i;
+  }
+  const double rho =
+      eq6::metric(features, origin, options.norm, options.normWeights);
+  EXPECT_NEAR(report.metric, rho, 1e-12 * rho);
 }
 
 TEST(Analyzer, WeightedNormValidation) {
@@ -194,10 +208,7 @@ TEST(Validation, WeightedNormGuaranteeHolds) {
   const auto analyzer = makeAffineAnalyzer(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(10.0), {1.0, 1.0}, options);
   const double rho = analyzer.evaluate().metric;
-  ValidationOptions vopts;
-  vopts.norm = NormKind::Weighted;
-  vopts.normWeights = {4.0, 1.0};
-  const auto result = validateRadius(analyzer, rho, vopts);
+  const auto result = validateRadius(analyzer, rho);
   EXPECT_EQ(result.violationsInside, 0);
   EXPECT_GT(result.violationsAtBoundary, 0);
 }
@@ -209,13 +220,34 @@ TEST(Analyzer, IterativeSolversRejectNonL2Norms) {
   const auto analyzer = makeAffineAnalyzer(
       {1.0, 1.0}, 0.0, ToleranceBounds::atMost(4.0), {0.0, 0.0}, options);
   EXPECT_THROW((void)analyzer.radiusOf(0), InvalidArgumentError);
+
+  // A callable feature has only the iterative solver, which measures L2
+  // distance, so under every other norm the default Auto solver throws.
+  for (const auto norm : {NormKind::L1, NormKind::LInf, NormKind::Weighted}) {
+    std::vector<PerformanceFeature> features;
+    features.push_back(PerformanceFeature{
+        "phi",
+        ImpactFunction::callable(
+            [](std::span<const double> x) { return x[0] * x[0] + x[1]; }),
+        ToleranceBounds::atMost(9.0)});
+    AnalyzerOptions callableOptions;
+    callableOptions.norm = norm;
+    if (norm == NormKind::Weighted) {
+      callableOptions.normWeights = {1.0, 2.0};
+    }
+    const auto problem = CompiledProblem::compile(
+        {.features = std::move(features),
+         .parameter = PerturbationParameter{"pi", {1.0, 1.0}, false, ""},
+         .options = callableOptions});
+    EXPECT_THROW((void)problem.evaluate(), InvalidArgumentError)
+        << toString(norm);
+  }
 }
 
 // -------------------------------------------------------------- solvers
 
 TEST(Analyzer, SolverAgreementOnAffine) {
-  for (const auto solver : {SolverKind::Analytic, SolverKind::KktNewton,
-                            SolverKind::RaySearch}) {
+  for (const auto solver : {SolverKind::Analytic, SolverKind::KktNewton}) {
     AnalyzerOptions options;
     options.solver = solver;
     const auto analyzer = makeAffineAnalyzer(
@@ -269,8 +301,6 @@ TEST(Analyzer, UnreachableBoundReportsInfinity) {
       ToleranceBounds::atLeast(-1.0)});
   PerturbationParameter parameter{"pi", {2.0}, false, ""};
   AnalyzerOptions options;
-  options.solver = SolverKind::MonteCarlo;
-  options.solverOptions.samples = 64;
   options.solverOptions.searchLimit = 1e4;
   const auto analyzer = CompiledProblem::compile(
       {.features = std::move(features),
@@ -324,8 +354,8 @@ TEST(Validation, OptionsValidated) {
                InvalidArgumentError);
 }
 
-// Property sweep: analytic radius vs the Monte-Carlo oracle on random
-// multi-feature affine systems, all norms.
+// Property sweep: the compiled metric vs the Eq. 6 closed form of
+// tests/eq6_oracle.hpp on random multi-feature affine systems, every norm.
 struct SweepParam {
   std::uint64_t seed;
   NormKind norm;
@@ -367,21 +397,12 @@ TEST_P(AnalyticVsOracle, OracleNeverBeatsAnalytic) {
 
   AnalyzerOptions analytic;
   analytic.norm = norm;
-  AnalyzerOptions oracle;
-  oracle.norm = norm;
-  oracle.solver = SolverKind::MonteCarlo;
-  oracle.solverOptions.samples = 4096;
-  oracle.solverOptions.seed = seed + 1;
-
   PerturbationParameter parameter{"pi", origin, false, ""};
   const auto a = CompiledProblem::compile(
       {.features = features, .parameter = parameter, .options = analytic});
-  const auto b = CompiledProblem::compile(
-      {.features = features, .parameter = parameter, .options = oracle});
   const double exact = a.evaluate().metric;
-  const double sampled = b.evaluate().metric;
-  EXPECT_GE(sampled, exact - 1e-9);
-  EXPECT_LE(sampled, exact * 1.6 + 1e-9);  // loose convergence envelope
+  const double oracle = eq6::metric(features, origin, norm);
+  EXPECT_NEAR(exact, oracle, 1e-12 * oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -100,21 +100,6 @@ num::Vec nearestOnHyperplane(std::span<const double> a, double c,
   return out;
 }
 
-double vectorNorm(std::span<const double> v, NormKind norm,
-                  std::span<const double> weights) {
-  switch (norm) {
-    case NormKind::L1:
-      return num::norm1(v);
-    case NormKind::L2:
-      return num::norm2(v);
-    case NormKind::LInf:
-      return num::normInf(v);
-    case NormKind::Weighted:
-      return num::weightedNorm2(v, weights);
-  }
-  return 0.0;
-}
-
 RadiusReport radiusAgainstLevel(const PerformanceFeature& f, double level,
                                 const PerturbationParameter& parameter,
                                 const AnalyzerOptions& options) {
@@ -143,33 +128,6 @@ RadiusReport radiusAgainstLevel(const PerformanceFeature& f, double level,
     return report;
   }
 
-  if (solver == SolverKind::MonteCarlo) {
-    num::NearestPointProblem problem;
-    problem.g = f.impact.field();
-    problem.gradient = f.impact.gradientField();
-    problem.level = level;
-    problem.origin = parameter.origin;
-    try {
-      num::ScalarField measure;
-      if (options.norm != NormKind::L2) {
-        const NormKind norm = options.norm;
-        const num::Vec weights = options.normWeights;
-        measure = [norm, weights](std::span<const double> d) {
-          return vectorNorm(d, norm, weights);
-        };
-      }
-      auto mc = num::monteCarloRadius(problem, options.solverOptions, measure);
-      report.radius = mc.distance;
-      report.boundaryPoint = std::move(mc.point);
-      report.method = mc.method;
-    } catch (const ConvergenceError&) {
-      report.radius = kInf;
-      report.boundReachable = false;
-      report.method = "monte-carlo";
-    }
-    return report;
-  }
-
   ROBUST_REQUIRE(options.norm == NormKind::L2,
                  "iterative radius solvers support the l2 norm only");
   num::NearestPointProblem problem;
@@ -182,9 +140,6 @@ RadiusReport radiusAgainstLevel(const PerformanceFeature& f, double level,
     switch (solver) {
       case SolverKind::KktNewton:
         solved = num::solveNearestPoint(problem, options.solverOptions);
-        break;
-      case SolverKind::RaySearch:
-        solved = num::raySearch(problem, options.solverOptions);
         break;
       default:
         ROBUST_REQUIRE(false, "unexpected solver kind");

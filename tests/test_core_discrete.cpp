@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "robust/core/discrete.hpp"
+#include "robust/core/validation.hpp"
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
 
@@ -179,6 +180,80 @@ TEST_P(DiscreteBruteForce, ExactBoundMatchesEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiscreteBruteForce,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+// x0 <= 2.5 and x1 <= 3.5 from the lattice origin under the hard constraint
+// x0 <= 2. No feasible point breaks the first bound, so the constrained
+// radius is 3.5 and the nearest violating lattice point is (0, 4). The
+// closer (3, 0) breaks x0 <= 2.5 but is infeasible, so it proves nothing.
+CompiledProblem cappedDiscrete() {
+  std::vector<PerformanceFeature> features;
+  features.push_back(PerformanceFeature{
+      "phi0", ImpactFunction::affine({1.0, 0.0}, 0.0),
+      ToleranceBounds::atMost(2.5)});
+  features.push_back(PerformanceFeature{
+      "phi1", ImpactFunction::affine({0.0, 1.0}, 0.0),
+      ToleranceBounds::atMost(3.5)});
+  return CompiledProblem::compile(
+      {.features = std::move(features),
+       .parameter = PerturbationParameter{"pi", {0.0, 0.0}, true, ""},
+       .constraints = {LinearConstraint{"cap", {1.0, 0.0}, 2.0}}});
+}
+
+TEST(Discrete, InfeasibleLatticePointsNeverCertify) {
+  const auto problem = cappedDiscrete();
+  EXPECT_EQ(problem.evaluate().metric, 3.0);
+  const auto bounds = discreteRadiusBounds(problem);
+  EXPECT_EQ(bounds.lower, 3.5);
+  EXPECT_TRUE(bounds.exact);
+  EXPECT_GE(bounds.upper, bounds.lower);
+  EXPECT_EQ(bounds.upper, 4.0);
+  EXPECT_EQ(bounds.violatingPoint, (num::Vec{0.0, 4.0}));
+  EXPECT_TRUE(problem.originFeasible(bounds.violatingPoint));
+}
+
+TEST(Discrete, ValidateRadiusIgnoresInfeasibleSamples) {
+  // Inside 3.4 < 3.5 every feasible perturbation keeps both bounds; the
+  // samples with x0 > 2.5 are infeasible and must not count.
+  const auto result = validateRadius(cappedDiscrete(), 3.4);
+  EXPECT_EQ(result.samplesInside, 2000);
+  EXPECT_EQ(result.violationsInside, 0);
+}
+
+TEST(Discrete, RejectsGeometryOtherThanOneL2Subspace) {
+  // x0 + x1 <= 3.5 from the lattice origin. The lattice search measures L2
+  // distance, so under any other norm its upper bound would not be a
+  // radius in the problem's norm.
+  std::vector<PerformanceFeature> features;
+  features.push_back(PerformanceFeature{
+      "phi", ImpactFunction::affine({1.0, 1.0}, 0.0),
+      ToleranceBounds::atMost(3.5)});
+  const PerturbationParameter lattice{"pi", {0.0, 0.0}, true, ""};
+  for (const auto norm : {NormKind::L1, NormKind::LInf, NormKind::Weighted}) {
+    AnalyzerOptions options;
+    options.norm = norm;
+    if (norm == NormKind::Weighted) {
+      options.normWeights = {1.0, 1.0};
+    }
+    const auto problem = CompiledProblem::compile(
+        {.features = features, .parameter = lattice, .options = options});
+    EXPECT_THROW((void)discreteRadiusBounds(problem), InvalidArgumentError)
+        << toString(norm);
+  }
+  PerturbationSubspace a{.name = "a", .origin = {0.0}, .discrete = true};
+  PerturbationSubspace b{.name = "b", .origin = {0.0}, .discrete = true};
+  const auto split = CompiledProblem::compile(
+      {.features = features, .subspaces = {a, b}});
+  EXPECT_THROW((void)discreteRadiusBounds(split), InvalidArgumentError);
+
+  // Under L2 the nearest violating lattice point is (2, 2).
+  const auto l2 = CompiledProblem::compile(
+      {.features = features, .parameter = lattice});
+  const auto bounds = discreteRadiusBounds(l2);
+  EXPECT_NEAR(bounds.lower, 3.5 / std::sqrt(2.0), 1e-12);
+  EXPECT_TRUE(bounds.exact);
+  EXPECT_NEAR(bounds.upper, std::sqrt(8.0), 1e-12);
+  EXPECT_EQ(bounds.violatingPoint, (num::Vec{2.0, 2.0}));
+}
 
 TEST(Discrete, Validation) {
   // Non-discrete parameter rejected.

@@ -116,7 +116,7 @@ std::vector<double> sampleDirectionReference(const CompiledProblem& problem,
     rnd::standardNormalPair(rng, z0, z1);
     u[k] = z0;
   }
-  const double norm = displacementNorm(problem, u);
+  const double norm = problem.displacementNorm(u);
   for (double& v : u) {
     v /= norm;
   }
@@ -574,7 +574,7 @@ TEST(Drift, IncrementalRhoMatchesMetricLane) {
                 for (std::size_t k = 0; k < origin.size(); ++k) {
                   d[k] = origin[k] - problem.parameter().origin[k];
                 }
-                return displacementNorm(problem, d);
+                return problem.displacementNorm(d);
               }(),
               1e-15);
 }

@@ -1,13 +1,13 @@
-// Tests for the machine-slowdown FePIA derivation and the
-// violation-probability curve.
+// Tests for the machine-slowdown FePIA derivation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "robust/core/validation.hpp"
+#include "robust/core/compiled.hpp"
 #include "robust/hiperd/generator.hpp"
 #include "robust/hiperd/slowdown.hpp"
 #include "robust/util/error.hpp"
+#include "eq6_oracle.hpp"
 
 namespace robust::hiperd {
 namespace {
@@ -87,19 +87,16 @@ TEST(Slowdown, WorksOnGeneratedScenarios) {
       generated.scenario.graph.applicationCount(),
       generated.scenario.machines, rng);
   const HiperdSystem system(generated.scenario, mapping);
-  const auto report =
-      core::CompiledProblem::compile(slowdownSpec(system)).evaluate();
+  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const auto report = problem.evaluate();
   EXPECT_GE(report.metric, 0.0);
   EXPECT_TRUE(std::isfinite(report.metric));
 
-  // Cross-check against the Monte-Carlo oracle.
-  core::AnalyzerOptions oracle;
-  oracle.solver = core::SolverKind::MonteCarlo;
-  oracle.solverOptions.samples = 4096;
-  const auto sampled =
-      core::CompiledProblem::compile(slowdownSpec(system, oracle)).evaluate();
-  EXPECT_GE(sampled.metric, report.metric - 1e-9);
-  EXPECT_LE(sampled.metric, report.metric * 1.5 + 1e-9);
+  // Cross-check against the Eq. 6 closed form over the derived features.
+  const double oracle = eq6::metric(problem.features(),
+                                    problem.parameter().origin,
+                                    core::NormKind::L2);
+  EXPECT_NEAR(report.metric, oracle, 1e-12 * oracle);
 }
 
 TEST(Slowdown, CombinedRobustnessWithSensorLoads) {
@@ -119,36 +116,6 @@ TEST(Slowdown, CombinedRobustnessWithSensorLoads) {
   const double combined = core::combinedRobustness(reports);
   EXPECT_DOUBLE_EQ(combined,
                    std::min(loadReport.metric, speedReport.metric));
-}
-
-// -------------------------------------------------- violation curve
-
-TEST(ViolationCurve, ZeroBelowMetricRisingBeyond) {
-  const HiperdScenario scenario = chainScenario();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
-  const double rho = problem.evaluate().metric;
-
-  const std::vector<double> radii = {0.5 * rho, 0.99 * rho, 1.5 * rho,
-                                     3.0 * rho};
-  core::ValidationOptions options;
-  options.samples = 3000;
-  const auto curve =
-      core::violationProbabilityCurve(problem, radii, options);
-  ASSERT_EQ(curve.size(), 4u);
-  EXPECT_EQ(curve[0].probability, 0.0);
-  EXPECT_EQ(curve[1].probability, 0.0);
-  EXPECT_GT(curve[2].probability, 0.0);
-  EXPECT_GT(curve[3].probability, curve[2].probability);
-}
-
-TEST(ViolationCurve, Validation) {
-  const HiperdScenario scenario = chainScenario();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
-  const std::vector<double> bad = {-1.0};
-  EXPECT_THROW((void)core::violationProbabilityCurve(problem, bad),
-               InvalidArgumentError);
 }
 
 }  // namespace

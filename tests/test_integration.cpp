@@ -9,6 +9,7 @@
 #include "robust/hiperd/experiment.hpp"
 #include "robust/scheduling/experiment.hpp"
 #include "robust/util/stats.hpp"
+#include "eq6_oracle.hpp"
 
 namespace robust {
 namespace {
@@ -203,18 +204,20 @@ TEST(CrossModule, HiperdAnalyticRadiiMatchMonteCarloOracle) {
   const hiperd::HiperdSystem system(result.generated.scenario,
                                     result.mappings[0]);
 
-  core::AnalyzerOptions analytic;
-  core::AnalyzerOptions oracle;
-  oracle.solver = core::SolverKind::MonteCarlo;
-  oracle.solverOptions.samples = 8192;
-  const auto exact = system.analyze(analytic);
-  const auto sampled = system.analyze(oracle);
-  // Unfloored radii: the oracle's unfloored metric must upper-bound the
-  // exact unfloored minimum and be close to it.
+  // Every per-feature radius and the unfloored minimum against the Eq. 6
+  // closed form over the derived features.
+  const auto problem = core::CompiledProblem::compile(system.toSpec());
+  const auto exact = problem.evaluate();
+  const auto& features = problem.features();
+  const auto& origin = problem.parameter().origin;
+  ASSERT_EQ(exact.radii.size(), features.size());
+  for (std::size_t i = 0; i < features.size(); ++i) {
+    const double oracle = eq6::radius(features[i], origin, core::NormKind::L2);
+    EXPECT_NEAR(exact.radii[i].radius, oracle, 1e-9 * oracle) << i;
+  }
   const double exactMin = exact.radii[exact.bindingFeature].radius;
-  const double sampledMin = sampled.radii[sampled.bindingFeature].radius;
-  EXPECT_GE(sampledMin, exactMin - 1e-9);
-  EXPECT_LE(sampledMin, exactMin * 1.25);
+  const double oracleMin = eq6::metric(features, origin, core::NormKind::L2);
+  EXPECT_NEAR(exactMin, oracleMin, 1e-9 * oracleMin);
 }
 
 TEST(CrossModule, ValidationConfirmsHiperdMetric) {

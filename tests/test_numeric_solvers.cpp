@@ -262,32 +262,6 @@ TEST(RaySearch, EllipseNearestPoint) {
   EXPECT_NEAR(std::fabs(r.point[1]), 1.0, 1e-5);
 }
 
-TEST(MonteCarlo, UpperBoundsAndConverges) {
-  const auto p = sphereProblem(25.0, Vec{2.0, 1.0});
-  const double truth = 5.0 - std::sqrt(5.0);
-  SolverOptions few;
-  few.samples = 64;
-  SolverOptions many;
-  many.samples = 16384;
-  const auto rFew = monteCarloRadius(p, few);
-  const auto rMany = monteCarloRadius(p, many);
-  EXPECT_GE(rFew.distance, truth - 1e-9);
-  EXPECT_GE(rMany.distance, truth - 1e-9);
-  EXPECT_LE(rMany.distance, rFew.distance + 1e-12);
-  EXPECT_NEAR(rMany.distance, truth, 0.05);
-}
-
-TEST(MonteCarlo, ThrowsWhenBoundaryUnreachable) {
-  NearestPointProblem p;
-  p.g = [](std::span<const double> x) { return x[0] * x[0]; };
-  p.level = -1.0;  // g >= 0 everywhere: no boundary
-  p.origin = {1.0};
-  SolverOptions options;
-  options.samples = 32;
-  options.searchLimit = 1e3;
-  EXPECT_THROW((void)monteCarloRadius(p, options), ConvergenceError);
-}
-
 TEST(SolveNearestPoint, FallsBackToRaySearch) {
   // |x| is non-smooth at the KKT solution's fold; Newton may stall but the
   // production entry point must still return the right answer.
@@ -333,11 +307,6 @@ TEST_P(AffineAgreementTest, AllSolversAgree) {
   EXPECT_NEAR(kkt.distance, expected, 1e-6 * expected);
   const auto ray = raySearch(p);
   EXPECT_NEAR(ray.distance, expected, 1e-6 * expected);
-  SolverOptions mc;
-  mc.samples = 8192;
-  const auto upper = monteCarloRadius(p, mc);
-  EXPECT_GE(upper.distance, expected - 1e-9);
-  EXPECT_NEAR(upper.distance, expected, 0.35 * expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomAffine, AffineAgreementTest,

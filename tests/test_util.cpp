@@ -464,6 +464,22 @@ TEST(Args, RejectUnknownOptionsNamesEachAndExitsTwo) {
   args.rejectUnknownOptions("harness");  // all read: returns
 }
 
+TEST(Args, HarnessFailureExitsTwoOnInvalidArgument) {
+  const auto failWith = [](auto thrown) {
+    try {
+      throw thrown;
+    } catch (...) {
+      return harnessFailure("harness");
+    }
+  };
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(failWith(InvalidArgumentError("bad value")), 2);
+  EXPECT_EQ(failWith(std::runtime_error("io")), 1);
+  EXPECT_EQ(failWith(7), 1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "harness: bad value\nharness: io\nharness: unknown exception\n");
+}
+
 TEST(Args, LaterDuplicateWins) {
   const char* argv[] = {"prog", "--k", "1", "--k", "2"};
   const ArgParser args(5, argv);
