@@ -199,7 +199,6 @@ int main(int argc, char** argv) try {
     curve::CurveOptions pinOptions;
     pinOptions.samples = 4096;
     pinOptions.seed = 77;
-    pinOptions.useCache = false;
     pinOptions.threads = 1;
     pinOptions.shardSamples = 512;
     const curve::CurveResult pinned = curve::computeCurve(problem, pinOptions);
@@ -238,7 +237,6 @@ int main(int argc, char** argv) try {
     curve::CurveOptions diffOptions;
     diffOptions.samples = naiveSamples;
     diffOptions.seed = 1;
-    diffOptions.useCache = false;
     diffOptions.threads = threads;
     const curve::CurveResult small = curve::computeCurve(problem, diffOptions);
     std::vector<num::Vec> directions(naiveSamples);
@@ -282,7 +280,6 @@ int main(int argc, char** argv) try {
     curveOptions.samples = samples;
     curveOptions.seed = 1;
     curveOptions.gridPoints = grid;
-    curveOptions.useCache = false;
     curveOptions.threads = threads;
     curve::CurveResult result;
     double pooledBest = std::numeric_limits<double>::infinity();
@@ -361,7 +358,7 @@ int main(int argc, char** argv) try {
               << ")\n";
 
     if (!reportPath.empty()) {
-      // Reset the metrics window, then one final cache-off compute so the
+      // Reset the metrics window, then one final compute so the
       // embedded curve.samples counter equals --samples exactly
       // (report_check cross-checks the section against it).
       obs::resetMetrics();

@@ -15,8 +15,9 @@
 // --watch mode diffs consecutive snapshots and prints frames/s,
 // instances/s, and cache hit-rate over each interval, which is what the CI
 // soak leg tails while robustd_load hammers the daemon. Exit status: 0 on
-// success, 2 on usage/transport errors, 3 when the reply does not parse as
-// the expected schema.
+// success, 1 on a runtime failure (no daemon, transport error), 2 on a
+// malformed command line, 3 when the reply does not parse as the expected
+// schema.
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -245,7 +246,7 @@ int main(int argc, char** argv) try {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "robustd_stat: %s\n", e.what());
-    return 2;
+    return 1;
   }
 } catch (...) {
   return robust::harnessFailure("robustd_stat");

@@ -99,7 +99,6 @@ int main(int argc, char** argv) try {
     curve::CurveOptions curveOptions;
     curveOptions.samples = 20000;
     curveOptions.seed = seed;
-    curveOptions.useCache = false;
     const curve::CurveResult ref =
         curve::computeCurve(*lanes.back().compiled, curveOptions);
     std::cout << "anchor curve: P(violation | rho) = "

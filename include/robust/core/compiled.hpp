@@ -262,10 +262,10 @@ class CompiledProblem {
   ///
   /// With `prune` (the default), once an incumbent min radius rho-hat is
   /// held, a row whose bound |f(origin) - nearest level| / dualNorm
-  /// provably exceeds rho-hat (by a 1e-9 relative margin absorbing the
-  /// comparison rounding) is skipped: pruning never changes the returned
-  /// bits, only skips provable losers. `prune = false` exists to pin that
-  /// equality in tests.
+  /// provably exceeds rho-hat (by kPruneMargin of robust/core/row_radius.hpp,
+  /// which absorbs the comparison rounding) is skipped: pruning never
+  /// changes the returned bits, only skips provable losers. `prune = false`
+  /// exists to pin that equality in tests.
   MetricResult evaluateMetric(const AnalysisInstance& instance,
                               MetricWorkspace& workspace,
                               bool prune = true) const;
@@ -296,8 +296,8 @@ class CompiledProblem {
  private:
   CompiledProblem() = default;
 
-  // The streaming driver (src/core/stream.cpp) replicates the metric
-  // lane's row arithmetic bit-for-bit against shards it pulls off disk,
+  // The streaming driver (src/core/stream.cpp) applies the metric lane's
+  // row rule (robust/core/row_radius.hpp) to shards it pulls off disk,
   // and screens rows with the compiled default-origin dots; it needs the
   // packed internals, not a widened public surface.
   friend class StreamEngine;
@@ -365,6 +365,15 @@ class CompiledProblem {
                    std::span<MetricResult> out, std::size_t lo,
                    std::size_t hi, MetricWorkspace& workspace,
                    bool prune) const;
+
+  /// True when every feature is an analytic affine row over one
+  /// continuous subspace (fastSolver_ already excludes constraints): each
+  /// row's radius along any ray has a closed form. The curve fast lane and
+  /// the drift tracker run exactly on these problems.
+  [[nodiscard]] bool closedFormLane() const noexcept {
+    return fastSolver_ && !multi_ && callables_.empty() &&
+           !parameter_.discrete;
+  }
 
   [[nodiscard]] std::span<const double> rowOf(std::size_t feature) const {
     return {weights_.data() + rowIndex_[feature] * dim_, dim_};

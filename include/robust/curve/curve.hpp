@@ -32,7 +32,8 @@
 // constraints, discrete perturbations, multi-subspace combined norms, or a
 // non-analytic compiled solver — fall back to a full lane that brackets and
 // bisects each sample's critical radius against the spec's own violation
-// predicate. Same substreams, same determinism, more arithmetic per sample.
+// predicate, never past the ray's feasible extent under the constraints.
+// Same substreams, same determinism, more arithmetic per sample.
 //
 // Sampling model: directions are standard Gaussian vectors normalized to
 // unit length under the problem's displacement norm. Under L2 that is the
@@ -65,7 +66,6 @@ struct CurveOptions {
   std::size_t threads = 0;        ///< 0 = defaultThreadCount()
   std::size_t shardSamples = 8192;///< samples per dispatch shard
   bool prune = true;              ///< row screen (false pins bit-equality)
-  bool useCache = true;           ///< consult the per-content-key cache
 };
 
 /// One reported point of the degradation curve: the empirical violation
@@ -88,7 +88,8 @@ struct CurveResult {
   double rho = 0.0;             ///< the worst-case metric (Eq. 2) — a floor
                                 ///< on every critical radius
   bool fastLane = false;        ///< closed-form lane (vs bracket/bisect)
-  bool cacheHit = false;        ///< served from the content-key cache
+  bool cacheHit = false;        ///< always false: kept for the schema-v1
+                                ///< "cache_hit" key
   std::vector<double> radii;    ///< sorted critical radii, size == samples
   std::vector<CurvePoint> points;  ///< quantile-spaced digest, <= gridPoints
 
@@ -107,16 +108,6 @@ struct CurveResult {
 /// shardSamples only change wall-clock time.
 [[nodiscard]] CurveResult computeCurve(const core::CompiledProblem& problem,
                                        const CurveOptions& options = {});
-
-/// FNV-1a content key of the problem's canonical wire encoding — the same
-/// key robust::net derives for REGISTER_PROBLEM. Returns 0 when the
-/// problem cannot cross the wire (callable features, multiple subspaces):
-/// such problems are computed directly and never cached.
-[[nodiscard]] std::uint64_t problemContentKey(
-    const core::CompiledProblem& problem);
-
-/// Drops every cached curve (tests and benches delimit cache behaviour).
-void clearCurveCache() noexcept;
 
 /// The "robust.curve" report section as a JSON object (schema_version 1):
 /// {"schema", "schema_version", "samples", "finite", "seed", "confidence",

@@ -45,7 +45,9 @@ struct DriftStatus {
 /// Incremental rho maintenance over an affine kernel-lane problem.
 /// Requires metricKernelLane(), a single continuous subspace, no callable
 /// features, and no feasibility constraints (throws InvalidArgumentError
-/// otherwise — those lanes have no per-row closed form to maintain).
+/// otherwise — those lanes have no per-row closed form to maintain). Rho
+/// is the metric lane's row rule (robust/core/row_radius.hpp), so a
+/// constant feature the origin does not violate throws, as on every lane.
 class DriftTracker {
  public:
   DriftTracker(const core::CompiledProblem& problem, double threshold);

@@ -126,6 +126,16 @@ class CompiledScenario {
   [[nodiscard]] const num::Vec& computeCoeffs(std::size_t app,
                                               std::size_t machine) const;
 
+  /// Each app's multitasking factor under `mapping` into
+  /// workspace.factors_.
+  void fillFactors(const sched::Mapping& mapping,
+                   ScenarioWorkspace& workspace) const;
+
+  /// The weights of `path`'s latency feature under `mapping` into
+  /// workspace.row_ (needs fillFactors first).
+  void assembleLatencyRow(const Path& path, const sched::Mapping& mapping,
+                          ScenarioWorkspace& workspace) const;
+
   const HiperdScenario* scenario_ = nullptr;
   core::AnalyzerOptions options_;
   core::PerturbationParameter parameter_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/hyperplane.hpp"
 #include "robust/numeric/projection.hpp"
 #include "robust/numeric/simd.hpp"
@@ -1156,37 +1157,10 @@ MetricResult CompiledProblem::metricFromDots(const AnalysisInstance& instance,
         atOrigin = scale * dots[row] + constant;
         deff = scale * effDual_[row];
       }
-      const auto& bounds = features_[i].bounds;
-      const bool withinMin = !bounds.min || atOrigin >= *bounds.min;
-      const bool withinMax = !bounds.max || atOrigin <= *bounds.max;
-      if (!withinMin || !withinMax) {
-        radius = 0.0;  // violated at the operating point
-      } else {
-        ROBUST_REQUIRE(
-            deff > 0.0,
-            "analytic radius: impact does not depend on the parameter");
-        // Nearest-level gap; dividing by the same positive denominator is
-        // monotone, so min(g)/d carries the exact bits of min(g/d).
-        double gap = kInf;
-        if (bounds.min) {
-          gap = std::fabs(atOrigin - *bounds.min);
-        }
-        if (bounds.max) {
-          const double g2 = std::fabs(atOrigin - *bounds.max);
-          if (g2 < gap) {
-            gap = g2;
-          }
-        }
-        if (prune && result.metric < kInf &&
-            gap > result.metric * deff * (1.0 + 1e-9)) {
-          // The margin absorbs the rounding of the multiply chain, so a
-          // skipped row provably has radius strictly above the incumbent:
-          // it can never win the strict-< selection below. Skipping it
-          // changes no result bits.
-          ++pruned;
-          continue;
-        }
-        radius = gap / deff;
+      if (!affineRowRadius(atOrigin, deff, features_[i].bounds, radius,
+                           prune ? result.metric : kInf)) {
+        ++pruned;
+        continue;
       }
     }
     if (radius < result.metric) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "robust/core/instance_file.hpp"
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
@@ -84,9 +85,8 @@ struct Arena {
 
 }  // namespace
 
-/// Friend of CompiledProblem: replicates the metric lane's row arithmetic
-/// against on-disk shards and screens rows with the compiled
-/// default-origin dots.
+/// Friend of CompiledProblem: applies the metric lane's row rule to
+/// on-disk shards and screens rows with the compiled default-origin dots.
 class StreamEngine {
  public:
   StreamEngine(const CompiledProblem& problem, const StreamOptions& options)
@@ -98,7 +98,7 @@ class StreamEngine {
     screen_ = opt_.screen && p_.fastSolver_ && p_.callables_.empty() &&
               !p_.parameter_.discrete && p_.rowCount() > 0;
     const auto dim = static_cast<double>(p_.dim_);
-    relMargin_ = 1e-9 + 1e-15 * dim;
+    relMargin_ = kPruneMargin + 1e-15 * dim;
     absCoeff_ = 8.0 * 2.220446049250313e-16 * (dim + 4.0);
   }
 
@@ -141,10 +141,10 @@ class StreamEngine {
     return true;
   }
 
-  /// The metric lane's exact row arithmetic for one file instance
-  /// (scale 1, compiled constants), restricted to the rows of `active`
-  /// that survive the per-instance screen against `rho`. Returns the
-  /// candidate (metric, binding): exact whenever candidate <= rho.
+  /// The metric lane's row rule for one file instance (scale 1, compiled
+  /// constants), restricted to the rows of `active` that survive the
+  /// per-instance screen against `rho`. Returns the candidate (metric,
+  /// binding): exact whenever candidate <= rho.
   void scanActiveRows(std::span<const double> x, double delta, double rho,
                       std::span<const std::uint32_t> active,
                       double& candidate, std::size_t& binding) const {
@@ -156,36 +156,12 @@ class StreamEngine {
       if (screenRow(i, row, delta, rho)) {
         continue;
       }
-      const double atOrigin =
-          num::simd::dotBlocked(p_.rowOf(i), x) + p_.constants_[i];
-      const double deff = p_.effDual_[row];
-      const auto& bounds = p_.features_[i].bounds;
-      const bool withinMin = !bounds.min || atOrigin >= *bounds.min;
-      const bool withinMax = !bounds.max || atOrigin <= *bounds.max;
       double radius;
-      if (!withinMin || !withinMax) {
-        radius = 0.0;  // violated at the operating point
-      } else {
-        ROBUST_REQUIRE(
-            deff > 0.0,
-            "analytic radius: impact does not depend on the parameter");
-        double gap = kInf;
-        if (bounds.min) {
-          gap = std::fabs(atOrigin - *bounds.min);
-        }
-        if (bounds.max) {
-          const double g2 = std::fabs(atOrigin - *bounds.max);
-          if (g2 < gap) {
-            gap = g2;
-          }
-        }
-        if (opt_.prune && candidate < kInf &&
-            gap > candidate * deff * (1.0 + 1e-9)) {
-          continue;  // same bit-neutral prune as metricFromDots
-        }
-        radius = gap / deff;
-      }
-      if (radius < candidate) {
+      if (affineRowRadius(
+              num::simd::dotBlocked(p_.rowOf(i), x) + p_.constants_[i],
+              p_.effDual_[row], p_.features_[i].bounds, radius,
+              opt_.prune ? candidate : kInf) &&
+          radius < candidate) {
         candidate = radius;
         binding = i;
       }

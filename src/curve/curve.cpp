@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <exception>
 #include <limits>
-#include <list>
-#include <mutex>
 #include <sstream>
-#include <utility>
 #include <vector>
 
-#include "robust/net/wire.hpp"
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
+#include "robust/numeric/vector_ops.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
@@ -68,24 +65,6 @@ class CurveEngine {
     bool originViolated = false;   ///< some bound already broken at r = 0
   };
 
-  /// The closed-form lane needs every feature on an analytic affine row,
-  /// one continuous subspace, and no feasibility clipping.
-  static bool fastLaneEligible(const core::CompiledProblem& p) {
-    if (!p.fastSolver_ || p.multi_ || !p.callables_.empty() ||
-        !p.constraints_.empty()) {
-      return false;
-    }
-    if (p.parameter_.discrete) {
-      return false;
-    }
-    for (const auto& sub : p.subspaces_) {
-      if (sub.discrete) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   static FastPlan buildFastPlan(const core::CompiledProblem& p) {
     FastPlan plan;
     plan.dim = p.dim_;
@@ -101,23 +80,14 @@ class CurveEngine {
       const std::size_t row = p.rowIndex_[f];
       const double value = p.dotOrigin_[row] + p.constants_[f];
       const auto& bounds = p.features_[f].bounds;
-      double gapMax = kInf;
-      double gapMin = kInf;
-      if (bounds.max) {
-        gapMax = *bounds.max - value;
-      }
-      if (bounds.min) {
-        gapMin = value - *bounds.min;
-      }
-      if (gapMax < 0.0 || gapMin < 0.0) {
+      if (!bounds.contains(value)) {
         plan.originViolated = true;
         return plan;
       }
-      const double deff = p.effDual_[row];
-      if (!(deff > 0.0)) {
-        continue;  // constant feature: no direction ever moves it
-      }
-      cands.push_back({std::min(gapMax, gapMin) / deff, gapMax, gapMin, row});
+      double originRadius = kInf;
+      core::affineRowRadius(value, p.effDual_[row], bounds, originRadius);
+      cands.push_back({originRadius, bounds.max ? *bounds.max - value : kInf,
+                       bounds.min ? value - *bounds.min : kInf, row});
     }
     std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
       if (a.originRadius != b.originRadius) {
@@ -176,16 +146,17 @@ class CurveEngine {
   /// (slope < 0); the sample's critical radius is the minimum crossing.
   /// Rows stream through dotRowsBlocked in blocks of 8; with `prune`, the
   /// loop stops once even the best possible crossing of the remaining
-  /// (sorted) rows provably exceeds the incumbent — the 1e-9 relative
-  /// margin absorbs kernel-dot and normalization rounding, so pruning
-  /// never changes the returned bits (pinned by tests).
+  /// (sorted) rows provably exceeds the incumbent — the prune margin
+  /// (core::kPruneMargin) absorbs kernel-dot and normalization rounding,
+  /// so pruning never changes the returned bits (pinned by tests).
   static double criticalRadiusFast(const FastPlan& plan,
                                    std::span<const double> u, double* slopes,
                                    bool prune, std::uint64_t& rowsVisited) {
     constexpr std::size_t kBlock = 8;
     double best = kInf;
     for (std::size_t start = 0; start < plan.rows; start += kBlock) {
-      if (prune && plan.rowInfo[start].originRadius > best * (1.0 + 1e-9)) {
+      if (prune && plan.rowInfo[start].originRadius >
+                       best * (1.0 + core::kPruneMargin)) {
         break;
       }
       const std::size_t n = std::min(kBlock, plan.rows - start);
@@ -212,9 +183,12 @@ class CurveEngine {
   }
 
   /// Full-lane critical radius: expanding bracket (doubling from `scale`)
-  /// until the predicate fires, then 100 bisection halvings. Discrete
-  /// perturbations floor the result, mirroring the Section 3.2 metric
-  /// floor (floor is monotone, so min over samples stays >= rho).
+  /// until the predicate fires, then 100 bisection halvings. A point past
+  /// a hard constraint never violates, so along the ray the violating set
+  /// ends at the ray's feasible extent; the bracket is capped there so a
+  /// doubling step cannot jump over that window. Discrete perturbations
+  /// floor the result, mirroring the Section 3.2 metric floor (floor is
+  /// monotone, so min over samples stays >= rho).
   static double criticalRadiusFull(const core::CompiledProblem& p,
                                    std::span<const double> u, num::Vec& point,
                                    double scale, bool floorRadius) {
@@ -228,16 +202,32 @@ class CurveEngine {
     if (violatesAt(0.0)) {
       return 0.0;
     }
+    // Each constraint g . x <= b is linear along the ray and breaks at
+    // r = (b - g . origin) / (g . u) when g . u > 0.
+    double extent = kInf;
+    for (const core::LinearConstraint& c : p.constraints_) {
+      const double slope = num::dot(c.coeffs, u);
+      if (slope > 0.0) {
+        extent =
+            std::min(extent, (c.bound - num::dot(c.coeffs, origin)) / slope);
+      }
+    }
+    if (!(extent > 0.0)) {
+      return kInf;  // no feasible point beyond the origin on this ray
+    }
     double lo = 0.0;
-    double hi = scale;
+    double hi = std::min(scale, extent);
     bool found = false;
     for (int i = 0; i < 80; ++i) {
       if (violatesAt(hi)) {
         found = true;
         break;
       }
+      if (hi >= extent) {
+        break;
+      }
       lo = hi;
-      hi *= 2.0;
+      hi = std::min(2.0 * hi, extent);
     }
     if (!found) {
       return kInf;
@@ -288,7 +278,7 @@ class CurveEngine {
     r.confidence = o.confidence;
     r.dkwEpsilon = curve::dkwEpsilon(o.samples, o.confidence);
     r.rho = p.evaluateMetric().metric;
-    r.fastLane = fastLaneEligible(p);
+    r.fastLane = p.closedFormLane();
     r.radii.assign(o.samples, 0.0);
 
     if (r.fastLane) {
@@ -423,58 +413,6 @@ double CurveResult::radiusAtProbability(double p) const {
   return radii[k - 1];
 }
 
-std::uint64_t problemContentKey(const core::CompiledProblem& problem) {
-  // The wire format speaks the legacy single-subspace form only; the
-  // compiled problem normalizes legacy specs into exactly one subspace,
-  // so rebuild that form from the public accessors.
-  if (problem.subspaces().size() != 1) {
-    return 0;
-  }
-  core::ProblemSpec spec;
-  spec.features = problem.features();
-  spec.parameter = problem.parameter();
-  spec.options = problem.options();
-  spec.constraints = problem.constraints();
-  try {
-    const std::vector<std::uint8_t> bytes = net::encodeProblemSpec(spec);
-    return net::fnv1a(bytes);
-  } catch (const std::exception&) {
-    return 0;  // callable features etc.: uncacheable, computed direct
-  }
-}
-
-namespace {
-
-/// A tiny LRU of full curve results keyed by content + curve-shaping
-/// options. Threads / shardSamples are deliberately NOT part of the key:
-/// the result is bit-identical regardless, so a hit from a differently
-/// parallel run is still exact.
-struct CacheKey {
-  std::uint64_t content = 0;
-  std::size_t samples = 0;
-  std::uint64_t seed = 0;
-  std::size_t gridPoints = 0;
-  double confidence = 0.0;
-  bool prune = false;
-
-  bool operator==(const CacheKey&) const = default;
-};
-
-std::mutex gCacheMutex;
-// front = most recently used; tiny, so linear scan beats any map.
-std::list<std::pair<CacheKey, CurveResult>>& cacheList() {
-  static std::list<std::pair<CacheKey, CurveResult>> cache;
-  return cache;
-}
-constexpr std::size_t kCacheCapacity = 4;
-
-}  // namespace
-
-void clearCurveCache() noexcept {
-  const std::lock_guard<std::mutex> lock(gCacheMutex);
-  cacheList().clear();
-}
-
 CurveResult computeCurve(const core::CompiledProblem& problem,
                          const CurveOptions& options) {
   ROBUST_REQUIRE(options.samples > 0,
@@ -484,49 +422,7 @@ CurveResult computeCurve(const core::CompiledProblem& problem,
   ROBUST_REQUIRE(options.confidence > 0.0 && options.confidence < 1.0,
                  "computeCurve: confidence must lie in (0, 1)");
 
-  CacheKey key;
-  if (options.useCache) {
-    key.content = problemContentKey(problem);
-    if (key.content != 0) {
-      key.samples = options.samples;
-      key.seed = options.seed;
-      key.gridPoints = options.gridPoints;
-      key.confidence = options.confidence;
-      key.prune = options.prune;
-      const std::lock_guard<std::mutex> lock(gCacheMutex);
-      auto& cache = cacheList();
-      for (auto it = cache.begin(); it != cache.end(); ++it) {
-        if (it->first == key) {
-          cache.splice(cache.begin(), cache, it);
-          if (obs::enabled()) [[unlikely]] {
-            static const obs::MetricId kHits =
-                obs::counterId("curve.cache.hits");
-            obs::addCounter(kHits);
-          }
-          CurveResult hit = cache.front().second;
-          hit.cacheHit = true;
-          return hit;
-        }
-      }
-      if (obs::enabled()) [[unlikely]] {
-        static const obs::MetricId kMisses =
-            obs::counterId("curve.cache.misses");
-        obs::addCounter(kMisses);
-      }
-    }
-  }
-
-  CurveResult result = CurveEngine::run(problem, options);
-
-  if (options.useCache && key.content != 0) {
-    const std::lock_guard<std::mutex> lock(gCacheMutex);
-    auto& cache = cacheList();
-    cache.emplace_front(key, result);
-    while (cache.size() > kCacheCapacity) {
-      cache.pop_back();
-    }
-  }
-  return result;
+  return CurveEngine::run(problem, options);
 }
 
 std::string curveSectionJson(const CurveResult& result) {

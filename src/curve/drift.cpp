@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/util/error.hpp"
@@ -17,17 +18,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 DriftTracker::DriftTracker(const core::CompiledProblem& problem,
                            double threshold)
     : problem_(&problem), threshold_(threshold) {
-  ROBUST_REQUIRE(problem.fastSolver_ && !problem.multi_ &&
-                     problem.callables_.empty() &&
-                     problem.constraints_.empty() &&
-                     !problem.parameter_.discrete,
+  ROBUST_REQUIRE(problem.closedFormLane(),
                  "DriftTracker: requires an unconstrained continuous affine "
                  "problem on the analytic kernel lane");
-  for (const auto& sub : problem.subspaces_) {
-    ROBUST_REQUIRE(!sub.discrete,
-                   "DriftTracker: discrete subspaces have no per-row "
-                   "closed form to maintain");
-  }
   ROBUST_REQUIRE(std::isfinite(threshold),
                  "DriftTracker: threshold must be finite");
   origin_ = problem.parameter_.origin;
@@ -43,23 +36,10 @@ void DriftTracker::recomputeRho() {
   std::size_t bestFeature = 0;
   for (std::size_t f = 0; f < p.features_.size(); ++f) {
     const std::size_t row = p.rowIndex_[f];
-    const double value = dots_[row] + p.constants_[f];
-    const auto& bounds = p.features_[f].bounds;
-    double gap = kInf;
-    if (bounds.max) {
-      gap = std::min(gap, *bounds.max - value);
-    }
-    if (bounds.min) {
-      gap = std::min(gap, value - *bounds.min);
-    }
     double radius;
-    if (gap < 0.0) {
-      radius = 0.0;  // origin already violates this feature's bound
-    } else {
-      const double deff = p.effDual_[row];
-      radius = deff > 0.0 ? gap / deff : kInf;
-    }
-    if (radius < best) {
+    if (core::affineRowRadius(dots_[row] + p.constants_[f], p.effDual_[row],
+                              p.features_[f].bounds, radius, best) &&
+        radius < best) {
       best = radius;
       bestFeature = f;
     }

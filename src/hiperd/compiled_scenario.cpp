@@ -6,6 +6,7 @@
 #include <memory>
 #include <utility>
 
+#include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
@@ -218,16 +219,7 @@ const core::RobustnessReport& CompiledScenario::analyze(
     return workspace.report_;
   }
 
-  // Multitasking factors for this mapping.
-  workspace.counts_.assign(machines, 0);
-  for (std::size_t i = 0; i < apps; ++i) {
-    ++workspace.counts_[mapping.machineOf(i)];
-  }
-  workspace.factors_.resize(apps);
-  for (std::size_t i = 0; i < apps; ++i) {
-    workspace.factors_[i] =
-        multitaskFactor(workspace.counts_[mapping.machineOf(i)]);
-  }
+  fillFactors(mapping, workspace);
 
   core::RobustnessReport& report = workspace.report_;
   auto& radii = report.radii;
@@ -281,27 +273,9 @@ const core::RobustnessReport& CompiledScenario::analyze(
     noteRadius(slot);
   }
 
-  // Latency (L) lane: per-path weights assembled in the legacy accumulation
-  // order (per-app axpy with the multitask factor, then per-edge axpy), so
-  // the floating-point sums match the legacy derivation bit for bit.
+  // Latency (L) lane.
   for (std::size_t k = 0; k < graph.paths().size(); ++k) {
-    const Path& path = graph.paths()[k];
-    workspace.row_.assign(sensors_, 0.0);
-    for (std::size_t app : path.apps) {
-      // Skipping an all-zero contribution is bit-safe: adding 1.0 * 0.0 (or
-      // factor * 0.0) never changes an accumulated component's bits here.
-      if (computeZero_[app * machines + mapping.machineOf(app)]) {
-        continue;
-      }
-      num::axpy(workspace.factors_[app],
-                computeCoeffs(app, mapping.machineOf(app)), workspace.row_);
-    }
-    for (std::size_t eid : path.edges) {
-      if (commZero_[eid]) {
-        continue;
-      }
-      num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
-    }
+    assembleLatencyRow(graph.paths()[k], mapping, workspace);
     if (num::norm2(workspace.row_) == 0.0) {
       continue;  // path latency does not depend on lambda
     }
@@ -339,6 +313,44 @@ core::RobustnessReport CompiledScenario::analyze(
   return analyze(mapping, workspace);
 }
 
+void CompiledScenario::fillFactors(const sched::Mapping& mapping,
+                                   ScenarioWorkspace& workspace) const {
+  const std::size_t apps = mapping.apps();
+  workspace.counts_.assign(scenario_->machines, 0);
+  for (std::size_t i = 0; i < apps; ++i) {
+    ++workspace.counts_[mapping.machineOf(i)];
+  }
+  workspace.factors_.resize(apps);
+  for (std::size_t i = 0; i < apps; ++i) {
+    workspace.factors_[i] =
+        multitaskFactor(workspace.counts_[mapping.machineOf(i)]);
+  }
+}
+
+void CompiledScenario::assembleLatencyRow(const Path& path,
+                                          const sched::Mapping& mapping,
+                                          ScenarioWorkspace& workspace) const {
+  // The legacy accumulation order (per-app axpy with the multitask factor,
+  // then per-edge axpy), so the sums match the legacy derivation bit for
+  // bit. Skipping an all-zero contribution is bit-safe: adding 1.0 * 0.0
+  // (or factor * 0.0) never changes an accumulated component's bits here.
+  const std::size_t machines = scenario_->machines;
+  workspace.row_.assign(sensors_, 0.0);
+  for (std::size_t app : path.apps) {
+    const std::size_t m = mapping.machineOf(app);
+    if (computeZero_[app * machines + m]) {
+      continue;
+    }
+    num::axpy(workspace.factors_[app], computeCoeffs(app, m), workspace.row_);
+  }
+  for (std::size_t eid : path.edges) {
+    if (commZero_[eid]) {
+      continue;
+    }
+    num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
+  }
+}
+
 core::MetricResult CompiledScenario::analyzeMetric(
     const sched::Mapping& mapping, ScenarioWorkspace& workspace,
     bool prune) const {
@@ -353,16 +365,7 @@ core::MetricResult CompiledScenario::analyzeMetric(
     return core::MetricResult{full.metric, full.bindingFeature, full.floored};
   }
 
-  // Multitasking factors for this mapping (same derivation as analyze).
-  workspace.counts_.assign(machines, 0);
-  for (std::size_t i = 0; i < apps; ++i) {
-    ++workspace.counts_[mapping.machineOf(i)];
-  }
-  workspace.factors_.resize(apps);
-  for (std::size_t i = 0; i < apps; ++i) {
-    workspace.factors_[i] =
-        multitaskFactor(workspace.counts_[mapping.machineOf(i)]);
-  }
+  fillFactors(mapping, workspace);
 
   core::MetricResult result;
   result.metric = kInf;
@@ -390,26 +393,16 @@ core::MetricResult CompiledScenario::analyzeMetric(
     }
     const std::size_t slot = used++;
     const double factor = workspace.factors_[i];
-    const double dot = computeDot_[i * machines + m];
-    const double dual = computeDual_[i * machines + m];
-    const double atOrigin = factor == 1.0 ? dot : factor * dot;
-    const double deff = factor == 1.0 ? dual : factor * dual;
-    const double bound = throughputBound_[i];
-    if (atOrigin > bound) {
-      note(0.0, slot);  // violated at the operating point
-      continue;
-    }
-    ROBUST_REQUIRE(deff > 0.0,
-                   "analytic radius: impact does not depend on the parameter");
-    const double gap = std::fabs(atOrigin - bound);
-    if (prune && result.metric < kInf &&
-        gap > result.metric * deff * (1.0 + 1e-9)) {
-      // Provable loser under the strict-< selection (the margin absorbs
-      // the comparison rounding): skipping it changes no result bits.
+    double radius;
+    if (!core::affineRowRadius(
+            factor * computeDot_[i * machines + m],
+            factor * computeDual_[i * machines + m],
+            core::ToleranceBounds::atMost(throughputBound_[i]), radius,
+            prune ? result.metric : kInf)) {
       ++pruned;
       continue;
     }
-    note(gap / deff, slot);
+    note(radius, slot);
   }
 
   // Communication (Tn) lane: mapping-independent, pre-reduced at compile
@@ -430,6 +423,7 @@ core::MetricResult CompiledScenario::analyzeMetric(
   for (std::size_t k = 0; k < graph.paths().size(); ++k) {
     const Path& path = graph.paths()[k];
     const double limit = scenario_->latencyLimits[k];
+    std::size_t slot;
     if (latencyPruneSafe_) {
       double dotSum = 0.0;
       double magSum = 0.0;
@@ -456,7 +450,7 @@ core::MetricResult CompiledScenario::analyzeMetric(
       if (partDualSum == 0.0) {
         continue;  // assembled row is provably all-zero: no slot
       }
-      const std::size_t slot = used++;
+      slot = used++;
       if (prune && result.metric < kInf) {
         // Absolute slack absorbing the decomposed dot's rounding relative
         // to its magnitude sum; the bound must also prove the assembled
@@ -464,67 +458,26 @@ core::MetricResult CompiledScenario::analyzeMetric(
         // always wins).
         const double slack = 1e-12 * (magSum + std::fabs(limit));
         if ((limit - dotSum) - slack >
-            result.metric * partDualSum * (1.0 + 1e-9)) {
+            result.metric * partDualSum * (1.0 + core::kPruneMargin)) {
           ++pruned;
           continue;
         }
       }
-      workspace.row_.assign(sensors_, 0.0);
-      for (std::size_t app : path.apps) {
-        if (computeZero_[app * machines + mapping.machineOf(app)]) {
-          continue;
-        }
-        num::axpy(workspace.factors_[app],
-                  computeCoeffs(app, mapping.machineOf(app)), workspace.row_);
-      }
-      for (std::size_t eid : path.edges) {
-        if (commZero_[eid]) {
-          continue;
-        }
-        num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
-      }
-      const double atOrigin = num::simd::dotBlocked(workspace.row_, origin);
-      if (atOrigin > limit) {
-        note(0.0, slot);
-        continue;
-      }
-      const double deff = blockedDual(workspace.row_, options_);
-      ROBUST_REQUIRE(
-          deff > 0.0,
-          "analytic radius: impact does not depend on the parameter");
-      note(std::fabs(atOrigin - limit) / deff, slot);
+      assembleLatencyRow(path, mapping, workspace);
     } else {
       // Cancellation possible: assemble every row; no pruning (so the
       // prune flag provably cannot change results here either).
-      workspace.row_.assign(sensors_, 0.0);
-      for (std::size_t app : path.apps) {
-        if (computeZero_[app * machines + mapping.machineOf(app)]) {
-          continue;
-        }
-        num::axpy(workspace.factors_[app],
-                  computeCoeffs(app, mapping.machineOf(app)), workspace.row_);
-      }
-      for (std::size_t eid : path.edges) {
-        if (commZero_[eid]) {
-          continue;
-        }
-        num::axpy(1.0, scenario_->comm[eid].coeffs(), workspace.row_);
-      }
+      assembleLatencyRow(path, mapping, workspace);
       if (num::simd::normInfBlocked(workspace.row_) == 0.0) {
         continue;  // exactly analyze's norm2(row) == 0 skip
       }
-      const std::size_t slot = used++;
-      const double atOrigin = num::simd::dotBlocked(workspace.row_, origin);
-      if (atOrigin > limit) {
-        note(0.0, slot);
-        continue;
-      }
-      const double deff = blockedDual(workspace.row_, options_);
-      ROBUST_REQUIRE(
-          deff > 0.0,
-          "analytic radius: impact does not depend on the parameter");
-      note(std::fabs(atOrigin - limit) / deff, slot);
+      slot = used++;
     }
+    double radius = kInf;
+    core::affineRowRadius(num::simd::dotBlocked(workspace.row_, origin),
+                          blockedDual(workspace.row_, options_),
+                          core::ToleranceBounds::atMost(limit), radius);
+    note(radius, slot);
   }
 
   ROBUST_REQUIRE(used > 0, "CompiledScenario: at least one feature required");

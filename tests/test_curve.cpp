@@ -7,9 +7,9 @@
 // it: the closed-form radii differentially pinned against bisection on
 // the spec's own violation predicate, the empirical CDF against a brute
 // radius grid, the fallback lane for constrained / discrete / callable
-// specs, the band math against hand-checked references, the content-key
-// cache, and the online drift tracker (incremental rho, obs-pinned
-// no-re-analyze streaming, threshold crossings, the Lipschitz bracket).
+// specs, the band math against hand-checked references, and the online
+// drift tracker (incremental rho, obs-pinned no-re-analyze streaming,
+// threshold crossings, the Lipschitz bracket).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +23,7 @@
 
 #include "robust/core/compiled.hpp"
 #include "robust/core/impact.hpp"
+#include "robust/core/stream.hpp"
 #include "robust/curve/bands.hpp"
 #include "robust/curve/curve.hpp"
 #include "robust/curve/drift.hpp"
@@ -193,7 +194,6 @@ TEST(CurveBits, PinnedAcrossThreadsShardsAndSimd) {
   CurveOptions base;
   base.samples = 4096;
   base.seed = 77;
-  base.useCache = false;
   base.threads = 1;
   base.shardSamples = 512;
   const CurveResult reference = computeCurve(problem, base);
@@ -237,7 +237,6 @@ TEST(Curve, ClosedFormRadiusMatchesViolationOracle) {
   CurveOptions o;
   o.samples = 64;
   o.seed = 5;
-  o.useCache = false;
   o.threads = 1;
   const CurveResult result = computeCurve(problem, o);
 
@@ -271,7 +270,6 @@ TEST(Curve, EmpiricalCdfMatchesBruteForceRadiusGrid) {
   CurveOptions o;
   o.samples = 400;
   o.seed = 9;
-  o.useCache = false;
   o.threads = 1;
   const CurveResult result = computeCurve(problem, o);
   ASSERT_GT(result.finiteRadii, 0u);
@@ -309,7 +307,6 @@ TEST(Curve, ReportInvariantsHold) {
   CurveOptions o;
   o.samples = 2000;
   o.gridPoints = 16;
-  o.useCache = false;
   const CurveResult result = computeCurve(problem, o);
 
   EXPECT_TRUE(result.fastLane);
@@ -359,7 +356,6 @@ TEST(CurveFallback, ConstrainedSpecUsesFullLaneDeterministically) {
 
   CurveOptions o;
   o.samples = 256;
-  o.useCache = false;
   o.threads = 1;
   const CurveResult serial = computeCurve(problem, o);
   EXPECT_FALSE(serial.fastLane);
@@ -392,7 +388,6 @@ TEST(CurveFallback, DiscreteSpecFloorsRadii) {
 
   CurveOptions o;
   o.samples = 200;
-  o.useCache = false;
   o.threads = 1;
   const CurveResult result = computeCurve(problem, o);
   EXPECT_FALSE(result.fastLane);
@@ -420,7 +415,6 @@ TEST(CurveFallback, CallableSpecIsPinnedAgainstItsOwnOracle) {
   CurveOptions o;
   o.samples = 64;
   o.seed = 21;
-  o.useCache = false;
   o.threads = 1;
   const CurveResult result = computeCurve(problem, o);
   EXPECT_FALSE(result.fastLane);
@@ -442,6 +436,48 @@ TEST(CurveFallback, CallableSpecIsPinnedAgainstItsOwnOracle) {
   }
   o.threads = 3;
   EXPECT_TRUE(radiiBitEqual(result.radii, computeCurve(problem, o).radii));
+}
+
+TEST(CurveFallback, ConstrainedRayStopsAtFeasibleExtent) {
+  // f = x0 <= 3 under the hard constraint x0 <= 3.5, from the origin: a
+  // direction with u0 > 0 violates on the window (3/u0, 3.5/u0] and never
+  // past it (the point leaves the feasible region), so its critical radius
+  // is 3/u0; every other direction never violates.
+  ProblemSpec spec;
+  spec.parameter.origin = num::Vec{0.0, 0.0};
+  spec.features.push_back(PerformanceFeature{
+      "f", ImpactFunction::affine(num::Vec{1.0, 0.0}, 0.0),
+      ToleranceBounds::atMost(3.0)});
+  spec.constraints.push_back(LinearConstraint{"cap", num::Vec{1.0, 0.0}, 3.5});
+  const CompiledProblem problem = CompiledProblem::compile(std::move(spec));
+
+  CurveOptions o;
+  o.samples = 4096;
+  o.threads = 1;
+  const CurveResult result = computeCurve(problem, o);
+  EXPECT_FALSE(result.fastLane);
+
+  std::vector<double> reference(o.samples);
+  std::size_t forward = 0;
+  for (std::size_t i = 0; i < o.samples; ++i) {
+    const double u0 = sampleDirectionReference(problem, o.seed, i)[0];
+    reference[i] = u0 > 0.0 ? 3.0 / u0 : kInf;
+    forward += u0 > 0.0 ? 1 : 0;
+  }
+  std::sort(reference.begin(), reference.end());
+  EXPECT_EQ(result.finiteRadii, forward);
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    if (std::isinf(reference[i])) {
+      EXPECT_TRUE(std::isinf(result.radii[i])) << "sorted index " << i;
+    } else {
+      EXPECT_NEAR(result.radii[i], reference[i], 1e-9 * reference[i])
+          << "sorted index " << i;
+    }
+  }
+
+  // P(violation | r = 3.4) = 2 acos(3 / 3.4) / (2 pi) on the unit circle.
+  const double exact = std::acos(3.0 / 3.4) / std::acos(-1.0);
+  EXPECT_NEAR(result.probabilityAt(3.4), exact, result.dkwEpsilon);
 }
 
 // ----------------------------------------------------------------- bands
@@ -485,55 +521,6 @@ TEST(Bands, ClopperPearsonReference) {
   EXPECT_NEAR(all.lower, std::pow(0.025, 1.0 / 20.0), 1e-9);
 
   EXPECT_THROW((void)clopperPearson(3, 2, 0.95), InvalidArgumentError);
-}
-
-// ----------------------------------------------------------------- cache
-
-TEST(CurveCache, HitsByContentKeyAndStaysExact) {
-  clearCurveCache();
-  ObsGuard obs;
-  const CompiledProblem problem = curveProblem(16, 8);
-  ASSERT_NE(problemContentKey(problem), 0u);
-
-  CurveOptions o;
-  o.samples = 512;
-  const CurveResult first = computeCurve(problem, o);
-  EXPECT_FALSE(first.cacheHit);
-  const CurveResult second = computeCurve(problem, o);
-  EXPECT_TRUE(second.cacheHit);
-  EXPECT_TRUE(radiiBitEqual(first.radii, second.radii));
-
-  // An equivalent recompile (same content) hits; a different seed misses.
-  const CompiledProblem again = curveProblem(16, 8);
-  EXPECT_EQ(problemContentKey(problem), problemContentKey(again));
-  EXPECT_TRUE(computeCurve(again, o).cacheHit);
-  CurveOptions reseeded = o;
-  reseeded.seed = 999;
-  EXPECT_FALSE(computeCurve(problem, reseeded).cacheHit);
-
-  const obs::MetricsSnapshot snap = obs::snapshotMetrics();
-  EXPECT_EQ(snap.counter("curve.cache.hits"), 2u);
-  EXPECT_GE(snap.counter("curve.cache.misses"), 2u);
-  // curve.samples counts COMPUTED samples only — hits add nothing.
-  EXPECT_EQ(snap.counter("curve.samples"), 2u * o.samples);
-  clearCurveCache();
-}
-
-TEST(CurveCache, UncacheableSpecsComputeDirect) {
-  clearCurveCache();
-  ProblemSpec spec;
-  spec.parameter.origin = num::Vec{1.0};
-  spec.features.push_back(PerformanceFeature{
-      "c",
-      ImpactFunction::callable(
-          [](std::span<const double> x) { return x[0]; }),
-      ToleranceBounds::atMost(3.0)});
-  const CompiledProblem problem = CompiledProblem::compile(std::move(spec));
-  EXPECT_EQ(problemContentKey(problem), 0u);
-  CurveOptions o;
-  o.samples = 32;
-  EXPECT_FALSE(computeCurve(problem, o).cacheHit);
-  EXPECT_FALSE(computeCurve(problem, o).cacheHit);
 }
 
 // ----------------------------------------------------------------- drift
@@ -646,6 +633,30 @@ TEST(Drift, RejectsLanesWithoutClosedForm) {
       ToleranceBounds::atMost(5.0)});
   const CompiledProblem cp = CompiledProblem::compile(std::move(callable));
   EXPECT_THROW(DriftTracker(cp, 1.0), InvalidArgumentError);
+}
+
+TEST(Drift, RejectsConstantFeatureLikeEveryLane) {
+  // The second feature does not depend on the parameter and holds at the
+  // origin: no lane has a radius for it.
+  ProblemSpec spec;
+  spec.parameter.origin = num::Vec{0.0, 0.0};
+  spec.features.push_back(PerformanceFeature{
+      "sum", ImpactFunction::affine(num::Vec{1.0, 1.0}, 0.0),
+      ToleranceBounds::atMost(4.0)});
+  spec.features.push_back(PerformanceFeature{
+      "constant", ImpactFunction::affine(num::Vec{0.0, 0.0}, 5.0),
+      ToleranceBounds::atMost(10.0)});
+  const CompiledProblem problem = CompiledProblem::compile(std::move(spec));
+  EXPECT_THROW((void)problem.evaluate(), InvalidArgumentError);
+  MetricWorkspace workspace;
+  EXPECT_THROW((void)problem.evaluateMetric({}, workspace, /*prune=*/true),
+               InvalidArgumentError);
+  EXPECT_THROW((void)problem.evaluateMetric({}, workspace, /*prune=*/false),
+               InvalidArgumentError);
+  const std::vector<double> values{0.0, 0.0};
+  EXPECT_THROW((void)analyzeStreamValues(problem, values),
+               InvalidArgumentError);
+  EXPECT_THROW(DriftTracker(problem, 0.0), InvalidArgumentError);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 //      hiperd::robustnessObjective.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -512,6 +513,49 @@ TEST_F(HiperdMetricLane, PruningChangesNoBits) {
         compiled.analyzeMetric(mapping, workspace, /*prune=*/true);
     const core::MetricResult unpruned =
         compiled.analyzeMetric(mapping, workspace, /*prune=*/false);
+    EXPECT_EQ(pruned.metric, unpruned.metric) << "mapping " << i;
+    EXPECT_EQ(pruned.bindingFeature, unpruned.bindingFeature)
+        << "mapping " << i;
+  }
+}
+
+TEST_F(HiperdMetricLane, CancellationBranchMatchesAnalyze) {
+  // Communication times on, then one coefficient of a path's first
+  // non-zero communication time negated: assembled latency rows can then
+  // cancel, so analyzeMetric takes its branch that assembles every row.
+  hiperd::ScenarioOptions options;
+  options.commCoeffMean = 1.0;
+  auto generated = hiperd::generateScenario(options, 2003);
+  hiperd::HiperdScenario& scenario = generated.scenario;
+  bool negated = false;
+  for (const std::size_t eid : scenario.graph.paths().front().edges) {
+    if (scenario.comm[eid].isZero()) {
+      continue;
+    }
+    num::Vec coeffs = scenario.comm[eid].coeffs();
+    const auto largest = std::max_element(coeffs.begin(), coeffs.end());
+    *largest = -*largest;
+    scenario.comm[eid] = hiperd::LoadFunction::linear(std::move(coeffs));
+    negated = true;
+    break;
+  }
+  ASSERT_TRUE(negated);
+  const hiperd::CompiledScenario compiled = scenario.compile();
+  ASSERT_TRUE(compiled.fastPath());
+
+  Pcg32 rng(13);
+  hiperd::ScenarioWorkspace workspace;
+  for (int i = 0; i < 20; ++i) {
+    const auto mapping = sched::randomMapping(
+        scenario.graph.applicationCount(), scenario.machines, rng);
+    const core::RobustnessReport full = compiled.analyze(mapping);
+    const core::MetricResult pruned =
+        compiled.analyzeMetric(mapping, workspace, /*prune=*/true);
+    const core::MetricResult unpruned =
+        compiled.analyzeMetric(mapping, workspace, /*prune=*/false);
+    const double scale = std::max(1.0, std::fabs(full.metric));
+    EXPECT_NEAR(pruned.metric, full.metric, 1e-12 * scale) << "mapping " << i;
+    EXPECT_EQ(pruned.bindingFeature, full.bindingFeature) << "mapping " << i;
     EXPECT_EQ(pruned.metric, unpruned.metric) << "mapping " << i;
     EXPECT_EQ(pruned.bindingFeature, unpruned.bindingFeature)
         << "mapping " << i;

@@ -802,7 +802,6 @@ TEST(ForEachShard, NestedCallsOnASaturatedPoolFinishWithSerialBits) {
   curveSerial.samples = 600;
   curveSerial.shardSamples = 64;
   curveSerial.threads = 1;
-  curveSerial.useCache = false;
   const core::StreamResult streamRef =
       core::analyzeStreamValues(problem, values, streamSerial);
   const curve::CurveResult curveRef = curve::computeCurve(problem, curveSerial);
@@ -878,7 +877,6 @@ TEST(ForEachShard, SteadyStateStartsNoThreads) {
   curveOptions.samples = 400;
   curveOptions.shardSamples = 64;
   curveOptions.threads = 2;
-  curveOptions.useCache = false;  // a cache hit would skip the pool
   sched::EtcOptions etcOptions;
   etcOptions.apps = 24;
   etcOptions.machines = 4;
