@@ -114,8 +114,9 @@ struct MetricResult {
 };
 
 /// Caller-owned scratch for the metric-only lane: the per-row dot buffer
-/// fed by the blocked kernels, the batch-mode tile buffer, and a full
-/// workspace for the callable/iterative fallback rows.
+/// fed by the blocked kernels, the batch-mode tile buffer, the constrained
+/// screen's per-row bounds and visit order, and a full workspace for the
+/// callable/iterative fallback rows.
 class MetricWorkspace {
  public:
   MetricWorkspace() = default;
@@ -124,8 +125,36 @@ class MetricWorkspace {
   friend class CompiledProblem;
   num::Vec dots_;       ///< per-row w.origin for one instance
   num::Vec batchDots_;  ///< instance-tile x rows, batch mode
+  num::Vec screenBounds_;                ///< per feature, constrained screen
+  std::vector<std::size_t> screenOrder_; ///< feature heap, constrained screen
   RadiusReport scratch_;
   EvalWorkspace full_;
+};
+
+/// Caller-owned scratch for the ray form of the violation predicate
+/// (CompiledProblem::violatesOnRay): every affine feature's value at the
+/// ray's origin and its slope along the direction, the same for every
+/// constraint, and the point buffer callable features are evaluated at.
+/// Reusing one across rays allocates nothing.
+class RayForm {
+ public:
+  RayForm() = default;
+
+  /// Largest r for which origin + r * u satisfies every constraint
+  /// exactly: min over constraints with g . u > 0 of (b - g . origin) /
+  /// (g . u), +inf when no constraint rises along u.
+  [[nodiscard]] double feasibleExtent() const noexcept { return extent_; }
+
+ private:
+  friend class CompiledProblem;
+  std::span<const double> origin_;
+  std::span<const double> direction_;
+  num::Vec rowValue_;         ///< per affine row: row . origin + constant
+  num::Vec rowSlope_;         ///< per affine row: row . u
+  num::Vec constraintValue_;  ///< per constraint: g . origin
+  num::Vec constraintSlope_;  ///< per constraint: g . u
+  num::Vec point_;            ///< origin + r * u, for callable features
+  double extent_ = 0.0;
 };
 
 /// One affine performance feature expressed as raw spans: the input to
@@ -206,6 +235,20 @@ class CompiledProblem {
   /// radius search counts, so it never violates.
   [[nodiscard]] bool violates(std::span<const double> x) const;
 
+  /// The same predicate on the ray x(r) = origin + r * u, in line form:
+  /// setRayOrigin resolves every affine row's value at `origin` (one
+  /// blocked kernel pass) and every constraint's, setRayDirection their
+  /// slopes along `u`. violatesOnRay(ray, r) is then O(rows) scalar work:
+  /// a constraint breaks when g . origin + r (g . u) exceeds its bound by
+  /// originFeasible's slack, an affine feature is out when
+  /// bounds.contains(value + r * slope) fails, and callable features are
+  /// evaluated at the materialized point. It agrees with
+  /// violates(origin + r * u) except within rounding of a boundary. Both
+  /// spans must outlive the ray's use.
+  void setRayOrigin(std::span<const double> origin, RayForm& ray) const;
+  void setRayDirection(std::span<const double> u, RayForm& ray) const;
+  [[nodiscard]] bool violatesOnRay(RayForm& ray, double r) const;
+
   /// Size of a displacement from the origin under the problem's norm: the
   /// maximum over subspaces of the block norm (L1/L2/LInf on the
   /// fixed-order blocked kernels, so bit-identical across SIMD targets;
@@ -250,8 +293,10 @@ class CompiledProblem {
       std::size_t threads = 0) const;
 
   /// True when the metric-only lane runs on the blocked kernels (the
-  /// compiled solver resolves to Analytic for affine rows). Otherwise
-  /// evaluateMetric falls back to the full evaluate() arithmetic.
+  /// compiled solver resolves to Analytic for affine rows and no
+  /// constraint clips the search). Constrained specs take the screened
+  /// lane (see evaluateMetric); iterative solver configurations fall back
+  /// to the full evaluate() arithmetic.
   [[nodiscard]] bool metricKernelLane() const noexcept { return fastSolver_; }
 
   /// The metric-only lane: computes rho and its argmin feature without
@@ -266,6 +311,13 @@ class CompiledProblem {
   /// which absorbs the comparison rounding) is skipped: pruning never
   /// changes the returned bits, only skips provable losers. `prune = false`
   /// exists to pin that equality in tests.
+  ///
+  /// Constrained specs return evaluate()'s metric, binding feature and
+  /// floor bit for bit, but solve only the rows that can bind: each row's
+  /// unconstrained radius from the kernel dots is a lower bound on its
+  /// constrained radius (a constraint can only raise it), so rows are
+  /// solved in ascending bound and the rest skipped once a bound exceeds
+  /// the incumbent by the prune margin.
   MetricResult evaluateMetric(const AnalysisInstance& instance,
                               MetricWorkspace& workspace,
                               bool prune = true) const;
@@ -287,6 +339,14 @@ class CompiledProblem {
   void analyzeBatchMetric(std::span<const AnalysisInstance> instances,
                           std::span<MetricResult> out,
                           std::size_t threads = 0, bool prune = true) const;
+
+  /// One worker's analyzeBatchMetric on a caller-owned workspace: serial,
+  /// the same cache-blocked walk and result bits (a stream shard is one
+  /// such call). On the kernel lane a warm workspace makes this
+  /// allocation-free.
+  void analyzeBatchMetric(std::span<const AnalysisInstance> instances,
+                          std::span<MetricResult> out,
+                          MetricWorkspace& workspace, bool prune = true) const;
 
   /// analyzeBatchMetric into a freshly allocated result vector.
   [[nodiscard]] std::vector<MetricResult> analyzeBatchMetric(
@@ -354,6 +414,14 @@ class CompiledProblem {
                               std::span<const double> origin,
                               const double* dots, bool prune,
                               MetricWorkspace& workspace) const;
+
+  /// The constrained metric lane at a feasible origin: rows solved by
+  /// radiusOfInto in ascending order of a rounding-safe lower bound on
+  /// their radius, stopping once the bound exceeds the incumbent.
+  MetricResult screenedConstrainedMetric(const AnalysisInstance& instance,
+                                         std::span<const double> origin,
+                                         const double* dots, bool prune,
+                                         MetricWorkspace& workspace) const;
 
   /// One worker's serial slice of analyzeBatchMetric: the cache-blocked
   /// (instances x rows) tile walk over instances [lo, hi) into the same

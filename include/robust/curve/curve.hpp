@@ -33,7 +33,11 @@
 // non-analytic compiled solver — fall back to a full lane that brackets and
 // bisects each sample's critical radius against the spec's own violation
 // predicate, never past the ray's feasible extent under the constraints.
-// Same substreams, same determinism, more arithmetic per sample.
+// The predicate runs in its ray form (CompiledProblem::violatesOnRay): one
+// blocked pass per sample gives every affine row's slope, so each probe is
+// O(rows) scalar work, and only callable features are evaluated at a
+// materialized point. Bisection ends once the bracket is two adjacent
+// doubles. Same substreams, same determinism, more arithmetic per sample.
 //
 // Sampling model: directions are standard Gaussian vectors normalized to
 // unit length under the problem's displacement norm. Under L2 that is the

@@ -1,6 +1,7 @@
 #include "robust/core/compiled.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <limits>
 
@@ -143,6 +144,12 @@ void addBlockDisplacement(std::span<const double> a, double gap,
       break;
     }
   }
+}
+
+/// True when a constraint value `v` exceeds its `bound` beyond the
+/// feasibility slack every feasibility test shares.
+bool breaksConstraint(double v, double bound) {
+  return v > bound + 1e-12 * (1.0 + std::fabs(bound));
 }
 
 const std::string kInfeasibleOrigin = "infeasible-origin";
@@ -622,8 +629,7 @@ void CompiledProblem::radiusOfMulti(std::size_t index,
   const std::size_t row = rowIndex_[index];
   const std::size_t nSub = subspaces_.size();
   std::span<const double> w = rowOf(index);
-  const double* blockDual = blockDuals_.data() + row * nSub;
-  num::Vec scaledDuals;
+  const double* rowDuals = blockDuals_.data() + row * nSub;
   if (scale != 1.0) {
     ROBUST_REQUIRE(scale > 0.0,
                    "CompiledProblem: instance scales must be positive");
@@ -632,16 +638,14 @@ void CompiledProblem::radiusOfMulti(std::size_t index,
       workspace.scaledRow_[k] = w[k] * scale;
     }
     w = workspace.scaledRow_;
-    // Dual norms are positively homogeneous: dual(s * a) = s * dual(a).
-    scaledDuals.resize(nSub);
-    for (std::size_t s = 0; s < nSub; ++s) {
-      scaledDuals[s] = blockDual[s] * scale;
-    }
-    blockDual = scaledDuals.data();
   }
+  // Dual norms are positively homogeneous: dual(s * a) = s * dual(a).
+  auto blockDual = [&](std::size_t s) {
+    return scale != 1.0 ? rowDuals[s] * scale : rowDuals[s];
+  };
   double denom = 0.0;
   for (std::size_t s = 0; s < nSub; ++s) {
-    denom += blockDual[s];
+    denom += blockDual(s);
   }
 
   out.feature = f.name;
@@ -693,13 +697,13 @@ void CompiledProblem::radiusOfMulti(std::size_t index,
   out.boundaryPoint.assign(origin.begin(), origin.end());
   const double gap = (bestLevel - constant) - dotOrigin;
   for (std::size_t s = 0; s < nSub; ++s) {
-    if (!(blockDual[s] > 0.0)) {
+    if (!(blockDual(s) > 0.0)) {
       continue;  // the row does not touch this block; it stays at origin
     }
     const PerturbationSubspace& sub = subspaces_[s];
     const std::size_t off = subOffsets_[s];
     const std::size_t len = sub.origin.size();
-    addBlockDisplacement(w.subspan(off, len), gap * blockDual[s] / denom,
+    addBlockDisplacement(w.subspan(off, len), gap * blockDual(s) / denom,
                          static_cast<NormKind>(sub.norm), sub.normWeights,
                          std::span<double>(out.boundaryPoint).subspan(off,
                                                                       len));
@@ -708,8 +712,7 @@ void CompiledProblem::radiusOfMulti(std::size_t index,
 
 bool CompiledProblem::originFeasible(std::span<const double> origin) const {
   for (const LinearConstraint& c : constraints_) {
-    const double v = num::dot(c.coeffs, origin);
-    if (v > c.bound + 1e-12 * (1.0 + std::fabs(c.bound))) {
+    if (breaksConstraint(num::dot(c.coeffs, origin), c.bound)) {
       return false;
     }
   }
@@ -722,6 +725,79 @@ bool CompiledProblem::violates(std::span<const double> x) const {
   }
   for (const auto& f : features_) {
     if (!f.bounds.contains(f.impact.evaluate(x))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void CompiledProblem::setRayOrigin(std::span<const double> origin,
+                                   RayForm& ray) const {
+  ROBUST_REQUIRE(origin.size() == dim_,
+                 "setRayOrigin: origin dimension mismatch");
+  const std::size_t rows = rowCount();
+  ray.origin_ = origin;
+  ray.rowValue_.resize(rows);
+  num::simd::dotRowsBlocked(weights_.data(), rows, origin,
+                            ray.rowValue_.data());
+  for (std::size_t i = 0; i < features_.size(); ++i) {
+    if (rowIndex_[i] != kNoRow) {
+      ray.rowValue_[rowIndex_[i]] += constants_[i];
+    }
+  }
+  ray.constraintValue_.resize(constraints_.size());
+  for (std::size_t j = 0; j < constraints_.size(); ++j) {
+    ray.constraintValue_[j] = num::dot(constraints_[j].coeffs, origin);
+  }
+  ray.point_.resize(dim_);
+}
+
+void CompiledProblem::setRayDirection(std::span<const double> u,
+                                      RayForm& ray) const {
+  ROBUST_REQUIRE(u.size() == dim_ && ray.origin_.size() == dim_,
+                 "setRayDirection: direction dimension mismatch or no "
+                 "ray origin");
+  const std::size_t rows = rowCount();
+  ray.direction_ = u;
+  ray.rowSlope_.resize(rows);
+  num::simd::dotRowsBlocked(weights_.data(), rows, u, ray.rowSlope_.data());
+  ray.constraintSlope_.resize(constraints_.size());
+  ray.extent_ = kInf;
+  for (std::size_t j = 0; j < constraints_.size(); ++j) {
+    const double slope = num::dot(constraints_[j].coeffs, u);
+    ray.constraintSlope_[j] = slope;
+    if (slope > 0.0) {
+      ray.extent_ = std::min(
+          ray.extent_,
+          (constraints_[j].bound - ray.constraintValue_[j]) / slope);
+    }
+  }
+}
+
+bool CompiledProblem::violatesOnRay(RayForm& ray, double r) const {
+  for (std::size_t j = 0; j < constraints_.size(); ++j) {
+    if (breaksConstraint(
+            ray.constraintValue_[j] + r * ray.constraintSlope_[j],
+            constraints_[j].bound)) {
+      return false;
+    }
+  }
+  bool pointReady = false;
+  for (std::size_t i = 0; i < features_.size(); ++i) {
+    const std::size_t row = rowIndex_[i];
+    double value;
+    if (row != kNoRow) {
+      value = ray.rowValue_[row] + r * ray.rowSlope_[row];
+    } else {
+      if (!pointReady) {
+        for (std::size_t k = 0; k < dim_; ++k) {
+          ray.point_[k] = ray.origin_[k] + r * ray.direction_[k];
+        }
+        pointReady = true;
+      }
+      value = features_[i].impact.evaluate(ray.point_);
+    }
+    if (!features_[i].bounds.contains(value)) {
       return true;
     }
   }
@@ -1193,12 +1269,128 @@ MetricResult CompiledProblem::metricFromDots(const AnalysisInstance& instance,
   return result;
 }
 
+MetricResult CompiledProblem::screenedConstrainedMetric(
+    const AnalysisInstance& instance, std::span<const double> origin,
+    const double* dots, bool prune, MetricWorkspace& ws) const {
+  // Constrained specs have no callable features: every feature is a row.
+  const std::size_t n = features_.size();
+  auto constantOf = [&](std::size_t i) {
+    return instance.constants.empty() ? constants_[i] : instance.constants[i];
+  };
+  auto scaleOf = [&](std::size_t i) {
+    return instance.scales.empty() ? 1.0 : instance.scales[i];
+  };
+
+  // Each row's unconstrained radius from the kernel dots is, up to
+  // rounding, a lower bound on the radius radiusOfInto reports: a
+  // constraint can only raise it. The bound subtracts that rounding so
+  // it is rigorous. The kernel dot and evaluate()'s element-order dot
+  // each err by at most (dim + 1) eps * sum_k |s a_k x_k|, which
+  // s * ||a||_1 * ||x||_inf majorizes, and the constant and level add a
+  // few roundings more. A Dykstra clip may land up to its residual
+  // tolerance short of the true constrained distance.
+  double xInf = 0.0;
+  for (const double v : origin) {
+    const double a = std::fabs(v);
+    if (!(a <= xInf)) {
+      xInf = a;  // NaN propagates into the slack, which zeroes the bound
+    }
+  }
+  const double slackCoeff =
+      4.0 * DBL_EPSILON * static_cast<double>(dim_ + 8);
+  const double clipSlack = 2.0 * num::ProjectionOptions{}.tolerance;
+  const std::vector<double>& norm1 =
+      dualNorms_[static_cast<int>(NormKind::LInf)];
+
+  ws.screenBounds_.resize(n);
+  ws.screenOrder_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t row = rowIndex_[i];
+    const double constant = constantOf(i);
+    const double scale = scaleOf(i);
+    double atOrigin = dots[row] + constant;
+    double deff = effDual_[row];
+    if (scale != 1.0) {
+      ROBUST_REQUIRE(scale > 0.0,
+                     "CompiledProblem: instance scales must be positive");
+      atOrigin = scale * dots[row] + constant;
+      deff = scale * effDual_[row];
+    }
+    // A row with deff not > 0 is always solved: radiusOfInto decides
+    // between radius 0 and the constant-feature error.
+    double bound = -kInf;
+    if (deff > 0.0) {
+      const ToleranceBounds& b = features_[i].bounds;
+      double radius = 0.0;
+      affineRowRadius(atOrigin, deff, b, radius);
+      const double level = std::max(b.min ? std::fabs(*b.min) : 0.0,
+                                    b.max ? std::fabs(*b.max) : 0.0);
+      bound = radius -
+              slackCoeff *
+                  (scale * norm1[row] * xInf + std::fabs(constant) + level) /
+                  deff -
+              clipSlack;
+      if (!(bound > 0.0)) {
+        bound = 0.0;
+      }
+    }
+    ws.screenBounds_[i] = bound;
+    ws.screenOrder_[i] = i;
+  }
+
+  // Visit rows in ascending (bound, index) through a heap: only the rows
+  // actually solved pay for their place in the order.
+  const double* bounds = ws.screenBounds_.data();
+  auto later = [bounds](std::size_t a, std::size_t b) {
+    return bounds[a] > bounds[b] || (bounds[a] == bounds[b] && a > b);
+  };
+  auto first = ws.screenOrder_.begin();
+  auto last = ws.screenOrder_.end();
+  std::make_heap(first, last, later);
+  MetricResult result;
+  result.metric = kInf;
+  result.bindingFeature = 0;
+  result.floored = false;
+  std::size_t solved = 0;
+  while (first != last) {
+    const std::size_t i = *first;
+    if (prune && bounds[i] > result.metric * (1.0 + kPruneMargin)) {
+      break;  // this and every later row provably exceed the incumbent
+    }
+    std::pop_heap(first, last, later);
+    --last;
+    radiusOfInto(i, origin, constantOf(i), scaleOf(i), ws.scratch_,
+                 ws.full_);
+    ++solved;
+    // evaluate() keeps the lowest index among equal radii.
+    const double radius = ws.scratch_.radius;
+    if (radius < result.metric ||
+        (radius == result.metric && i < result.bindingFeature)) {
+      result.metric = radius;
+      result.bindingFeature = i;
+    }
+  }
+  if (parameter_.discrete && std::isfinite(result.metric)) {
+    result.metric = std::floor(result.metric);
+    result.floored = true;
+  }
+  if (obs::enabled()) [[unlikely]] {
+    static const obs::MetricId kRows = obs::counterId("core.rows_evaluated");
+    static const obs::MetricId kSkipped =
+        obs::counterId("core.prune.rows_skipped");
+    obs::addCounter(kRows, solved);
+    obs::addCounter(kSkipped, n - solved);
+  }
+  return result;
+}
+
 MetricResult CompiledProblem::evaluateMetric(const AnalysisInstance& instance,
                                              MetricWorkspace& workspace,
                                              bool prune) const {
   const std::span<const double> origin = resolveOrigin(instance);
-  if (!fastSolver_) {
-    // Iterative solver configurations stay on the full lane.
+  if (!fastSolver_ && (constraints_.empty() || !originFeasible(origin))) {
+    // Iterative solver configurations and infeasible operating points stay
+    // on the full lane.
     const RobustnessReport& full = evaluate(instance, workspace.full_);
     return MetricResult{full.metric, full.bindingFeature, full.floored};
   }
@@ -1211,6 +1403,10 @@ MetricResult CompiledProblem::evaluateMetric(const AnalysisInstance& instance,
     num::simd::dotRowsBlocked(weights_.data(), rows, origin,
                               workspace.dots_.data());
     dots = workspace.dots_.data();
+  }
+  if (!fastSolver_) {
+    return screenedConstrainedMetric(instance, origin, dots, prune,
+                                     workspace);
   }
   return metricFromDots(instance, origin, dots, prune, workspace);
 }
@@ -1287,6 +1483,15 @@ void CompiledProblem::analyzeBatchMetric(
       [&](std::size_t lo, std::size_t hi, MetricWorkspace& workspace) {
         metricBlock(instances, out, lo, hi, workspace, prune);
       });
+}
+
+void CompiledProblem::analyzeBatchMetric(
+    std::span<const AnalysisInstance> instances, std::span<MetricResult> out,
+    MetricWorkspace& workspace, bool prune) const {
+  ROBUST_REQUIRE(out.size() == instances.size(),
+                 "analyzeBatchMetric: output size does not match instance "
+                 "count");
+  metricBlock(instances, out, 0, instances.size(), workspace, prune);
 }
 
 std::vector<MetricResult> CompiledProblem::analyzeBatchMetric(

@@ -219,8 +219,8 @@ void StreamEngine::scanShard(std::span<const double> vals,
       arena.instances[i] =
           AnalysisInstance{vals.subspan(i * dim, dim), {}, {}};
     }
-    p_.metricBlock(arena.instances, arena.results, 0, count, arena.metric,
-                   opt_.prune);
+    p_.analyzeBatchMetric(arena.instances, arena.results, arena.metric,
+                          opt_.prune);
     for (std::size_t i = 0; i < count; ++i) {
       accept(i, arena.results[i].metric, arena.results[i].bindingFeature,
              arena.results[i].floored);

@@ -9,7 +9,6 @@
 
 #include "robust/core/row_radius.hpp"
 #include "robust/numeric/simd.hpp"
-#include "robust/numeric/vector_ops.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
@@ -183,35 +182,26 @@ class CurveEngine {
   }
 
   /// Full-lane critical radius: expanding bracket (doubling from `scale`)
-  /// until the predicate fires, then 100 bisection halvings. A point past
-  /// a hard constraint never violates, so along the ray the violating set
-  /// ends at the ray's feasible extent; the bracket is capped there so a
-  /// doubling step cannot jump over that window. Discrete perturbations
-  /// floor the result, mirroring the Section 3.2 metric floor (floor is
-  /// monotone, so min over samples stays >= rho).
+  /// until the predicate fires, then bisection, on the ray form of the
+  /// spec's violation predicate (one row-slope kernel pass per sample,
+  /// O(rows) scalar work per probe). A point past a hard constraint never
+  /// violates, so along the ray the violating set ends at the ray's
+  /// feasible extent; the bracket is capped there so a doubling step
+  /// cannot jump over that window. Bisection stops once the midpoint
+  /// rounds onto an endpoint: lo never violates and hi always does, so
+  /// every further halving would leave both unchanged and the early exit
+  /// returns what all 100 halvings would. Discrete perturbations floor the
+  /// result, mirroring the Section 3.2 metric floor (floor is monotone,
+  /// so min over samples stays >= rho). `steps` counts predicate probes.
   static double criticalRadiusFull(const core::CompiledProblem& p,
-                                   std::span<const double> u, num::Vec& point,
-                                   double scale, bool floorRadius) {
-    const std::span<const double> origin(p.parameter_.origin);
-    auto violatesAt = [&](double r) {
-      for (std::size_t k = 0; k < origin.size(); ++k) {
-        point[k] = origin[k] + r * u[k];
-      }
-      return p.violates(point);
-    };
-    if (violatesAt(0.0)) {
+                                   core::RayForm& ray,
+                                   std::span<const double> u, double scale,
+                                   bool floorRadius, std::uint64_t& steps) {
+    p.setRayDirection(u, ray);
+    if (p.violatesOnRay(ray, 0.0)) {
       return 0.0;
     }
-    // Each constraint g . x <= b is linear along the ray and breaks at
-    // r = (b - g . origin) / (g . u) when g . u > 0.
-    double extent = kInf;
-    for (const core::LinearConstraint& c : p.constraints_) {
-      const double slope = num::dot(c.coeffs, u);
-      if (slope > 0.0) {
-        extent =
-            std::min(extent, (c.bound - num::dot(c.coeffs, origin)) / slope);
-      }
-    }
+    const double extent = ray.feasibleExtent();
     if (!(extent > 0.0)) {
       return kInf;  // no feasible point beyond the origin on this ray
     }
@@ -219,7 +209,8 @@ class CurveEngine {
     double hi = std::min(scale, extent);
     bool found = false;
     for (int i = 0; i < 80; ++i) {
-      if (violatesAt(hi)) {
+      ++steps;
+      if (p.violatesOnRay(ray, hi)) {
         found = true;
         break;
       }
@@ -234,7 +225,11 @@ class CurveEngine {
     }
     for (int i = 0; i < 100; ++i) {
       const double mid = 0.5 * (lo + hi);
-      if (violatesAt(mid)) {
+      if (mid == lo || mid == hi) {
+        break;
+      }
+      ++steps;
+      if (p.violatesOnRay(ray, mid)) {
         hi = mid;
       } else {
         lo = mid;
@@ -323,20 +318,27 @@ class CurveEngine {
           std::isfinite(r.rho) && r.rho > 0.0 ? r.rho : 1.0;
       struct Scratch {
         std::vector<double> dir;
-        num::Vec point;
+        core::RayForm ray;
       };
       forEachSample(
           o.samples, o.shardSamples, o.threads,
-          [&] { return Scratch{std::vector<double>(p.dim_),
-                               num::Vec(p.dim_)}; },
+          [&] {
+            Scratch scratch{std::vector<double>(p.dim_), {}};
+            p.setRayOrigin(p.parameter_.origin, scratch.ray);
+            return scratch;
+          },
           [&](std::size_t i, Scratch& scratch) {
             sampleDirection(p, o.seed, i, scratch.dir);
-            r.radii[i] = criticalRadiusFull(p, scratch.dir, scratch.point,
-                                            scale, floorRadius);
+            std::uint64_t steps = 0;
+            r.radii[i] = criticalRadiusFull(p, scratch.ray, scratch.dir,
+                                            scale, floorRadius, steps);
             if (obs::enabled()) [[unlikely]] {
               static const obs::MetricId kFull =
                   obs::counterId("curve.fallback_samples");
+              static const obs::MetricId kSteps =
+                  obs::counterId("num.bisect_iterations");
               obs::addCounter(kFull);
+              obs::addCounter(kSteps, steps);
             }
           });
     }

@@ -1,0 +1,181 @@
+// Heap-allocation pins for the steady state of the compiled lanes.
+//
+// This binary replaces the global operator new with one that counts the
+// calling thread's allocations; the replacement acts on this test process
+// only. Each test warms a workspace, then counts what further calls on it
+// allocate. DESIGN.md §4.7 promises a zero-allocation steady state for
+// the affine lanes; these tests hold the code to it.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "robust/core/compiled.hpp"
+#include "robust/core/impact.hpp"
+#include "robust/obs/metrics.hpp"
+#include "robust/util/rng.hpp"
+
+namespace {
+
+thread_local std::uint64_t tAllocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  ++tAllocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace {
+
+using namespace robust;
+using namespace robust::core;
+
+template <class F>
+std::uint64_t allocationsOf(F&& call) {
+  const std::uint64_t before = tAllocations;
+  call();
+  return tAllocations - before;
+}
+
+constexpr std::size_t kRows = 24;
+constexpr std::size_t kDim = 8;
+
+/// The 24 x 8 affine shape of robustd_load's plain family; `budget`
+/// adds one loose capacity row (sum of components <= 1.5 x the origin's).
+ProblemSpec affineSpec(bool budget) {
+  Pcg32 rng(5);
+  ProblemSpec spec;
+  spec.parameter.name = "pi";
+  spec.parameter.origin.resize(kDim);
+  for (double& v : spec.parameter.origin) {
+    v = rng.uniform(0.5, 1.5);
+  }
+  for (std::size_t r = 0; r < kRows; ++r) {
+    num::Vec w(kDim);
+    double atOrigin = 0.0;
+    for (std::size_t k = 0; k < kDim; ++k) {
+      w[k] = rng.uniform(0.1, 2.0);
+      atOrigin += w[k] * spec.parameter.origin[k];
+    }
+    spec.features.push_back(PerformanceFeature{
+        "F_" + std::to_string(r), ImpactFunction::affine(std::move(w)),
+        ToleranceBounds::atMost(atOrigin + rng.uniform(0.5, 4.0))});
+  }
+  if (budget) {
+    double load = 0.0;
+    for (const double v : spec.parameter.origin) {
+      load += v;
+    }
+    spec.constraints.push_back(
+        LinearConstraint{"budget", num::Vec(kDim, 1.0), 1.5 * load});
+  }
+  return spec;
+}
+
+/// `count` origins jittered around the spec's.
+std::vector<double> jitteredOrigins(const CompiledProblem& p,
+                                    std::size_t count) {
+  Pcg32 rng(9);
+  std::vector<double> values;
+  for (std::size_t i = 0; i < count; ++i) {
+    for (const double v : p.parameter().origin) {
+      values.push_back(v + rng.uniform(-0.05, 0.05));
+    }
+  }
+  return values;
+}
+
+std::vector<AnalysisInstance> viewsOf(const std::vector<double>& values) {
+  std::vector<AnalysisInstance> views(values.size() / kDim);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    views[i].origin = std::span<const double>(values).subspan(i * kDim, kDim);
+  }
+  return views;
+}
+
+TEST(AllocationPin, CountingOperatorNewSeesAllocations) {
+  EXPECT_GE(allocationsOf([] {
+              std::vector<double> v(16);
+              EXPECT_EQ(v.size(), 16u);
+            }),
+            1u);
+}
+
+TEST(AllocationPin, PlainEvaluateAndMetricAllocateNothingWhenWarm) {
+  obs::setEnabled(false);
+  const CompiledProblem p = CompiledProblem::compile(affineSpec(false));
+  ASSERT_TRUE(p.metricKernelLane());
+  const std::vector<double> values = jitteredOrigins(p, 4);
+  const std::vector<AnalysisInstance> instances = viewsOf(values);
+  MetricWorkspace metric;
+  EvalWorkspace full;
+  for (const AnalysisInstance& inst : instances) {
+    (void)p.evaluateMetric(inst, metric);
+    (void)p.evaluate(inst, full);
+  }
+  for (const AnalysisInstance& inst : instances) {
+    EXPECT_EQ(allocationsOf([&] { (void)p.evaluateMetric(inst, metric); }),
+              0u);
+    EXPECT_EQ(allocationsOf([&] { (void)p.evaluate(inst, full); }), 0u);
+  }
+}
+
+TEST(AllocationPin, WarmSerialBatchMetricAllocatesNothing) {
+  obs::setEnabled(false);
+  const CompiledProblem p = CompiledProblem::compile(affineSpec(false));
+  const std::vector<double> values = jitteredOrigins(p, 20);
+  const std::vector<AnalysisInstance> instances = viewsOf(values);
+  std::vector<MetricResult> out(instances.size());
+  MetricWorkspace ws;
+  p.analyzeBatchMetric(instances, out, ws);
+  EXPECT_EQ(allocationsOf([&] { p.analyzeBatchMetric(instances, out, ws); }),
+            0u);
+  // The serial overload is one worker's block of the threaded entry point.
+  const std::vector<MetricResult> threaded = p.analyzeBatchMetric(instances, 2);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].metric, threaded[i].metric);
+    EXPECT_EQ(out[i].bindingFeature, threaded[i].bindingFeature);
+  }
+}
+
+TEST(AllocationPin, ScreenedConstrainedLaneAllocatesNothingWithoutAClip) {
+  obs::setEnabled(false);
+  const CompiledProblem p = CompiledProblem::compile(affineSpec(true));
+  ASSERT_FALSE(p.metricKernelLane());
+  const std::vector<double> values = jitteredOrigins(p, 4);
+  const std::vector<AnalysisInstance> instances = viewsOf(values);
+  MetricWorkspace ws;
+  std::size_t clippedRows = 0;
+  for (const AnalysisInstance& inst : instances) {
+    // The binding row is analytic: its boundary point keeps the budget.
+    // Farther rows break it and need the Dykstra clip, which allocates;
+    // the screen proves they cannot bind and never solves them.
+    const RobustnessReport full = p.evaluate(inst);
+    ASSERT_FALSE(full.infeasibleOrigin);
+    ASSERT_EQ(full.radii[full.bindingFeature].method, "analytic-l2");
+    for (const RadiusReport& r : full.radii) {
+      clippedRows += r.method == "dykstra-clip" ? 1 : 0;
+    }
+    const MetricResult warm = p.evaluateMetric(inst, ws);
+    EXPECT_EQ(warm.metric, full.metric);
+    EXPECT_EQ(warm.bindingFeature, full.bindingFeature);
+  }
+  EXPECT_GT(clippedRows, 0u);
+  for (const AnalysisInstance& inst : instances) {
+    EXPECT_EQ(allocationsOf([&] { (void)p.evaluateMetric(inst, ws); }), 0u);
+  }
+}
+
+}  // namespace

@@ -480,6 +480,230 @@ TEST(CurveFallback, ConstrainedRayStopsAtFeasibleExtent) {
   EXPECT_NEAR(result.probabilityAt(3.4), exact, result.dkwEpsilon);
 }
 
+/// An all-affine spec off the closed-form lane: curveProblem's rows plus,
+/// when `constraints`, two capacity rows that cut most rays short of their
+/// crossing, and a discrete parameter when `discrete`.
+CompiledProblem fallbackProblem(std::size_t rows, std::size_t dims,
+                                bool constraints, bool discrete,
+                                std::uint64_t seed) {
+  Pcg32 rng(seed);
+  ProblemSpec spec;
+  spec.parameter.name = "pi";
+  spec.parameter.discrete = discrete;
+  spec.parameter.origin.resize(dims);
+  const double unit = discrete ? 8.0 : 1.0;  // radii span several integers
+  for (double& v : spec.parameter.origin) {
+    v = rng.uniform(0.5, 1.5) * unit;
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    num::Vec weights(dims);
+    double atOrigin = 0.0;
+    for (std::size_t k = 0; k < dims; ++k) {
+      weights[k] = rng.uniform(-1.0, 2.0);
+      atOrigin += weights[k] * spec.parameter.origin[k];
+    }
+    const double constant = rng.uniform(-1.0, 1.0);
+    atOrigin += constant;
+    const double lo = atOrigin - rng.uniform(0.5, 6.0) * unit;
+    const double hi = atOrigin + rng.uniform(0.5, 6.0) * unit;
+    spec.features.push_back(PerformanceFeature{
+        "F_" + std::to_string(r),
+        ImpactFunction::affine(std::move(weights), constant),
+        r % 3 == 0 ? ToleranceBounds::atMost(hi)
+                   : ToleranceBounds::between(lo, hi)});
+  }
+  for (std::size_t j = 0; constraints && j < 2; ++j) {
+    LinearConstraint cap{"cap" + std::to_string(j), num::Vec(dims), 0.0};
+    double atOrigin = 0.0;
+    for (std::size_t k = 0; k < dims; ++k) {
+      cap.coeffs[k] = rng.uniform(-1.0, 1.0);
+      atOrigin += cap.coeffs[k] * spec.parameter.origin[k];
+    }
+    cap.bound = atOrigin + rng.uniform(0.5, 2.0);
+    spec.constraints.push_back(std::move(cap));
+  }
+  return CompiledProblem::compile(std::move(spec));
+}
+
+/// The exact critical radius along `u` for an all-affine spec, with no
+/// bisection: the first tolerance crossing min(gap / slope) when it lies
+/// inside the ray's feasible extent, +inf when the ray leaves the
+/// feasible region first, 0 when a bound is broken at the origin.
+double lineOracle(const CompiledProblem& problem, std::span<const double> u) {
+  const auto& origin = problem.parameter().origin;
+  auto dot = [](std::span<const double> a, std::span<const double> b) {
+    double s = 0.0;
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      s += a[k] * b[k];
+    }
+    return s;
+  };
+  double crossing = kInf;
+  for (const auto& f : problem.features()) {
+    const double value =
+        dot(f.impact.weights(), origin) + f.impact.constant();
+    if (!f.bounds.contains(value)) {
+      return 0.0;
+    }
+    const double slope = dot(f.impact.weights(), u);
+    if (slope > 0.0 && f.bounds.max) {
+      crossing = std::min(crossing, (*f.bounds.max - value) / slope);
+    } else if (slope < 0.0 && f.bounds.min) {
+      crossing = std::min(crossing, (*f.bounds.min - value) / slope);
+    }
+  }
+  double extent = kInf;
+  for (const auto& c : problem.constraints()) {
+    const double slope = dot(c.coeffs, u);
+    if (slope > 0.0) {
+      extent = std::min(extent, (c.bound - dot(c.coeffs, origin)) / slope);
+    }
+  }
+  return crossing <= extent ? crossing : kInf;
+}
+
+TEST(CurveFallback, RayFormRadiiMatchTheLineOracle) {
+  struct Case {
+    bool constraints;
+    bool discrete;
+  };
+  for (const Case k : {Case{true, false}, Case{false, true},
+                       Case{true, true}}) {
+    const CompiledProblem problem =
+        fallbackProblem(24, 6, k.constraints, k.discrete, 13);
+    CurveOptions o;
+    o.samples = 512;
+    o.seed = 4;
+    o.threads = 2;
+    o.shardSamples = 64;
+    const CurveResult result = computeCurve(problem, o);
+    ASSERT_FALSE(result.fastLane);
+
+    std::vector<double> reference(o.samples);
+    for (std::size_t i = 0; i < o.samples; ++i) {
+      const double r =
+          lineOracle(problem, sampleDirectionReference(problem, o.seed, i));
+      reference[i] = k.discrete ? std::floor(r) : r;
+    }
+    std::sort(reference.begin(), reference.end());
+    std::size_t finite = 0;
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      if (std::isinf(reference[i])) {
+        EXPECT_TRUE(std::isinf(result.radii[i])) << "sorted index " << i;
+      } else if (k.discrete) {
+        ++finite;
+        EXPECT_EQ(result.radii[i], reference[i]) << "sorted index " << i;
+      } else {
+        ++finite;
+        EXPECT_NEAR(result.radii[i], reference[i], 1e-12 * reference[i])
+            << "sorted index " << i;
+      }
+    }
+    EXPECT_EQ(result.finiteRadii, finite);
+    // Both outcomes occur: crossings inside the extent, and (constrained)
+    // rays that leave the feasible region first.
+    EXPECT_GT(finite, o.samples / 8);
+    if (k.constraints) {
+      EXPECT_LT(finite, o.samples);
+    }
+  }
+}
+
+TEST(CurveFallback, CountsProbesAndStopsAtUlpAdjacency) {
+  // Each finite sample's bisection ends once lo and hi are adjacent
+  // doubles, about 50 halvings from a bracket of width ~rho, where the
+  // fixed loop ran 100.
+  const CompiledProblem problem = fallbackProblem(24, 6, false, true, 13);
+  CurveOptions o;
+  o.samples = 256;
+  o.threads = 1;
+  ObsGuard guard;
+  const CurveResult result = computeCurve(problem, o);
+  const obs::MetricsSnapshot snap = obs::snapshotMetrics();
+  ASSERT_EQ(snap.counter("curve.fallback_samples"), o.samples);
+  EXPECT_EQ(result.finiteRadii, o.samples);
+  const double perSample =
+      static_cast<double>(snap.counter("num.bisect_iterations")) /
+      static_cast<double>(o.samples);
+  EXPECT_GT(perSample, 45.0);
+  EXPECT_LT(perSample, 70.0);
+}
+
+TEST(CurveFallback, RayFormAgreesWithViolatesOffTheBoundary) {
+  // An affine constrained spec, and an unconstrained one with a callable
+  // feature (constraints require affine features), from the compiled
+  // origin and from a moved one.
+  ProblemSpec withCallable;
+  withCallable.parameter.origin = num::Vec{1.0, 1.0, 0.5};
+  withCallable.features.push_back(PerformanceFeature{
+      "quad",
+      ImpactFunction::callable([](std::span<const double> x) {
+        return x[0] * x[0] + x[1] - x[2];
+      }),
+      ToleranceBounds::atMost(4.0)});
+  withCallable.features.push_back(PerformanceFeature{
+      "lin", ImpactFunction::affine(num::Vec{0.5, -1.0, 2.0}, 0.25),
+      ToleranceBounds::between(-2.0, 3.0)});
+  const CompiledProblem problems[] = {
+      fallbackProblem(16, 5, true, false, 17),
+      CompiledProblem::compile(std::move(withCallable))};
+
+  Pcg32 rng(23);
+  for (const CompiledProblem& problem : problems) {
+    const std::size_t dim = problem.dimension();
+    std::size_t violating = 0;
+    std::size_t clear = 0;
+    RayForm ray;
+    std::vector<double> origin(dim);
+    std::vector<double> u(dim);
+    std::vector<double> x(dim);
+    for (int t = 0; t < 4000; ++t) {
+      if (t % 500 == 0) {
+        for (std::size_t k = 0; k < dim; ++k) {
+          origin[k] = problem.parameter().origin[k] +
+                      (t == 0 ? 0.0 : rng.uniform(-0.2, 0.2));
+        }
+        problem.setRayOrigin(origin, ray);
+      }
+      for (std::size_t k = 0; k + 1 < dim; k += 2) {
+        rnd::standardNormalPair(rng, u[k], u[k + 1]);
+      }
+      u[dim - 1] = rng.uniform(-1.0, 1.0);
+      problem.setRayDirection(u, ray);
+      const double r = rng.uniform(0.0, 4.0);
+      for (std::size_t k = 0; k < dim; ++k) {
+        x[k] = origin[k] + r * u[k];
+      }
+      // Off the boundary: every level and capacity is clearly apart.
+      bool near = false;
+      for (const auto& f : problem.features()) {
+        const double v = f.impact.evaluate(x);
+        for (const auto& level : {f.bounds.min, f.bounds.max}) {
+          near = near ||
+                 (level && std::fabs(v - *level) <=
+                               1e-9 * (1.0 + std::fabs(*level)));
+        }
+      }
+      for (const auto& c : problem.constraints()) {
+        double v = 0.0;
+        for (std::size_t k = 0; k < dim; ++k) {
+          v += c.coeffs[k] * x[k];
+        }
+        near = near || std::fabs(v - c.bound) <= 1e-9 * (1.0 + std::fabs(c.bound));
+      }
+      if (near) {
+        continue;
+      }
+      const bool expected = problem.violates(x);
+      EXPECT_EQ(problem.violatesOnRay(ray, r), expected)
+          << "trial " << t << " r " << r;
+      (expected ? violating : clear) += 1;
+    }
+    EXPECT_GT(violating, 200u);
+    EXPECT_GT(clear, 200u);
+  }
+}
+
 // ----------------------------------------------------------------- bands
 
 TEST(Bands, DkwEpsilonReference) {
