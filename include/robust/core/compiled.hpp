@@ -370,28 +370,32 @@ class CompiledProblem {
   friend class robust::curve::CurveEngine;
   friend class robust::curve::DriftTracker;
 
+  /// One feature's radius report. An affine row scaled by `scale` != 1 is
+  /// built once in the workspace; every lane below reads the row `w` it is
+  /// handed (empty for a callable feature).
   void radiusOfInto(std::size_t index, std::span<const double> origin,
                     double constant, double scale, RadiusReport& out,
                     EvalWorkspace& workspace) const;
-  void radiusSlowPath(std::size_t index, std::span<const double> origin,
-                      double constant, double scale,
-                      std::span<const double> weights, SolverKind solver,
+  void radiusSlowPath(std::size_t index, std::span<const double> w,
+                      std::span<const double> origin, double constant,
+                      double scale, SolverKind solver,
                       RadiusReport& out) const;
 
   /// Analytic radius of one affine feature under the multi-subspace
   /// combined norm (max of per-block norms): effective dual = sum of
   /// per-block duals, boundary point assembled block by block.
-  void radiusOfMulti(std::size_t index, std::span<const double> origin,
-                     double constant, double scale, RadiusReport& out,
-                     EvalWorkspace& workspace) const;
+  void radiusOfMulti(std::size_t index, std::span<const double> w,
+                     std::span<const double> origin, double constant,
+                     double scale, RadiusReport& out) const;
 
   /// Feasibility clip: replaces `out` (the unconstrained analytic radius of
-  /// feature `index` at `origin`) with the constrained radius when the
-  /// unconstrained boundary point violates a compiled constraint. Single
-  /// (weighted-)L2 subspace -> Dykstra projection; multiple subspaces ->
-  /// bisection on the radius with a POCS membership oracle.
-  void clipToFeasible(std::size_t index, std::span<const double> origin,
-                      double constant, double scale, RadiusReport& out) const;
+  /// feature `index`, row `w`, at `origin`) with the constrained radius
+  /// when the unconstrained boundary point violates a compiled constraint.
+  /// Single (weighted-)L2 subspace -> Dykstra projection; multiple
+  /// subspaces -> bisection on the radius with a POCS membership oracle.
+  void clipToFeasible(std::size_t index, std::span<const double> w,
+                      std::span<const double> origin, double constant,
+                      double scale, RadiusReport& out) const;
 
   /// Fills `report` for an operating point that violates a constraint:
   /// metric 0, infeasibleOrigin set, every radius zeroed.

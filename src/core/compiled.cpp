@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "robust/core/row_radius.hpp"
-#include "robust/numeric/hyperplane.hpp"
 #include "robust/numeric/projection.hpp"
 #include "robust/numeric/simd.hpp"
 #include "robust/obs/metrics.hpp"
@@ -43,23 +42,23 @@ double dualNorm(std::span<const double> a, NormKind norm,
   return 0.0;  // unreachable
 }
 
-/// Nearest boundary point on the hyperplane {x : a.x = c} from x0 under the
-/// chosen norm (the minimizer achieving the dual-norm distance), written
-/// into `out` (buffer reuse; the arithmetic matches the legacy analyzer
-/// exactly). `gap` is c - a.x0, which every caller has already computed from
-/// the same dot product the legacy code used, so the bits are unchanged.
-/// `weightedDenom`, when positive, must equal sum(a_i^2 / w_i); the
-/// recomputation it replaces accumulates in the identical order, so passing
-/// the hoisted value leaves every produced bit unchanged.
-void nearestOnHyperplaneInto(std::span<const double> a, double gap,
-                             std::span<const double> x0, NormKind norm,
-                             std::span<const double> weights, num::Vec& out,
-                             double weightedDenom = 0.0) {
-  out.assign(x0.begin(), x0.end());
+/// Adds to `out` (which already holds the origin) the minimal-norm
+/// displacement d with a . d = gap under `norm`: the nearest point of the
+/// hyperplane {x : a . x = a . x0 + gap} (Fig. 1's pi*). A single-subspace
+/// boundary point applies it over the whole vector, a multi-subspace one
+/// block by block with each block's share of the gap. `weightedDenom`, when
+/// positive, must equal sum(a_i^2 / w_i); the recomputation it replaces
+/// accumulates in the identical order, so the hint changes no bit.
+void addBlockDisplacement(std::span<const double> a, double gap,
+                          NormKind norm, std::span<const double> weights,
+                          std::span<double> out, double weightedDenom = 0.0) {
   switch (norm) {
     case NormKind::L2: {
       const double n2 = num::dot(a, a);
-      num::axpy(gap / n2, a, out);
+      const double t = gap / n2;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        out[i] += t * a[i];
+      }
       break;
     }
     case NormKind::L1: {
@@ -99,53 +98,6 @@ void nearestOnHyperplaneInto(std::span<const double> a, double gap,
   }
 }
 
-/// Adds the minimal-norm displacement achieving a . d = gap to the block
-/// slice `out` (which already holds the block origin): the per-block body
-/// of the multi-subspace boundary-point assembly. Mirrors the switch of
-/// nearestOnHyperplaneInto, operating in place on a span.
-void addBlockDisplacement(std::span<const double> a, double gap,
-                          NormKind norm, std::span<const double> weights,
-                          std::span<double> out) {
-  switch (norm) {
-    case NormKind::L2: {
-      const double n2 = num::dot(a, a);
-      const double t = gap / n2;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        out[i] += t * a[i];
-      }
-      break;
-    }
-    case NormKind::L1: {
-      std::size_t k = 0;
-      for (std::size_t i = 1; i < a.size(); ++i) {
-        if (std::fabs(a[i]) > std::fabs(a[k])) {
-          k = i;
-        }
-      }
-      out[k] += gap / a[k];
-      break;
-    }
-    case NormKind::LInf: {
-      const double t = gap / num::norm1(a);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        out[i] += (a[i] > 0.0 ? 1.0 : (a[i] < 0.0 ? -1.0 : 0.0)) * t;
-      }
-      break;
-    }
-    case NormKind::Weighted: {
-      double denom = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        denom += a[i] * a[i] / weights[i];
-      }
-      const double nu = gap / denom;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        out[i] += nu * a[i] / weights[i];
-      }
-      break;
-    }
-  }
-}
-
 /// True when a constraint value `v` exceeds its `bound` beyond the
 /// feasibility slack every feasibility test shares.
 bool breaksConstraint(double v, double bound) {
@@ -163,6 +115,75 @@ const std::string& analyticMethodName(NormKind norm) {
 }
 
 const std::string kViolatedAtOrigin = "violated-at-origin";
+
+/// A row already violated at the operating point: zero robustness, the
+/// origin itself is the boundary point.
+void fillViolatedAtOrigin(std::span<const double> origin, double atOrigin,
+                          RadiusReport& out) {
+  out.radius = 0.0;
+  out.boundaryPoint.assign(origin.begin(), origin.end());
+  out.boundaryLevel = atOrigin;
+  out.boundReachable = true;
+  out.method = kViolatedAtOrigin;
+}
+
+/// A row whose bound no admissible perturbation reaches.
+void fillUnreachable(std::string_view method, RadiusReport& out) {
+  out.radius = kInf;
+  out.boundaryPoint.clear();
+  out.boundaryLevel = 0.0;
+  out.boundReachable = false;
+  out.method = method;
+}
+
+/// The report shell of every analytic row: the at-origin violation check,
+/// then Eq. 6 per present bound with `denom`, the row's dual norm under
+/// the lane's norm, and the binding bound chosen by the legacy analyzer's
+/// strict <. Returns false once `out` is complete (violated at the origin,
+/// or no bound). Otherwise fills the radius, level and method, sets the
+/// boundary point to the origin and returns true with `gap` = the signed
+/// a . d the caller's displacement must reach.
+bool bindAffineRow(const AffineFeatureView& row, double dotOrigin,
+                   double denom, std::span<const double> origin,
+                   const std::string& method, RadiusReport& out,
+                   double& gap) {
+  const double atOrigin = dotOrigin + row.constant;
+  const bool withinMin = !row.boundMin || atOrigin >= *row.boundMin;
+  const bool withinMax = !row.boundMax || atOrigin <= *row.boundMax;
+  if (!withinMin || !withinMax) {
+    fillViolatedAtOrigin(origin, atOrigin, out);
+    return false;
+  }
+  ROBUST_REQUIRE(denom > 0.0,
+                 "analytic radius: impact does not depend on the parameter");
+
+  double bestRadius = kInf;
+  double bestLevel = 0.0;
+  bool haveBest = false;
+  for (const auto& level : {row.boundMin, row.boundMax}) {
+    if (!level) {
+      continue;
+    }
+    const double radius =
+        std::fabs(dotOrigin - (*level - row.constant)) / denom;
+    if (radius < bestRadius) {
+      bestRadius = radius;
+      bestLevel = *level;
+      haveBest = true;
+    }
+  }
+  if (!haveBest) {
+    fillUnreachable({}, out);
+    return false;
+  }
+  out.radius = bestRadius;
+  out.boundaryLevel = bestLevel;
+  out.boundReachable = true;
+  out.method = method;
+  out.boundaryPoint.assign(origin.begin(), origin.end());
+  gap = (bestLevel - row.constant) - dotOrigin;
+  return true;
+}
 
 /// The iterative radius path for one callable (or explicitly KKT-solved)
 /// feature and one boundary level: KKT-Newton with its ray-search
@@ -210,61 +231,17 @@ void evaluateAffineRadius(const AffineFeatureView& feature,
                           std::string_view name, RadiusReport& out,
                           double dualNormHint, double weightedDenomHint) {
   out.feature.assign(name.data(), name.size());
-  const double dotOrigin = num::dot(feature.weights, origin);
-  const double atOrigin = dotOrigin + feature.constant;
-
-  const bool withinMin = !feature.boundMin || atOrigin >= *feature.boundMin;
-  const bool withinMax = !feature.boundMax || atOrigin <= *feature.boundMax;
-  if (!withinMin || !withinMax) {
-    // Already violated at the operating point: zero robustness.
-    out.radius = 0.0;
-    out.boundaryPoint.assign(origin.begin(), origin.end());
-    out.boundaryLevel = atOrigin;
-    out.boundReachable = true;
-    out.method = kViolatedAtOrigin;
-    return;
-  }
-
   const double denom =
       dualNormHint > 0.0
           ? dualNormHint
           : dualNorm(feature.weights, options.norm, options.normWeights);
-  ROBUST_REQUIRE(denom > 0.0,
-                 "analytic radius: impact does not depend on the parameter");
-
-  // Pick the binding bound first (the same strict-< selection the legacy
-  // analyzer used), then materialize its boundary point once.
-  double bestRadius = kInf;
-  double bestLevel = 0.0;
-  bool haveBest = false;
-  for (const auto& level : {feature.boundMin, feature.boundMax}) {
-    if (!level) {
-      continue;
-    }
-    const double radius =
-        std::fabs(dotOrigin - (*level - feature.constant)) / denom;
-    if (radius < bestRadius) {
-      bestRadius = radius;
-      bestLevel = *level;
-      haveBest = true;
-    }
+  double gap = 0.0;
+  if (bindAffineRow(feature, num::dot(feature.weights, origin), denom, origin,
+                    analyticMethodName(options.norm), out, gap)) {
+    addBlockDisplacement(feature.weights, gap, options.norm,
+                         options.normWeights, out.boundaryPoint,
+                         weightedDenomHint);
   }
-  if (!haveBest) {
-    out.radius = kInf;
-    out.boundaryPoint.clear();
-    out.boundaryLevel = 0.0;
-    out.boundReachable = false;
-    out.method.clear();
-    return;
-  }
-  out.radius = bestRadius;
-  out.boundaryLevel = bestLevel;
-  out.boundReachable = true;
-  out.method = analyticMethodName(options.norm);
-  nearestOnHyperplaneInto(feature.weights,
-                          (bestLevel - feature.constant) - dotOrigin, origin,
-                          options.norm, options.normWeights, out.boundaryPoint,
-                          weightedDenomHint);
 }
 
 CompiledProblem CompiledProblem::compile(ProblemSpec spec) {
@@ -510,7 +487,22 @@ void CompiledProblem::radiusOfInto(std::size_t index,
                                    RadiusReport& out,
                                    EvalWorkspace& workspace) const {
   const PerformanceFeature& f = features_[index];
-  const bool affine = rowIndex_[index] != kNoRow;
+  const std::size_t row = rowIndex_[index];
+  const bool affine = row != kNoRow;
+  // Every lane below reads the instance's row s * a through this span.
+  std::span<const double> w;
+  if (affine) {
+    w = rowOf(index);
+    if (scale != 1.0) {
+      ROBUST_REQUIRE(scale > 0.0,
+                     "CompiledProblem: instance scales must be positive");
+      workspace.scaledRow_.resize(dim_);
+      for (std::size_t k = 0; k < dim_; ++k) {
+        workspace.scaledRow_[k] = w[k] * scale;
+      }
+      w = workspace.scaledRow_;
+    }
+  }
 
   SolverKind solver = options_.solver;
   if (solver == SolverKind::Auto) {
@@ -524,33 +516,21 @@ void CompiledProblem::radiusOfInto(std::size_t index,
       obs::addCounter(kAnalytic);
     }
     if (multi_) {
-      radiusOfMulti(index, origin, constant, scale, out, workspace);
-      if (!constraints_.empty()) {
-        clipToFeasible(index, origin, constant, scale, out);
-      }
-      return;
+      radiusOfMulti(index, w, origin, constant, scale, out);
+    } else {
+      // The compiled dual norm and weighted denominator belong to the
+      // unscaled row; a scaled row recomputes both.
+      const bool unscaled = scale == 1.0;
+      evaluateAffineRadius(
+          AffineFeatureView{w, constant, f.bounds.min, f.bounds.max}, origin,
+          options_, f.name, out,
+          unscaled ? dualNorms_[static_cast<int>(options_.norm)][row] : 0.0,
+          unscaled && options_.norm == NormKind::Weighted
+              ? weightedDenom_[row]
+              : 0.0);
     }
-    std::span<const double> w = rowOf(index);
-    double hint = dualNorms_[static_cast<int>(options_.norm)][rowIndex_[index]];
-    double weightedHint = options_.norm == NormKind::Weighted
-                              ? weightedDenom_[rowIndex_[index]]
-                              : 0.0;
-    if (scale != 1.0) {
-      ROBUST_REQUIRE(scale > 0.0,
-                     "CompiledProblem: instance scales must be positive");
-      workspace.scaledRow_.resize(dim_);
-      for (std::size_t k = 0; k < dim_; ++k) {
-        workspace.scaledRow_[k] = w[k] * scale;
-      }
-      w = workspace.scaledRow_;
-      hint = 0.0;          // recompute on the scaled row
-      weightedHint = 0.0;  // likewise
-    }
-    evaluateAffineRadius(
-        AffineFeatureView{w, constant, f.bounds.min, f.bounds.max}, origin,
-        options_, f.name, out, hint, weightedHint);
     if (!constraints_.empty()) {
-      clipToFeasible(index, origin, constant, scale, out);
+      clipToFeasible(index, w, origin, constant, scale, out);
     }
     return;
   }
@@ -562,44 +542,31 @@ void CompiledProblem::radiusOfInto(std::size_t index,
     static const obs::MetricId kSlow = obs::counterId("core.radius_slow");
     obs::addCounter(kSlow);
   }
-  radiusSlowPath(index, origin, constant, scale,
-                 affine ? rowOf(index) : std::span<const double>{}, solver,
-                 out);
+  radiusSlowPath(index, w, origin, constant, scale, solver, out);
 }
 
 void CompiledProblem::radiusSlowPath(std::size_t index,
+                                     std::span<const double> w,
                                      std::span<const double> origin,
                                      double constant, double scale,
-                                     std::span<const double> weights,
                                      SolverKind solver,
                                      RadiusReport& out) const {
   const PerformanceFeature& f = features_[index];
-  const bool affine = rowIndex_[index] != kNoRow;
 
   // Materialize the effective impact when the instance overrides the
   // compiled constants or scales (affine lane only).
   const ImpactFunction* impact = &f.impact;
   std::optional<ImpactFunction> materialized;
-  if (affine && (scale != 1.0 || constant != constants_[index])) {
-    ROBUST_REQUIRE(scale > 0.0,
-                   "CompiledProblem: instance scales must be positive");
-    num::Vec w(dim_);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      w[k] = weights[k] * scale;
-    }
-    materialized.emplace(ImpactFunction::affine(std::move(w), constant));
+  if (!w.empty() && (scale != 1.0 || constant != constants_[index])) {
+    materialized.emplace(
+        ImpactFunction::affine(num::Vec(w.begin(), w.end()), constant));
     impact = &*materialized;
   }
 
   const double atOrigin = impact->evaluate(origin);
   if (!f.bounds.contains(atOrigin)) {
-    // Already violated at the operating point: zero robustness.
     out.feature = f.name;
-    out.radius = 0.0;
-    out.boundaryPoint.assign(origin.begin(), origin.end());
-    out.boundaryLevel = atOrigin;
-    out.boundReachable = true;
-    out.method = kViolatedAtOrigin;
+    fillViolatedAtOrigin(origin, atOrigin, out);
     return;
   }
 
@@ -621,89 +588,41 @@ void CompiledProblem::radiusSlowPath(std::size_t index,
 }
 
 void CompiledProblem::radiusOfMulti(std::size_t index,
+                                    std::span<const double> w,
                                     std::span<const double> origin,
                                     double constant, double scale,
-                                    RadiusReport& out,
-                                    EvalWorkspace& workspace) const {
+                                    RadiusReport& out) const {
   const PerformanceFeature& f = features_[index];
-  const std::size_t row = rowIndex_[index];
   const std::size_t nSub = subspaces_.size();
-  std::span<const double> w = rowOf(index);
-  const double* rowDuals = blockDuals_.data() + row * nSub;
-  if (scale != 1.0) {
-    ROBUST_REQUIRE(scale > 0.0,
-                   "CompiledProblem: instance scales must be positive");
-    workspace.scaledRow_.resize(dim_);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      workspace.scaledRow_[k] = w[k] * scale;
-    }
-    w = workspace.scaledRow_;
-  }
+  const double* rowDuals = blockDuals_.data() + rowIndex_[index] * nSub;
   // Dual norms are positively homogeneous: dual(s * a) = s * dual(a).
-  auto blockDual = [&](std::size_t s) {
-    return scale != 1.0 ? rowDuals[s] * scale : rowDuals[s];
-  };
   double denom = 0.0;
   for (std::size_t s = 0; s < nSub; ++s) {
-    denom += blockDual(s);
+    denom += rowDuals[s] * scale;
   }
 
   out.feature = f.name;
-  const double dotOrigin = num::dot(w, origin);
-  const double atOrigin = dotOrigin + constant;
-  if (!f.bounds.contains(atOrigin)) {
-    out.radius = 0.0;
-    out.boundaryPoint.assign(origin.begin(), origin.end());
-    out.boundaryLevel = atOrigin;
-    out.boundReachable = true;
-    out.method = kViolatedAtOrigin;
-    return;
-  }
-  ROBUST_REQUIRE(denom > 0.0,
-                 "analytic radius: impact does not depend on the parameter");
-
-  double bestRadius = kInf;
-  double bestLevel = 0.0;
-  bool haveBest = false;
-  for (const auto& level : {f.bounds.min, f.bounds.max}) {
-    if (!level) {
-      continue;
-    }
-    const double radius = std::fabs(dotOrigin - (*level - constant)) / denom;
-    if (radius < bestRadius) {
-      bestRadius = radius;
-      bestLevel = *level;
-      haveBest = true;
-    }
-  }
-  if (!haveBest) {
-    out.radius = kInf;
-    out.boundaryPoint.clear();
-    out.boundaryLevel = 0.0;
-    out.boundReachable = false;
-    out.method.clear();
-    return;
-  }
-  out.radius = bestRadius;
-  out.boundaryLevel = bestLevel;
-  out.boundReachable = true;
   static const std::string kMulti = "analytic-multi";
-  out.method = kMulti;
+  double gap = 0.0;
+  if (!bindAffineRow(AffineFeatureView{w, constant, f.bounds.min,
+                                       f.bounds.max},
+                     num::dot(w, origin), denom, origin, kMulti, out, gap)) {
+    return;
+  }
 
   // Boundary point: the displacement that reaches the hyperplane with the
   // smallest combined (max-over-blocks) norm spreads the gap across blocks
   // proportionally to their dual norms — every contributing block then sits
   // at the same block-norm distance, the radius.
-  out.boundaryPoint.assign(origin.begin(), origin.end());
-  const double gap = (bestLevel - constant) - dotOrigin;
   for (std::size_t s = 0; s < nSub; ++s) {
-    if (!(blockDual(s) > 0.0)) {
+    const double blockDual = rowDuals[s] * scale;
+    if (!(blockDual > 0.0)) {
       continue;  // the row does not touch this block; it stays at origin
     }
     const PerturbationSubspace& sub = subspaces_[s];
     const std::size_t off = subOffsets_[s];
     const std::size_t len = sub.origin.size();
-    addBlockDisplacement(w.subspan(off, len), gap * blockDual(s) / denom,
+    addBlockDisplacement(w.subspan(off, len), gap * blockDual / denom,
                          static_cast<NormKind>(sub.norm), sub.normWeights,
                          std::span<double>(out.boundaryPoint).subspan(off,
                                                                       len));
@@ -865,6 +784,7 @@ void CompiledProblem::reportInfeasibleOrigin(std::span<const double> origin,
 }
 
 void CompiledProblem::clipToFeasible(std::size_t index,
+                                     std::span<const double> w,
                                      std::span<const double> origin,
                                      double constant, double scale,
                                      RadiusReport& out) const {
@@ -889,17 +809,6 @@ void CompiledProblem::clipToFeasible(std::size_t index,
   }
 
   const PerformanceFeature& f = features_[index];
-  std::span<const double> w = rowOf(index);
-  num::Vec scaledRow;
-  if (scale != 1.0) {
-    ROBUST_REQUIRE(scale > 0.0,
-                   "CompiledProblem: instance scales must be positive");
-    scaledRow.resize(dim_);
-    for (std::size_t k = 0; k < dim_; ++k) {
-      scaledRow[k] = w[k] * scale;
-    }
-    w = scaledRow;
-  }
 
   // Rescale coordinates so every (L2/Weighted) subspace norm becomes plain
   // L2: x~_k = t_k x_k with t_k = sqrt(w_k). Halfspace normals transform
@@ -1049,11 +958,7 @@ void CompiledProblem::clipToFeasible(std::size_t index,
   }
 
   if (method == nullptr) {
-    out.radius = kInf;
-    out.boundaryPoint.clear();
-    out.boundaryLevel = 0.0;
-    out.boundReachable = false;
-    out.method = kInfeasibleRegion;
+    fillUnreachable(kInfeasibleRegion, out);
     return;
   }
   out.radius = bestRadius;
@@ -1141,22 +1046,13 @@ RobustnessReport CompiledProblem::evaluate() const {
 RadiusReport CompiledProblem::radiusOf(std::size_t index) const {
   ROBUST_REQUIRE(index < features_.size(),
                  "CompiledProblem: feature index out of range");
+  if (!constraints_.empty() && !originFeasible(parameter_.origin)) {
+    RobustnessReport report;
+    reportInfeasibleOrigin(parameter_.origin, report);
+    return std::move(report.radii[index]);
+  }
   EvalWorkspace workspace;
   RadiusReport out;
-  if (!constraints_.empty() && !originFeasible(parameter_.origin)) {
-    out.feature = features_[index].name;
-    out.radius = 0.0;
-    out.boundaryPoint = parameter_.origin;
-    out.boundaryLevel = 0.0;
-    out.boundReachable = true;
-    out.method = kInfeasibleOrigin;
-    if (obs::enabled()) [[unlikely]] {
-      static const obs::MetricId kInfeasible =
-          obs::counterId("core.feasibility.infeasible_origin");
-      obs::addCounter(kInfeasible);
-    }
-    return out;
-  }
   radiusOfInto(index, parameter_.origin, constants_[index], 1.0, out,
                workspace);
   return out;

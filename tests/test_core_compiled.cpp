@@ -19,7 +19,6 @@
 
 #include "robust/core/compiled.hpp"
 #include "robust/core/fepia.hpp"
-#include "robust/numeric/hyperplane.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
 

@@ -7,6 +7,8 @@
 #include <limits>
 
 #include "robust/core/compiled.hpp"
+#include "robust/numeric/vector_ops.hpp"
+#include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
 
 namespace robust::core {
@@ -151,6 +153,69 @@ TEST_P(AnalyzerProperties, BoundaryPointsLieOnTheirBoundaries) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AnalyzerProperties,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// The point-to-hyperplane geometry of Eq. 6 through the one analytic row
+// routine: the L2 boundary point of f(x) = a . x + c <= level is the
+// projection of the origin onto {x : a . x = level - c}.
+RadiusReport l2Row(const num::Vec& a, double c, double level,
+                   const num::Vec& origin) {
+  RadiusReport out;
+  evaluateAffineRadius(AffineFeatureView{a, c, std::nullopt, level}, origin,
+                       AnalyzerOptions{}, "f", out);
+  return out;
+}
+
+TEST(Hyperplane, DistanceMatchesFormula) {
+  // Plane x + y = 2; distance from the origin is 2 / sqrt(2) = sqrt(2).
+  const RadiusReport r = l2Row({1.0, 1.0}, 0.0, 2.0, {0.0, 0.0});
+  EXPECT_NEAR(r.radius, std::sqrt(2.0), 1e-12);
+  EXPECT_EQ(r.method, "analytic-l2");
+}
+
+TEST(Hyperplane, ProjectionLandsOnPlaneAtMinimalDistance) {
+  Pcg32 rng(80);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t n = 2 + rng.nextBounded(5);
+    num::Vec normal(n);
+    for (auto& v : normal) {
+      v = rng.uniform(-2.0, 2.0);
+    }
+    if (num::norm2(normal) < 1e-6) {
+      continue;
+    }
+    num::Vec point(n);
+    for (auto& v : point) {
+      v = rng.uniform(-5.0, 5.0);
+    }
+    // Keep the origin strictly inside f <= level.
+    const double offset = num::dot(normal, point) + rng.uniform(0.1, 5.0);
+    const RadiusReport r = l2Row(normal, 0.0, offset, point);
+    EXPECT_NEAR(num::dot(normal, r.boundaryPoint), offset, 1e-9);
+    EXPECT_NEAR(num::distance2(r.boundaryPoint, point), r.radius, 1e-9);
+    // Brute force: no other point of the plane is closer.
+    for (int probe = 0; probe < 20; ++probe) {
+      num::Vec other(n);
+      for (auto& v : other) {
+        v = rng.uniform(-10.0, 10.0);
+      }
+      const double t =
+          (offset - num::dot(normal, other)) / num::dot(normal, normal);
+      num::axpy(t, normal, other);
+      EXPECT_GE(num::distance2(other, point) + 1e-9, r.radius);
+    }
+  }
+}
+
+TEST(Hyperplane, BoundaryOfAffine) {
+  // f(x) = 2x1 + 3x2 + 1 <= 10: the boundary is the plane 2x1 + 3x2 = 9.
+  const RadiusReport r = l2Row({2.0, 3.0}, 1.0, 10.0, {0.0, 0.0});
+  EXPECT_EQ(r.boundaryLevel, 10.0);
+  EXPECT_NEAR(2.0 * r.boundaryPoint[0] + 3.0 * r.boundaryPoint[1], 9.0,
+              1e-12);
+  // A row that does not depend on the parameter has no boundary.
+  EXPECT_THROW((void)l2Row({0.0, 0.0}, 1.0, 10.0, {0.0, 0.0}),
+               InvalidArgumentError);
+}
 
 }  // namespace
 }  // namespace robust::core

@@ -1,10 +1,9 @@
 // Unit tests for the dense linear-algebra substrate: vector kernels, norms,
-// LU / Cholesky factorizations, and hyperplane geometry.
+// LU / Cholesky factorizations.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "robust/numeric/hyperplane.hpp"
 #include "robust/numeric/matrix.hpp"
 #include "robust/numeric/vector_ops.hpp"
 #include "robust/util/error.hpp"
@@ -201,59 +200,6 @@ TEST(Cholesky, RandomSpdRoundTrip) {
     const Vec x = CholeskyDecomposition(a).solve(rhs);
     EXPECT_TRUE(approxEqual(x, xTrue, 1e-8)) << "trial " << trial;
   }
-}
-
-// ------------------------------------------------------------- hyperplane
-
-TEST(Hyperplane, DistanceMatchesFormula) {
-  // Plane x + y = 2; distance from origin is 2 / sqrt(2) = sqrt(2).
-  const Hyperplane h{{1.0, 1.0}, 2.0};
-  const Vec origin = {0.0, 0.0};
-  EXPECT_NEAR(h.distance(origin), std::sqrt(2.0), 1e-12);
-  EXPECT_LT(h.signedDistance(origin), 0.0);
-}
-
-TEST(Hyperplane, ProjectionLandsOnPlaneAtMinimalDistance) {
-  Pcg32 rng(80);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t n = 2 + rng.nextBounded(5);
-    Vec normal(n);
-    for (auto& v : normal) {
-      v = rng.uniform(-2.0, 2.0);
-    }
-    if (norm2(normal) < 1e-6) {
-      continue;
-    }
-    const double offset = rng.uniform(-5.0, 5.0);
-    const Hyperplane h{normal, offset};
-    Vec point(n);
-    for (auto& v : point) {
-      v = rng.uniform(-5.0, 5.0);
-    }
-    const Vec proj = h.project(point);
-    EXPECT_NEAR(dot(normal, proj), offset, 1e-9);
-    EXPECT_NEAR(distance2(proj, point), h.distance(point), 1e-9);
-    // Brute force: no random point on the plane is closer.
-    for (int probe = 0; probe < 20; ++probe) {
-      Vec other(n);
-      for (auto& v : other) {
-        v = rng.uniform(-10.0, 10.0);
-      }
-      // Project the probe onto the plane to make it feasible.
-      const Vec onPlane = h.project(other);
-      EXPECT_GE(distance2(onPlane, point) + 1e-9, h.distance(point));
-    }
-  }
-}
-
-TEST(Hyperplane, BoundaryOfAffine) {
-  // f(x) = 2x1 + 3x2 + 1, level 10 -> plane 2x1 + 3x2 = 9.
-  const Hyperplane h = boundaryOfAffine(Vec{2.0, 3.0}, 1.0, 10.0);
-  EXPECT_DOUBLE_EQ(h.offset, 9.0);
-  const Vec onPlane = {0.0, 3.0};
-  EXPECT_NEAR(h.evaluate(onPlane), 0.0, 1e-12);
-  EXPECT_THROW((void)boundaryOfAffine(Vec{0.0, 0.0}, 1.0, 10.0),
-               InvalidArgumentError);
 }
 
 }  // namespace
