@@ -15,7 +15,9 @@
 
 #include "robust/core/compiled.hpp"
 #include "robust/core/impact.hpp"
+#include "robust/curve/drift.hpp"
 #include "robust/obs/metrics.hpp"
+#include "robust/obs/trace.hpp"
 #include "robust/util/rng.hpp"
 
 namespace {
@@ -176,6 +178,76 @@ TEST(AllocationPin, ScreenedConstrainedLaneAllocatesNothingWithoutAClip) {
   for (const AnalysisInstance& inst : instances) {
     EXPECT_EQ(allocationsOf([&] { (void)p.evaluateMetric(inst, ws); }), 0u);
   }
+}
+
+TEST(AllocationPin, ScaledAndMultiSubspaceEvaluateAllocateNothingWhenWarm) {
+  obs::setEnabled(false);
+  // The same rows over one L2 subspace and over an L1 + L2 split of it.
+  ProblemSpec single = affineSpec(false);
+  ProblemSpec multi = affineSpec(false);
+  for (int s = 0; s < 2; ++s) {
+    PerturbationSubspace sub;
+    sub.name = s == 0 ? "a" : "b";
+    sub.origin.assign(single.parameter.origin.begin() + s * kDim / 2,
+                      single.parameter.origin.begin() + (s + 1) * kDim / 2);
+    sub.norm = static_cast<int>(s == 0 ? NormKind::L1 : NormKind::L2);
+    multi.subspaces.push_back(std::move(sub));
+  }
+  multi.parameter = PerturbationParameter{};
+  std::vector<double> constants;
+  std::vector<double> scales;
+  Pcg32 rng(11);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    constants.push_back(rng.uniform(-0.25, 0.25));
+    scales.push_back(rng.uniform(0.5, 2.0));
+  }
+  for (const ProblemSpec* spec : {&single, &multi}) {
+    const CompiledProblem p = CompiledProblem::compile(*spec);
+    const std::vector<double> values = jitteredOrigins(p, 4);
+    std::vector<AnalysisInstance> instances = viewsOf(values);
+    for (AnalysisInstance& inst : instances) {
+      inst.constants = constants;
+      inst.scales = scales;
+    }
+    EvalWorkspace full;
+    for (const AnalysisInstance& inst : instances) {
+      (void)p.evaluate(inst, full);
+    }
+    for (const AnalysisInstance& inst : instances) {
+      EXPECT_EQ(allocationsOf([&] { (void)p.evaluate(inst, full); }), 0u);
+    }
+  }
+}
+
+TEST(AllocationPin, DriftTrackerUpdatesAllocateNothing) {
+  obs::setEnabled(false);
+  const CompiledProblem p = CompiledProblem::compile(affineSpec(false));
+  curve::DriftTracker tracker(p, 0.5);
+  Pcg32 rng(13);
+  const std::uint64_t allocations = allocationsOf([&] {
+    for (int u = 0; u < 64; ++u) {
+      (void)tracker.applyUpdate(rng.nextBounded(kDim),
+                                rng.uniform(0.5, 1.5));
+    }
+  });
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(tracker.updates(), 64u);
+}
+
+TEST(AllocationPin, FullFlightRingRecordsWithoutAllocating) {
+  const std::size_t saved = obs::flightCapacity();
+  obs::setFlightCapacity(8);
+  for (int i = 0; i < 8; ++i) {
+    obs::recordFlight("alloc.fill", 0, i, 1);
+  }
+  EXPECT_EQ(allocationsOf([] {
+              for (int i = 0; i < 32; ++i) {
+                obs::recordFlight("alloc.wrap", 0, i, 1);
+              }
+            }),
+            0u);
+  obs::clearFlight();
+  obs::setFlightCapacity(saved);
 }
 
 }  // namespace
