@@ -13,9 +13,8 @@
 //   - `IncrementalEvaluator`: stateful tryMove/commit/revert around one
 //     incumbent mapping. A candidate re-sums only the two touched
 //     machines' finishing times (O(n(m_j)) average = apps/machines) and
-//     re-minimizes the Eq. 6 radii in O(machines) for small machine counts
-//     or O(distinct counts + log machines) via sorted load structures for
-//     large ones.
+//     re-minimizes the Eq. 6 radii in one O(machines) scan of the dense
+//     load/count arrays.
 //
 // Exactness contract: every result is BIT-IDENTICAL to
 // IndependentTaskSystem::analyze() on the corresponding mapping — same
@@ -29,8 +28,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <map>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -85,16 +82,6 @@ struct IncrementalStats {
   std::uint64_t rebuilds = 0;  ///< full from-scratch re-evaluations
 };
 
-/// Tuning knobs for IncrementalEvaluator.
-struct IncrementalOptions {
-  /// With at most this many machines the candidate max/min reductions scan
-  /// the dense load/count arrays (contiguous, branch-light — faster than
-  /// pointer-chasing for small fleets). Above it, sorted structures answer
-  /// the same queries in O(distinct counts + log machines). Both paths are
-  /// exact; tests force each explicitly.
-  std::size_t denseMachineThreshold = 32;
-};
-
 /// Stateful incremental evaluator around one incumbent mapping.
 ///
 /// Protocol: `tryMove` scores a candidate WITHOUT changing the incumbent and
@@ -105,8 +92,7 @@ struct IncrementalOptions {
 /// Copyable (parallel neighborhood scans give each worker its own copy).
 class IncrementalEvaluator {
  public:
-  IncrementalEvaluator(const EtcMatrix& etc, Mapping start, double tau,
-                       const IncrementalOptions& options = {});
+  IncrementalEvaluator(const EtcMatrix& etc, Mapping start, double tau);
 
   [[nodiscard]] const Mapping& mapping() const noexcept { return mapping_; }
   [[nodiscard]] double tau() const noexcept { return tau_; }
@@ -148,56 +134,29 @@ class IncrementalEvaluator {
     EvalResult result;
   };
 
-  // Sorted-load entry ordering: load ascending, machine index DESCENDING,
-  // so the greatest element is (max load, smallest index among that load) —
-  // the candidate analyze() would report on ties.
-  struct LoadOrder {
-    bool operator()(const std::pair<double, std::size_t>& a,
-                    const std::pair<double, std::size_t>& b) const noexcept {
-      return a.first < b.first || (a.first == b.first && a.second > b.second);
-    }
-  };
-  using LoadSet = std::set<std::pair<double, std::size_t>, LoadOrder>;
-
-  [[nodiscard]] bool useDense() const noexcept {
-    return etc_->machines() <= options_.denseMachineThreshold;
-  }
-
   /// Finishing time of machine `j` with `skip` removed and `add` inserted
   /// (either may be kNone), summed in ascending application-index order.
   [[nodiscard]] double resum(std::size_t j, std::size_t skip,
                              std::size_t add) const;
 
   /// (makespan, metric, binding) with machines `ta`/`tb` overridden to the
-  /// given loads/counts; all other machines read from committed state. The
-  /// dense path temporarily writes the overrides into the committed arrays
-  /// (and restores them), so these are non-const.
+  /// given loads/counts; all other machines read from committed state. It
+  /// temporarily writes the overrides into the committed arrays (and
+  /// restores them), so it is non-const.
   [[nodiscard]] EvalResult evaluateTouched(std::size_t ta, double la,
                                            std::size_t ca, std::size_t tb,
                                            double lb, std::size_t cb);
-  [[nodiscard]] EvalResult evaluateDense(std::size_t ta, double la,
-                                         std::size_t ca, std::size_t tb,
-                                         double lb, std::size_t cb);
-  [[nodiscard]] EvalResult evaluateSorted(std::size_t ta, double la,
-                                          std::size_t ca, std::size_t tb,
-                                          double lb, std::size_t cb) const;
 
   void rebuild();
-  void applyMachineUpdate(std::size_t machine, double newLoad,
-                          std::size_t newCount);
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
   const EtcMatrix* etc_;
   double tau_;
-  IncrementalOptions options_;
   Mapping mapping_;
   std::vector<double> load_;                       ///< F_j per machine
   std::vector<std::size_t> count_;                 ///< n(m_j) per machine
   std::vector<std::vector<std::size_t>> machineApps_;  ///< sorted app ids
-  // Sorted-load structures (maintained only on the non-dense path).
-  LoadSet allLoads_;                               ///< every machine
-  std::map<std::size_t, LoadSet> byCount_;         ///< count -> machines
   std::vector<double> sqrtCount_;                  ///< sqrt(c), c = 0..apps
   EvalResult current_;
   Pending pending_;

@@ -12,8 +12,6 @@ namespace robust::sched {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 /// The analyze() reduction over dense load/count arrays: max finishing time
 /// scanning machines in ascending order, then the strict-< minimum of the
 /// Eq. 6 radii (so ties resolve to the smallest machine index, exactly as
@@ -78,11 +76,9 @@ EvalResult ScratchEvaluator::evaluate(
 // --------------------------------------------------- IncrementalEvaluator
 
 IncrementalEvaluator::IncrementalEvaluator(const EtcMatrix& etc, Mapping start,
-                                           double tau,
-                                           const IncrementalOptions& options)
+                                           double tau)
     : etc_(&etc),
       tau_(tau),
-      options_(options),
       mapping_(std::move(start)),
       sqrtCount_(sqrtTable(etc.apps())) {
   ROBUST_REQUIRE(etc_->apps() == mapping_.apps() &&
@@ -103,16 +99,6 @@ void IncrementalEvaluator::rebuild() {
     load_[j] += (*etc_)(i, j);
     ++count_[j];
     machineApps_[j].push_back(i);  // ascending: i increases monotonically
-  }
-  allLoads_.clear();
-  byCount_.clear();
-  if (!useDense()) {
-    for (std::size_t j = 0; j < machines; ++j) {
-      allLoads_.emplace(load_[j], j);
-      if (count_[j] > 0) {
-        byCount_[count_[j]].emplace(load_[j], j);
-      }
-    }
   }
   current_ = reduceDense(load_, count_, tau_, sqrtCount_);
   pending_.active = false;
@@ -146,13 +132,6 @@ EvalResult IncrementalEvaluator::evaluateTouched(std::size_t ta, double la,
                                                  std::size_t ca,
                                                  std::size_t tb, double lb,
                                                  std::size_t cb) {
-  return useDense() ? evaluateDense(ta, la, ca, tb, lb, cb)
-                    : evaluateSorted(ta, la, ca, tb, lb, cb);
-}
-
-EvalResult IncrementalEvaluator::evaluateDense(std::size_t ta, double la,
-                                               std::size_t ca, std::size_t tb,
-                                               double lb, std::size_t cb) {
   // Write the two overrides into the committed arrays, run the plain
   // analyze() reduction over contiguous memory, and restore. Branch-free in
   // the hot loops, and trivially the same float operations as rebuild().
@@ -167,54 +146,6 @@ EvalResult IncrementalEvaluator::evaluateDense(std::size_t ta, double la,
   count_[ta] = oldCa;
   load_[tb] = oldLb;
   count_[tb] = oldCb;
-  return result;
-}
-
-EvalResult IncrementalEvaluator::evaluateSorted(std::size_t ta, double la,
-                                                std::size_t ca,
-                                                std::size_t tb, double lb,
-                                                std::size_t cb) const {
-  // Max over untouched machines: the touched pair occupies at most two of
-  // the top three sorted entries.
-  double maxOther = -kInf;
-  {
-    auto it = allLoads_.rbegin();
-    for (int hops = 0; hops < 3 && it != allLoads_.rend(); ++hops, ++it) {
-      if (it->second != ta && it->second != tb) {
-        maxOther = it->first;
-        break;
-      }
-    }
-  }
-  EvalResult result;
-  result.makespan = std::max(maxOther, std::max(la, lb));
-  const double bound = tau_ * result.makespan;
-
-  auto consider = [&result](double radius, std::size_t machine) {
-    if (radius < result.robustness ||
-        (radius == result.robustness && machine < result.bindingMachine)) {
-      result.robustness = radius;
-      result.bindingMachine = machine;
-    }
-  };
-  // Per count group, the minimizing untouched machine is the max-load one
-  // (same n => smaller load is strictly less binding); ties on load resolve
-  // to the smallest index by the LoadOrder comparator.
-  for (const auto& [c, group] : byCount_) {
-    auto it = group.rbegin();
-    for (int hops = 0; hops < 3 && it != group.rend(); ++hops, ++it) {
-      if (it->second != ta && it->second != tb) {
-        consider((bound - it->first) / sqrtCount_[c], it->second);
-        break;
-      }
-    }
-  }
-  if (ca > 0) {
-    consider((bound - la) / sqrtCount_[ca], ta);
-  }
-  if (cb > 0) {
-    consider((bound - lb) / sqrtCount_[cb], tb);
-  }
   return result;
 }
 
@@ -247,27 +178,6 @@ EvalResult IncrementalEvaluator::tryMove(std::size_t app,
   return p.result;
 }
 
-void IncrementalEvaluator::applyMachineUpdate(std::size_t machine,
-                                              double newLoad,
-                                              std::size_t newCount) {
-  if (!useDense()) {
-    allLoads_.erase({load_[machine], machine});
-    allLoads_.emplace(newLoad, machine);
-    if (count_[machine] > 0) {
-      const auto group = byCount_.find(count_[machine]);
-      group->second.erase({load_[machine], machine});
-      if (group->second.empty()) {
-        byCount_.erase(group);
-      }
-    }
-    if (newCount > 0) {
-      byCount_[newCount].emplace(newLoad, machine);
-    }
-  }
-  load_[machine] = newLoad;
-  count_[machine] = newCount;
-}
-
 bool IncrementalEvaluator::commit() {
   if (!pending_.active) {
     return false;
@@ -278,8 +188,10 @@ bool IncrementalEvaluator::commit() {
   auto& toApps = machineApps_[p.to];
   toApps.insert(std::lower_bound(toApps.begin(), toApps.end(), p.app), p.app);
   mapping_.assign(p.app, p.to);
-  applyMachineUpdate(p.from, p.loadFrom, p.countFrom);
-  applyMachineUpdate(p.to, p.loadTo, p.countTo);
+  load_[p.from] = p.loadFrom;
+  count_[p.from] = p.countFrom;
+  load_[p.to] = p.loadTo;
+  count_[p.to] = p.countTo;
   current_ = p.result;
   pending_.active = false;
   ++stats_.commits;

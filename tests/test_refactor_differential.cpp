@@ -772,8 +772,7 @@ TEST(RefactorDifferential, SearchDriversMatchFrozenAssignments) {
     }
     EXPECT_EQ(frozen.take(), line);
   };
-  // One ETC instance per objective kind; the third has 36 machines, so the
-  // incremental engine takes its sorted (large-fleet) path.
+  // One ETC instance per objective kind; the third has 36 machines.
   constexpr std::size_t kApps[] = {24, 30, 48};
   constexpr std::size_t kMachines[] = {6, 5, 36};
   for (int index = 0; index < 3; ++index) {

@@ -1,7 +1,6 @@
 // Tests for the incremental mapping-evaluation engine: exactness against
 // IndependentTaskSystem::analyze() under randomized move/commit/revert
-// sequences, agreement of the dense and sorted-structure paths, and
-// bit-identical equivalence of the EtcObjective optimizer overloads
+// sequences, and bit-identical equivalence of the EtcObjective optimizer overloads
 // (incremental + parallel scoring) with the shape-generic overloads scoring
 // the same objective from scratch through the same search driver.
 #include <gtest/gtest.h>
@@ -43,12 +42,11 @@ void expectExactMatch(const EvalResult& result,
 /// tried result and the committed state exactly match a from-scratch
 /// analyze() (same makespan, same Eq. 6/7 metric, same binding machine).
 void runPropertySequences(const EtcMatrix& etc, double tau,
-                          const IncrementalOptions& options,
                           std::uint64_t seed, int sequences, int steps) {
   Pcg32 rng(seed, /*stream=*/17);
   for (int s = 0; s < sequences; ++s) {
     Mapping shadow = randomMapping(etc.apps(), etc.machines(), rng);
-    IncrementalEvaluator evaluator(etc, shadow, tau, options);
+    IncrementalEvaluator evaluator(etc, shadow, tau);
     expectExactMatch(evaluator.current(), analyzeMapping(etc, shadow, tau),
                      "initial state");
     for (int step = 0; step < steps; ++step) {
@@ -77,7 +75,7 @@ void runPropertySequences(const EtcMatrix& etc, double tau,
 // ------------------------------------------------------ exactness property
 
 TEST(IncrementalEvaluator, MatchesAnalyzeOnRandomSequencesDensePath) {
-  // 6 instances x 100 sequences x 25 steps (dense small-machine path).
+  // 7 instances x 100 sequences x 25 steps, up to a 48-machine fleet.
   int config = 0;
   for (const auto [apps, machines] :
        {std::pair<std::size_t, std::size_t>{20, 5},
@@ -85,28 +83,10 @@ TEST(IncrementalEvaluator, MatchesAnalyzeOnRandomSequencesDensePath) {
         {40, 8},
         {12, 12},
         {30, 2},
-        {25, 7}}) {
-    runPropertySequences(randomEtc(100 + config, apps, machines), 1.2, {},
-                         /*seed=*/200 + config, /*sequences=*/100,
-                         /*steps=*/25);
-    ++config;
-  }
-}
-
-TEST(IncrementalEvaluator, MatchesAnalyzeOnRandomSequencesSortedPath) {
-  // Force the sorted-structure path (threshold 0) on the same small
-  // instances, plus a genuinely large fleet; 5 x 100 sequences x 25 steps.
-  IncrementalOptions sorted;
-  sorted.denseMachineThreshold = 0;
-  int config = 0;
-  for (const auto [apps, machines] :
-       {std::pair<std::size_t, std::size_t>{20, 5},
-        {8, 3},
-        {40, 8},
-        {15, 15},
+        {25, 7},
         {120, 48}}) {
-    runPropertySequences(randomEtc(300 + config, apps, machines), 1.3, sorted,
-                         /*seed=*/400 + config, /*sequences=*/100,
+    runPropertySequences(randomEtc(100 + config, apps, machines), 1.2,
+                         /*seed=*/200 + config, /*sequences=*/100,
                          /*steps=*/25);
     ++config;
   }
@@ -115,19 +95,18 @@ TEST(IncrementalEvaluator, MatchesAnalyzeOnRandomSequencesSortedPath) {
 TEST(IncrementalEvaluator, TauOneAndUniformTiesStayExact) {
   // tau = 1 makes every radius hit zero at the binding machine, and a
   // uniform ETC creates systematic load/radius ties — the tie-breaking
-  // (lowest machine index, as analyze() scans) must survive both paths.
+  // (lowest machine index, as analyze() scans) must survive both.
   EtcMatrix etc(12, 6);
   for (std::size_t i = 0; i < 12; ++i) {
     for (std::size_t j = 0; j < 6; ++j) {
       etc(i, j) = 4.0;
     }
   }
-  runPropertySequences(etc, 1.0, {}, /*seed=*/7, /*sequences=*/50,
+  runPropertySequences(etc, 1.0, /*seed=*/7, /*sequences=*/50,
                        /*steps=*/20);
-  IncrementalOptions sorted;
-  sorted.denseMachineThreshold = 0;
-  runPropertySequences(etc, 1.0, sorted, /*seed=*/8, /*sequences=*/50,
-                       /*steps=*/20);
+  // tau = 1 on a random 48-machine fleet: ties at radius 0.
+  runPropertySequences(randomEtc(306, 120, 48), 1.0, /*seed=*/8,
+                       /*sequences=*/50, /*steps=*/20);
 }
 
 TEST(ScratchEvaluator, MatchesAnalyzeOnRandomAssignments) {
