@@ -24,10 +24,4 @@ using ScalarField = std::function<double(std::span<const double>)>;
 [[nodiscard]] Matrix hessianFD(const ScalarField& f, std::span<const double> x,
                                double baseStep = 1e-4);
 
-/// Directional derivative of `f` at `x` along (not necessarily unit) `d`.
-[[nodiscard]] double directionalDerivativeFD(const ScalarField& f,
-                                             std::span<const double> x,
-                                             std::span<const double> d,
-                                             double baseStep = 1e-6);
-
 }  // namespace robust::num

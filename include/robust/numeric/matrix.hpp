@@ -36,9 +36,6 @@ class Matrix {
   /// Matrix-vector product A x.
   [[nodiscard]] Vec multiply(std::span<const double> x) const;
 
-  /// Transposed matrix.
-  [[nodiscard]] Matrix transposed() const;
-
  private:
   std::size_t rows_;
   std::size_t cols_;
@@ -55,27 +52,9 @@ class LuDecomposition {
   /// Solves A x = b for one right-hand side.
   [[nodiscard]] Vec solve(std::span<const double> b) const;
 
-  /// Determinant of A (sign-corrected product of U's diagonal).
-  [[nodiscard]] double determinant() const;
-
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;
-  int permSign_ = 1;
-};
-
-/// Cholesky factorization A = L L^T of a symmetric positive-definite matrix.
-/// Throws ConvergenceError when A is not (numerically) SPD.
-class CholeskyDecomposition {
- public:
-  /// Factorizes `a` (only the lower triangle is read); O(n^3 / 3).
-  explicit CholeskyDecomposition(const Matrix& a);
-
-  /// Solves A x = b.
-  [[nodiscard]] Vec solve(std::span<const double> b) const;
-
- private:
-  Matrix l_;
 };
 
 }  // namespace robust::num

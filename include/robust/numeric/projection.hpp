@@ -43,12 +43,10 @@ struct BlockBall {
   double radius = 0.0;
 };
 
-struct ProjectionOptions {
-  std::size_t maxIterations = 4000;
-  /// Absolute residual (max constraint violation) below which the iterate
-  /// counts as a member of the intersection.
-  double tolerance = 1e-10;
-};
+/// Absolute residual (max constraint violation) below which an iterate of
+/// projectOntoIntersection or feasiblePoint counts as a member of the
+/// intersection.
+inline constexpr double kProjectionTolerance = 1e-10;
 
 struct ProjectionResult {
   Vec point;               ///< final iterate
@@ -73,8 +71,7 @@ struct ProjectionResult {
 /// reports converged == false and the caller must treat the point as
 /// meaningless.
 [[nodiscard]] ProjectionResult projectOntoIntersection(
-    std::span<const Halfspace> halfspaces, std::span<const double> x0,
-    const ProjectionOptions& options = {});
+    std::span<const Halfspace> halfspaces, std::span<const double> x0);
 
 /// POCS: cyclic projections from `start` until every halfspace and ball is
 /// satisfied to tolerance. Converges to *a* member of the intersection
@@ -82,6 +79,6 @@ struct ProjectionResult {
 /// converged == false.
 [[nodiscard]] ProjectionResult feasiblePoint(
     std::span<const Halfspace> halfspaces, std::span<const BlockBall> balls,
-    std::span<const double> start, const ProjectionOptions& options = {});
+    std::span<const double> start);
 
 }  // namespace robust::num

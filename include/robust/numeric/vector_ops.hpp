@@ -26,10 +26,6 @@ using Vec = std::vector<double>;
 /// l-infinity norm (ablation alternative to Eq. 1's l2).
 [[nodiscard]] double normInf(std::span<const double> a);
 
-/// Weighted l2 norm sqrt(sum w_i a_i^2); weights must be non-negative.
-[[nodiscard]] double weightedNorm2(std::span<const double> a,
-                                   std::span<const double> w);
-
 /// Euclidean distance ||a - b||_2.
 [[nodiscard]] double distance2(std::span<const double> a,
                                std::span<const double> b);
@@ -48,9 +44,5 @@ void axpy(double s, std::span<const double> x, std::span<double> y);
 
 /// Returns a / ||a||_2; throws if a is (numerically) zero.
 [[nodiscard]] Vec normalized(std::span<const double> a);
-
-/// True when ||a - b||_inf <= tol.
-[[nodiscard]] bool approxEqual(std::span<const double> a,
-                               std::span<const double> b, double tol);
 
 }  // namespace robust::num

@@ -842,7 +842,6 @@ void CompiledProblem::clipToFeasible(std::size_t index,
     an[k] = w[k] / t[k];
   }
 
-  const num::ProjectionOptions popt;
   double bestRadius = kInf;
   double bestLevel = 0.0;
   num::Vec bestPoint;
@@ -879,7 +878,7 @@ void CompiledProblem::clipToFeasible(std::size_t index,
       // exact Dykstra projection of the origin onto {violation halfspace}
       // intersected with the capacity polytope.
       const num::ProjectionResult res =
-          num::projectOntoIntersection(sets, tx0, popt);
+          num::projectOntoIntersection(sets, tx0);
       if (!res.converged) {
         return;  // empty intersection: this bound is unreachable
       }
@@ -912,7 +911,7 @@ void CompiledProblem::clipToFeasible(std::size_t index,
       for (num::BlockBall& b : balls) {
         b.radius = r;
       }
-      num::ProjectionResult res = num::feasiblePoint(sets, balls, tx0, popt);
+      num::ProjectionResult res = num::feasiblePoint(sets, balls, tx0);
       if (res.converged) {
         pt = std::move(res.point);
       }
@@ -1194,7 +1193,7 @@ MetricResult CompiledProblem::screenedConstrainedMetric(
   }
   const double slackCoeff =
       4.0 * DBL_EPSILON * static_cast<double>(dim_ + 8);
-  const double clipSlack = 2.0 * num::ProjectionOptions{}.tolerance;
+  const double clipSlack = 2.0 * num::kProjectionTolerance;
   const std::vector<double>& norm1 =
       dualNorms_[static_cast<int>(NormKind::LInf)];
 

@@ -76,18 +76,4 @@ Matrix hessianFD(const ScalarField& f, std::span<const double> x,
   return hess;
 }
 
-double directionalDerivativeFD(const ScalarField& f, std::span<const double> x,
-                               std::span<const double> d, double baseStep) {
-  ROBUST_REQUIRE(x.size() == d.size(),
-                 "directionalDerivativeFD: dimension mismatch");
-  const double dn = norm2(d);
-  ROBUST_REQUIRE(dn > 0.0, "directionalDerivativeFD: zero direction");
-  const double h = baseStep * std::max(1.0, norm2(x)) / dn;
-  Vec plus(x.begin(), x.end());
-  Vec minus(x.begin(), x.end());
-  axpy(h, d, plus);
-  axpy(-h, d, minus);
-  return (f(plus) - f(minus)) / (2.0 * h);
-}
-
 }  // namespace robust::num

@@ -33,16 +33,6 @@ Vec Matrix::multiply(std::span<const double> x) const {
   return y;
 }
 
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      t(c, r) = (*this)(r, c);
-    }
-  }
-  return t;
-}
-
 LuDecomposition::LuDecomposition(Matrix a)
     : lu_(std::move(a)), perm_(lu_.rows()) {
   ROBUST_REQUIRE(lu_.rows() == lu_.cols(), "LU: matrix must be square");
@@ -68,7 +58,6 @@ LuDecomposition::LuDecomposition(Matrix a)
         std::swap(lu_(k, c), lu_(pivot, c));
       }
       std::swap(perm_[k], perm_[pivot]);
-      permSign_ = -permSign_;
     }
     for (std::size_t r = k + 1; r < n; ++r) {
       lu_(r, k) /= lu_(k, k);
@@ -99,59 +88,6 @@ Vec LuDecomposition::solve(std::span<const double> b) const {
       s -= lu_(ri, c) * x[c];
     }
     x[ri] = s / lu_(ri, ri);
-  }
-  return x;
-}
-
-double LuDecomposition::determinant() const {
-  double det = permSign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) {
-    det *= lu_(i, i);
-  }
-  return det;
-}
-
-CholeskyDecomposition::CholeskyDecomposition(const Matrix& a)
-    : l_(a.rows(), a.cols()) {
-  ROBUST_REQUIRE(a.rows() == a.cols(), "Cholesky: matrix must be square");
-  const std::size_t n = a.rows();
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c <= r; ++c) {
-      double s = a(r, c);
-      for (std::size_t k = 0; k < c; ++k) {
-        s -= l_(r, k) * l_(c, k);
-      }
-      if (r == c) {
-        if (s <= 0.0) {
-          throw ConvergenceError("Cholesky: matrix is not positive definite",
-                                 s);
-        }
-        l_(r, c) = std::sqrt(s);
-      } else {
-        l_(r, c) = s / l_(c, c);
-      }
-    }
-  }
-}
-
-Vec CholeskyDecomposition::solve(std::span<const double> b) const {
-  const std::size_t n = l_.rows();
-  ROBUST_REQUIRE(b.size() == n, "Cholesky::solve: dimension mismatch");
-  Vec y(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    double s = b[r];
-    for (std::size_t c = 0; c < r; ++c) {
-      s -= l_(r, c) * y[c];
-    }
-    y[r] = s / l_(r, r);
-  }
-  Vec x(n);
-  for (std::size_t ri = n; ri-- > 0;) {
-    double s = y[ri];
-    for (std::size_t c = ri + 1; c < n; ++c) {
-      s -= l_(c, ri) * x[c];
-    }
-    x[ri] = s / l_(ri, ri);
   }
   return x;
 }

@@ -9,6 +9,10 @@ namespace robust::num {
 
 namespace {
 
+/// Iteration budget of both projection routines; an intersection not
+/// reached within it is reported empty.
+constexpr std::size_t kMaxIterations = 4000;
+
 /// Projects `x` onto one halfspace in place. A zero normal is rejected at
 /// the call boundary, so the division is safe.
 void projectHalfspace(const Halfspace& h, Vec& x) {
@@ -85,8 +89,7 @@ double maxViolation(std::span<const Halfspace> halfspaces,
 }
 
 ProjectionResult projectOntoIntersection(std::span<const Halfspace> halfspaces,
-                                         std::span<const double> x0,
-                                         const ProjectionOptions& options) {
+                                         std::span<const double> x0) {
   validate(halfspaces, {}, x0.size());
   ProjectionResult result;
   result.point.assign(x0.begin(), x0.end());
@@ -101,7 +104,7 @@ ProjectionResult projectOntoIntersection(std::span<const Halfspace> halfspaces,
   // handful of capacity rows).
   std::vector<Vec> corrections(halfspaces.size(), Vec(x0.size(), 0.0));
   Vec before(x0.size());
-  for (std::size_t it = 0; it < options.maxIterations; ++it) {
+  for (std::size_t it = 0; it < kMaxIterations; ++it) {
     for (std::size_t s = 0; s < halfspaces.size(); ++s) {
       for (std::size_t k = 0; k < result.point.size(); ++k) {
         before[k] = result.point[k] + corrections[s][k];
@@ -114,24 +117,23 @@ ProjectionResult projectOntoIntersection(std::span<const Halfspace> halfspaces,
     }
     result.iterations = it + 1;
     result.residual = maxViolation(halfspaces, {}, result.point);
-    if (result.residual <= options.tolerance) {
+    if (result.residual <= kProjectionTolerance) {
       result.converged = true;
       return result;
     }
   }
   result.residual = maxViolation(halfspaces, {}, result.point);
-  result.converged = result.residual <= options.tolerance;
+  result.converged = result.residual <= kProjectionTolerance;
   return result;
 }
 
 ProjectionResult feasiblePoint(std::span<const Halfspace> halfspaces,
                                std::span<const BlockBall> balls,
-                               std::span<const double> start,
-                               const ProjectionOptions& options) {
+                               std::span<const double> start) {
   validate(halfspaces, balls, start.size());
   ProjectionResult result;
   result.point.assign(start.begin(), start.end());
-  for (std::size_t it = 0; it < options.maxIterations; ++it) {
+  for (std::size_t it = 0; it < kMaxIterations; ++it) {
     for (const Halfspace& h : halfspaces) {
       projectHalfspace(h, result.point);
     }
@@ -140,12 +142,12 @@ ProjectionResult feasiblePoint(std::span<const Halfspace> halfspaces,
     }
     result.iterations = it + 1;
     result.residual = maxViolation(halfspaces, balls, result.point);
-    if (result.residual <= options.tolerance) {
+    if (result.residual <= kProjectionTolerance) {
       result.converged = true;
       return result;
     }
   }
-  result.converged = result.residual <= options.tolerance;
+  result.converged = result.residual <= kProjectionTolerance;
   return result;
 }
 

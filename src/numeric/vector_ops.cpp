@@ -59,16 +59,6 @@ double normInf(std::span<const double> a) {
   return m;
 }
 
-double weightedNorm2(std::span<const double> a, std::span<const double> w) {
-  requireSameSize(a, w, "weightedNorm2");
-  double s = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ROBUST_REQUIRE(w[i] >= 0.0, "weightedNorm2: negative weight");
-    s += w[i] * a[i] * a[i];
-  }
-  return std::sqrt(s);
-}
-
 double distance2(std::span<const double> a, std::span<const double> b) {
   requireSameSize(a, b, "distance2");
   double s = 0.0;
@@ -116,19 +106,6 @@ Vec normalized(std::span<const double> a) {
   const double n = norm2(a);
   ROBUST_REQUIRE(n > 0.0, "normalized: zero vector");
   return scale(a, 1.0 / n);
-}
-
-bool approxEqual(std::span<const double> a, std::span<const double> b,
-                 double tol) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::fabs(a[i] - b[i]) > tol) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace robust::num

@@ -1,5 +1,5 @@
 // Unit tests for the dense linear-algebra substrate: vector kernels, norms,
-// LU / Cholesky factorizations.
+// LU factorization.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -30,14 +30,6 @@ TEST(VectorOps, Norm2AvoidsOverflow) {
   EXPECT_NEAR(norm2(tiny) / 1e-200, std::sqrt(2.0), 1e-12);
 }
 
-TEST(VectorOps, WeightedNorm) {
-  const Vec a = {1.0, 2.0};
-  const Vec w = {4.0, 1.0};
-  EXPECT_DOUBLE_EQ(weightedNorm2(a, w), std::sqrt(8.0));
-  const Vec bad = {-1.0, 1.0};
-  EXPECT_THROW((void)weightedNorm2(a, bad), InvalidArgumentError);
-}
-
 TEST(VectorOps, AddSubScaleAxpy) {
   const Vec a = {1.0, 2.0};
   const Vec b = {3.0, 5.0};
@@ -66,29 +58,12 @@ TEST(VectorOps, DimensionMismatchThrows) {
   EXPECT_THROW((void)distance2(a, b), InvalidArgumentError);
 }
 
-TEST(VectorOps, ApproxEqual) {
-  EXPECT_TRUE(approxEqual(Vec{1.0, 2.0}, Vec{1.0 + 1e-10, 2.0}, 1e-9));
-  EXPECT_FALSE(approxEqual(Vec{1.0, 2.0}, Vec{1.1, 2.0}, 1e-9));
-  EXPECT_FALSE(approxEqual(Vec{1.0}, Vec{1.0, 2.0}, 1.0));
-}
-
 // ---------------------------------------------------------------- matrix
 
 TEST(Matrix, IdentityAndMultiply) {
   const Matrix eye = Matrix::identity(3);
   const Vec x = {1.0, 2.0, 3.0};
   EXPECT_EQ(eye.multiply(x), x);
-}
-
-TEST(Matrix, TransposedSwapsIndices) {
-  Matrix m(2, 3);
-  m(0, 1) = 5.0;
-  m(1, 2) = 7.0;
-  const Matrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(1, 0), 5.0);
-  EXPECT_DOUBLE_EQ(t(2, 1), 7.0);
 }
 
 TEST(Lu, SolvesKnownSystem) {
@@ -101,7 +76,6 @@ TEST(Lu, SolvesKnownSystem) {
   const Vec x = lu.solve(Vec{5.0, 10.0});  // solution (1, 3)
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
-  EXPECT_NEAR(lu.determinant(), 5.0, 1e-12);
 }
 
 TEST(Lu, RequiresPivoting) {
@@ -115,7 +89,6 @@ TEST(Lu, RequiresPivoting) {
   const Vec x = lu.solve(Vec{2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
-  EXPECT_NEAR(lu.determinant(), -1.0, 1e-12);
 }
 
 TEST(Lu, SingularThrows) {
@@ -144,61 +117,9 @@ TEST(Lu, RandomRoundTrip) {
     }
     const Vec b = a.multiply(xTrue);
     const Vec x = LuDecomposition(a).solve(b);
-    EXPECT_TRUE(approxEqual(x, xTrue, 1e-9)) << "trial " << trial;
-  }
-}
-
-TEST(Cholesky, SolvesSpdSystem) {
-  Matrix a(2, 2);
-  a(0, 0) = 4.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 3.0;
-  const CholeskyDecomposition chol(a);
-  const Vec x = chol.solve(Vec{8.0, 7.0});
-  // Verify A x = b.
-  const Vec back = a.multiply(x);
-  EXPECT_NEAR(back[0], 8.0, 1e-12);
-  EXPECT_NEAR(back[1], 7.0, 1e-12);
-}
-
-TEST(Cholesky, RejectsIndefinite) {
-  Matrix a(2, 2);
-  a(0, 0) = 1.0;
-  a(0, 1) = 2.0;
-  a(1, 0) = 2.0;
-  a(1, 1) = 1.0;  // eigenvalues 3, -1
-  EXPECT_THROW(CholeskyDecomposition{a}, ConvergenceError);
-}
-
-TEST(Cholesky, RandomSpdRoundTrip) {
-  Pcg32 rng(78);
-  for (int trial = 0; trial < 10; ++trial) {
-    const std::size_t n = 1 + rng.nextBounded(6);
-    // A = B B^T + I is SPD.
-    Matrix b(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        b(r, c) = rng.uniform(-1.0, 1.0);
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_NEAR(x[i], xTrue[i], 1e-9) << "trial " << trial;
     }
-    Matrix a(n, n);
-    for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        double s = r == c ? 1.0 : 0.0;
-        for (std::size_t k = 0; k < n; ++k) {
-          s += b(r, k) * b(c, k);
-        }
-        a(r, c) = s;
-      }
-    }
-    Vec xTrue(n);
-    for (auto& v : xTrue) {
-      v = rng.uniform(-2.0, 2.0);
-    }
-    const Vec rhs = a.multiply(xTrue);
-    const Vec x = CholeskyDecomposition(a).solve(rhs);
-    EXPECT_TRUE(approxEqual(x, xTrue, 1e-8)) << "trial " << trial;
   }
 }
 

@@ -13,7 +13,6 @@ namespace {
 using namespace robust;
 using num::BlockBall;
 using num::Halfspace;
-using num::ProjectionOptions;
 using num::ProjectionResult;
 using num::Vec;
 

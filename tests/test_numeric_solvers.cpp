@@ -152,13 +152,6 @@ TEST(Differentiation, HessianOfQuadratic) {
   EXPECT_NEAR(h(1, 1), 1.0, 1e-4);
 }
 
-TEST(Differentiation, DirectionalDerivative) {
-  auto f = [](std::span<const double> x) { return x[0] * x[0] + x[1]; };
-  const double d =
-      directionalDerivativeFD(f, Vec{1.0, 0.0}, Vec{1.0, 1.0});
-  EXPECT_NEAR(d, 3.0, 1e-5);  // grad=(2,1), dir=(1,1): 2+1
-}
-
 // ------------------------------------------------------ nearest point
 
 NearestPointProblem sphereProblem(double level, Vec origin) {
