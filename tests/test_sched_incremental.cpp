@@ -1,8 +1,9 @@
 // Tests for the incremental mapping-evaluation engine: exactness against
 // IndependentTaskSystem::analyze() under randomized move/commit/revert
-// sequences, and bit-identical equivalence of the EtcObjective optimizer overloads
-// (incremental + parallel scoring) with the shape-generic overloads scoring
-// the same objective from scratch through the same search driver.
+// sequences, and bit-identical equivalence of the EtcObjective optimizer
+// overloads (incremental + parallel scoring) with the shape-generic
+// overloads scoring the same objective from scratch through the same search
+// driver.
 #include <gtest/gtest.h>
 
 #include <vector>
