@@ -93,6 +93,25 @@ TEST(IncrementalEvaluator, MatchesAnalyzeOnRandomSequencesDensePath) {
   }
 }
 
+TEST(IncrementalEvaluator, MatchesAnalyzeOnRandomSequencesSortedPath) {
+  // The instance set that once forced the sorted-structure load path:
+  // other seeds, tau = 1.3, a square 15-machine fleet and a 48-machine one.
+  // The evaluator now has one (dense) path, so this is a second exactness
+  // sample of it; 5 instances x 100 sequences x 25 steps.
+  int config = 0;
+  for (const auto [apps, machines] :
+       {std::pair<std::size_t, std::size_t>{20, 5},
+        {8, 3},
+        {40, 8},
+        {15, 15},
+        {120, 48}}) {
+    runPropertySequences(randomEtc(300 + config, apps, machines), 1.3,
+                         /*seed=*/400 + config, /*sequences=*/100,
+                         /*steps=*/25);
+    ++config;
+  }
+}
+
 TEST(IncrementalEvaluator, TauOneAndUniformTiesStayExact) {
   // tau = 1 makes every radius hit zero at the binding machine, and a
   // uniform ETC creates systematic load/radius ties — the tie-breaking
