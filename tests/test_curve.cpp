@@ -7,15 +7,17 @@
 // it: the closed-form radii differentially pinned against bisection on
 // the spec's own violation predicate, the empirical CDF against a brute
 // radius grid, the fallback lane for constrained / discrete / callable
-// specs, the band math against hand-checked references, and the online
-// drift tracker (incremental rho, obs-pinned no-re-analyze streaming,
-// threshold crossings, the Lipschitz bracket).
+// specs, the band math against hand-checked references, frozen hexfloat
+// bits and a binomial-tail oracle, and the online drift tracker
+// (incremental rho, obs-pinned no-re-analyze streaming, threshold
+// crossings, the Lipschitz bracket).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <ios>
 #include <limits>
 #include <span>
 #include <string>
@@ -745,6 +747,239 @@ TEST(Bands, ClopperPearsonReference) {
   EXPECT_NEAR(all.lower, std::pow(0.025, 1.0 / 20.0), 1e-9);
 
   EXPECT_THROW((void)clopperPearson(3, 2, 0.95), InvalidArgumentError);
+}
+
+// Frozen bits. Every value below was recorded as a C99 hexfloat from the
+// 200-halving inversion, so a change in the last bit of any bound fails;
+// the tolerance tests above would not see one.
+
+struct FrozenInterval {
+  std::uint64_t k;
+  std::uint64_t n;
+  double confidence;
+  double lower;
+  double upper;
+};
+
+TEST(Bands, ClopperPearsonFrozenBits) {
+  // n in {1, 8, 10, 2048, 100000}; k in {0, 1, n/2, n-1, n} (distinct);
+  // confidence in {0.5, 0.95, 0.99, 0.999}.
+  static constexpr FrozenInterval kFrozen[] = {
+      {0, 1, 0.5, 0x0p+0, 0x1.8p-1},
+      {0, 1, 0.95, 0x0p+0, 0x1.f333333333332p-1},
+      {0, 1, 0.99, 0x0p+0, 0x1.fd70a3d70a3d6p-1},
+      {0, 1, 0.999, 0x0p+0, 0x1.ffbe76c8b4396p-1},
+      {1, 1, 0.5, 0x1.ffffffffffffep-3, 0x1p+0},
+      {1, 1, 0.95, 0x1.99999999999ap-6, 0x1p+0},
+      {1, 1, 0.99, 0x1.47ae147ae148p-8, 0x1p+0},
+      {1, 1, 0.999, 0x1.0624dd2f1aap-11, 0x1p+0},
+      {0, 8, 0.5, 0x0p+0, 0x1.45d819a94b132p-3},
+      {0, 8, 0.95, 0x0p+0, 0x1.7a485b8f5969ap-2},
+      {0, 8, 0.99, 0x0p+0, 0x1.eff4652ac3fbep-2},
+      {0, 8, 0.999, 0x0p+0, 0x1.3a02cc6eb4c4p-1},
+      {1, 8, 0.5, 0x1.215a482573cb2p-5, 0x1.35f6eb40d5f26p-2},
+      {1, 8, 0.95, 0x1.9e26ba76567bep-9, 0x1.0d92acf2df9bcp-1},
+      {1, 8, 0.99, 0x1.48662803dacd8p-11, 0x1.435636eb3db6cp-1},
+      {1, 8, 0.999, 0x1.06338c7488baap-14, 0x1.7abc2f5c2ba84p-1},
+      {4, 8, 0.5, 0x1.50fb3ef8732bcp-2, 0x1.57826083c66a2p-1},
+      {4, 8, 0.95, 0x1.418fe9525ec1ep-3, 0x1.af9c05ab684f8p-1},
+      {4, 8, 0.99, 0x1.990e60c651efp-4, 0x1.ccde33e735c2p-1},
+      {4, 8, 0.999, 0x1.ba941c2f2a16cp-5, 0x1.e456be3d0d5eap-1},
+      {7, 8, 0.5, 0x1.65048a5f9506cp-1, 0x1.edea5b7da8c34p-1},
+      {7, 8, 0.95, 0x1.e4daa61a40c86p-2, 0x1.fe61d94589a98p-1},
+      {7, 8, 0.99, 0x1.795392298491ep-2, 0x1.ffade675ff094p-1},
+      {7, 8, 0.999, 0x1.0a87a147a8af8p-2, 0x1.fff7ce639c5bcp-1},
+      {8, 8, 0.5, 0x1.ae89f995ad3b4p-1, 0x1p+0},
+      {8, 8, 0.95, 0x1.42dbd238534b2p-1, 0x1p+0},
+      {8, 8, 0.99, 0x1.0805cd6a9e01ap-1, 0x1p+0},
+      {8, 8, 0.999, 0x1.8bfa67229678p-2, 0x1p+0},
+      {0, 10, 0.5, 0x0p+0, 0x1.091cc94907b7p-3},
+      {0, 10, 0.95, 0x0p+0, 0x1.3be6aa73f7f9ap-2},
+      {0, 10, 0.99, 0x0p+0, 0x1.a52ac6137493ap-2},
+      {0, 10, 0.999, 0x0p+0, 0x1.10938ec6f7928p-1},
+      {1, 10, 0.5, 0x1.d09f8203000c2p-6, 0x1.fa9d73dc21562p-3},
+      {1, 10, 0.95, 0x1.4b6d044ec2e3cp-9, 0x1.c7b24e1350e76p-2},
+      {1, 10, 0.99, 0x1.06bc56bddf9dcp-11, 0x1.16accb0a0a5d6p-1},
+      {1, 10, 0.999, 0x1.a386596811cbap-15, 0x1.4e67195955bccp-1},
+      {5, 10, 0.5, 0x1.6718df108afaap-2, 0x1.4c739077ba82ap-1},
+      {5, 10, 0.95, 0x1.7f26f5adc2c4ep-3, 0x1.a03642948f4eap-1},
+      {5, 10, 0.99, 0x1.06c7af0710076p-3, 0x1.be4e143e3bfep-1},
+      {5, 10, 0.999, 0x1.3cb982e9060e4p-4, 0x1.d868cfa2df3e4p-1},
+      {9, 10, 0.5, 0x1.8158a308f7aa8p-1, 0x1.f17b03efe7ffap-1},
+      {9, 10, 0.95, 0x1.1c26d8f6578c4p-1, 0x1.feb492fbb13d2p-1},
+      {9, 10, 0.99, 0x1.d2a669ebeb44ap-2, 0x1.ffbe50ea50882p-1},
+      {9, 10, 0.999, 0x1.6331cd4d54866p-2, 0x1.fff971e69a5fcp-1},
+      {10, 10, 0.5, 0x1.bdb8cdadbe124p-1, 0x1p+0},
+      {10, 10, 0.95, 0x1.620caac604032p-1, 0x1p+0},
+      {10, 10, 0.99, 0x1.2d6a9cf645b5cp-1, 0x1p+0},
+      {10, 10, 0.999, 0x1.ded8e27210dbp-2, 0x1p+0},
+      {0, 2048, 0.5, 0x0p+0, 0x1.62c571f83a8dep-11},
+      {0, 2048, 0.95, 0x0p+0, 0x1.d7c06795eefp-10},
+      {0, 2048, 0.99, 0x0p+0, 0x1.52a7709919d8p-9},
+      {0, 2048, 0.999, 0x0p+0, 0x1.e58e606c5138p-9},
+      {1, 2048, 0.5, 0x1.2690d52edbbc2p-13, 0x1.5883cb5efd7b2p-10},
+      {1, 2048, 0.95, 0x1.9ecded4b1711ap-17, 0x1.642ffbf511d8p-9},
+      {1, 2048, 0.99, 0x1.488064db19832p-19, 0x1.dac8505daa18p-9},
+      {1, 2048, 0.999, 0x1.0635a37c39ab2p-22, 0x1.3f41759462ecp-8},
+      {1024, 2048, 0.5, 0x1.f81ed606992a4p-2, 0x1.03f094fcb36aep-1},
+      {1024, 2048, 0.95, 0x1.e996c82d06b84p-2, 0x1.0b349be97ca3ep-1},
+      {1024, 2048, 0.99, 0x1.e2a2b29f1e13p-2, 0x1.0eaea6b070f68p-1},
+      {1024, 2048, 0.999, 0x1.da93985c27cb4p-2, 0x1.12b633d1ec1a6p-1},
+      {2047, 2048, 0.5, 0x1.ff53be1a50814p-1, 0x1.ffed96f2ad124p-1},
+      {2047, 2048, 0.95, 0x1.fe9bd0040aee2p-1, 0x1.fffe613212b4ep-1},
+      {2047, 2048, 0.99, 0x1.fe2537afa255ep-1, 0x1.ffffaddfe6c94p-1},
+      {2047, 2048, 0.999, 0x1.fd817d14d73a2p-1, 0x1.fffff7ce52e42p-1},
+      {2048, 2048, 0.5, 0x1.ffa74ea381f16p-1, 0x1p+0},
+      {2048, 2048, 0.95, 0x1.ff141fcc35088p-1, 0x1p+0},
+      {2048, 2048, 0.99, 0x1.fead588f66e62p-1, 0x1p+0},
+      {2048, 2048, 0.999, 0x1.fe1a719f93aecp-1, 0x1p+0},
+      {0, 100000, 0.5, 0x0p+0, 0x1.d128f4179c228p-17},
+      {0, 100000, 0.95, 0x0p+0, 0x1.35709f38a2p-15},
+      {0, 100000, 0.99, 0x0p+0, 0x1.bc717c21d6p-15},
+      {0, 100000, 0.999, 0x0p+0, 0x1.3ecaf792d9p-14},
+      {1, 100000, 0.5, 0x1.821eaa4e018dep-19, 0x1.c3becb2d918a2p-16},
+      {1, 100000, 0.95, 0x1.0fd90d472e3b2p-22, 0x1.d35f6552bep-15},
+      {1, 100000, 0.99, 0x1.ae92f527dabfp-25, 0x1.37a1d7d417p-14},
+      {1, 100000, 0.999, 0x1.57aeed7583334p-28, 0x1.a35b26db4fp-14},
+      {50000, 100000, 0.5, 0x1.fee71fab52004p-2, 0x1.008c702a56ffep-1},
+      {50000, 100000, 0.95, 0x1.fcd25247a7978p-2, 0x1.0196d6dc2c344p-1},
+      {50000, 100000, 0.99, 0x1.fbd3107bb63a8p-2, 0x1.021677c224e2cp-1},
+      {50000, 100000, 0.999, 0x1.faaada2d5826ep-2, 0x1.02aa92e953ec8p-1},
+      {99999, 100000, 0.5, 0x1.fffc788269a4ep-1, 0x1.ffff9f78556c8p-1},
+      {99999, 100000, 0.95, 0x1.fff8b2826ab5p-1, 0x1.fffff7813795cp-1},
+      {99999, 100000, 0.99, 0x1.fff642f1415f4p-1, 0x1.fffffe516d0aep-1},
+      {99999, 100000, 0.999, 0x1.fff2e526c9258p-1, 0x1.ffffffd50a226p-1},
+      {100000, 100000, 0.5, 0x1.fffe2ed70be86p-1, 0x1p+0},
+      {100000, 100000, 0.95, 0x1.fffb2a3d831d8p-1, 0x1p+0},
+      {100000, 100000, 0.99, 0x1.fff90e3a0f78ap-1, 0x1p+0},
+      {100000, 100000, 0.999, 0x1.fff609a843694p-1, 0x1p+0},
+  };
+  for (const FrozenInterval& f : kFrozen) {
+    const BinomialInterval got = clopperPearson(f.k, f.n, f.confidence);
+    EXPECT_TRUE(bitEq(got.lower, f.lower))
+        << "k=" << f.k << " n=" << f.n << " c=" << f.confidence
+        << " lower " << std::hexfloat << got.lower;
+    EXPECT_TRUE(bitEq(got.upper, f.upper))
+        << "k=" << f.k << " n=" << f.n << " c=" << f.confidence
+        << " upper " << std::hexfloat << got.upper;
+  }
+}
+
+/// Every field of every digest point, bit for bit.
+void expectDigestBits(const CurveResult& result,
+                      std::span<const CurvePoint> frozen) {
+  ASSERT_EQ(result.points.size(), frozen.size());
+  for (std::size_t j = 0; j < frozen.size(); ++j) {
+    const CurvePoint& got = result.points[j];
+    const CurvePoint& want = frozen[j];
+    EXPECT_TRUE(bitEq(got.radius, want.radius)) << "point " << j;
+    EXPECT_TRUE(bitEq(got.probability, want.probability)) << "point " << j;
+    EXPECT_TRUE(bitEq(got.lower, want.lower)) << "point " << j;
+    EXPECT_TRUE(bitEq(got.upper, want.upper)) << "point " << j;
+  }
+}
+
+/// The fast-lane digest the band tests pin: 2048 samples, 16 points.
+CurveResult frozenFastDigest() {
+  CurveOptions o;
+  o.samples = 2048;
+  o.gridPoints = 16;
+  o.threads = 1;
+  return computeCurve(curveProblem(48, 16), o);
+}
+
+TEST(Bands, FastLaneDigestFrozenBits) {
+  // {radius, probability, lower, upper}
+  static constexpr CurvePoint kFrozen[] = {
+      {0x1.95262de975552p-3, 0x1p-11, 0x1.488064db19832p-19, 0x1.dac8505daa18p-9},
+      {0x1.431755cdf7d25p-2, 0x1.12p-4, 0x1.b5e0ef5df68a2p-5, 0x1.517bd5abbf41cp-4},
+      {0x1.709f2c99892d4p-2, 0x1.11p-3, 0x1.d555a182512ecp-4, 0x1.3ae0a9aea9ba6p-3},
+      {0x1.963c25cee5f1dp-2, 0x1.9ap-3, 0x1.6c55503bac8e8p-3, 0x1.ca8ec3bb1a2f2p-3},
+      {0x1.b8d7e0420b0f8p-2, 0x1.11p-2, 0x1.ef1f20c278bdp-3, 0x1.2b901f6181062p-2},
+      {0x1.d9f2ffc844015p-2, 0x1.558p-2, 0x1.3a323bd581c6p-2, 0x1.719ad582849dep-2},
+      {0x1.fe553925884b8p-2, 0x1.998p-2, 0x1.7cf70e12e66f4p-2, 0x1.b6842b7f012eep-2},
+      {0x1.13a0ec6b0ff3ep-1, 0x1.dep-2, 0x1.c0c79148db3f4p-2, 0x1.fb614c658dd96p-2},
+      {0x1.2509077782248p-1, 0x1.11p-1, 0x1.024f59cd39134p-1, 0x1.1f9c375b92606p-1},
+      {0x1.3a909ebd43768p-1, 0x1.334p-1, 0x1.24bdea407f68ap-1, 0x1.418478f68cc86p-1},
+      {0x1.552b3a733b401p-1, 0x1.554p-1, 0x1.4732953ebdb1p-1, 0x1.62e6e2153f1dp-1},
+      {0x1.725035267332ep-1, 0x1.778p-1, 0x1.6a37f04f3f7cep-1, 0x1.843837cf61d0cp-1},
+      {0x1.96108bbd4be4p-1, 0x1.998p-1, 0x1.8d5c4f1139744p-1, 0x1.a4eaabf114dc6p-1},
+      {0x1.c8b59adc94503p-1, 0x1.bbcp-1, 0x1.b147d59455914p-1, 0x1.c5554bcfb5da2p-1},
+      {0x1.0ec64f4a0d765p+0, 0x1.ddcp-1, 0x1.d5d0854a8817cp-1, 0x1.e4a1f10a20976p-1},
+      {0x1.111b8fddabe9ap+1, 0x1p+0, 0x1.fead588f66e62p-1, 0x1p+0},
+  };
+  const CurveResult result = frozenFastDigest();
+  EXPECT_TRUE(result.fastLane);
+  expectDigestBits(result, kFrozen);
+}
+
+TEST(Bands, FallbackLaneDigestFrozenBits) {
+  // A constrained spec: 64 samples, 59 finite, 8 points with k < n.
+  static constexpr CurvePoint kFrozen[] = {
+      {0x1.2d8e9a4ebd8a3p-1, 0x1p-6, 0x1.487d342648d1ep-14, 0x1.c45753db1c9b4p-4},
+      {0x1.613ff8a6175b7p-1, 0x1.2p-3, 0x1.a13337598921ep-5, 0x1.251dbc8478c4ep-2},
+      {0x1.7c9ed8e2e2dc5p-1, 0x1.1p-2, 0x1.1a07e2ac922b2p-3, 0x1.b7d1798cf5872p-2},
+      {0x1.c9c50a6d7fd5bp-1, 0x1.9p-2, 0x1.e9a7f5e3ef514p-3, 0x1.1e22ae1a4373cp-1},
+      {0x1.1a2a733e39bdap+0, 0x1.1p-1, 0x1.766209f48a766p-2, 0x1.625e5ccc36172p-1},
+      {0x1.342e9d53b6f69p+0, 0x1.5p-1, 0x1.f40f245546bcp-2, 0x1.99bd6b80baf9ep-1},
+      {0x1.5d90f8197f28p+0, 0x1.9p-1, 0x1.3e92a6a372c26p-1, 0x1.cb3eefe3f4c64p-1},
+      {0x1.c9e8ec73d6ce7p+0, 0x1.d8p-1, 0x1.96a91855db41p-1, 0x1.f72c32a16a50ep-1},
+  };
+  CurveOptions o;
+  o.samples = 64;
+  o.gridPoints = 8;
+  o.threads = 1;
+  const CurveResult result =
+      computeCurve(fallbackProblem(16, 5, true, false, 17), o);
+  EXPECT_FALSE(result.fastLane);
+  EXPECT_EQ(result.finiteRadii, 59u);
+  expectDigestBits(result, kFrozen);
+}
+
+/// P(X >= k) or P(X <= k) for X ~ Binomial(n, p), summed term by term in
+/// long double: an oracle that shares no code with the incomplete beta.
+long double binomialTail(std::uint64_t k, std::uint64_t n, double p,
+                         bool upperTail) {
+  long double sum = 0.0L;
+  long double choose = 1.0L;  // C(n, j), exact in long double for n <= 64
+  for (std::uint64_t j = 0; j <= n; ++j) {
+    if (upperTail ? j >= k : j <= k) {
+      sum += choose * std::pow(static_cast<long double>(p), j) *
+             std::pow(1.0L - static_cast<long double>(p), n - j);
+    }
+    choose = choose * static_cast<long double>(n - j) /
+             static_cast<long double>(j + 1);
+  }
+  return sum;
+}
+
+TEST(Bands, ClopperPearsonMatchesBinomialTails) {
+  // The defining equations: P(X >= k | n, L) = alpha/2 for k > 0 and
+  // P(X <= k | n, U) = alpha/2 for k < n; both bounds rise strictly in k.
+  for (double confidence : {0.9, 0.95, 0.99}) {
+    const long double half = (1.0L - confidence) / 2.0L;
+    for (std::uint64_t n = 1; n <= 64; ++n) {
+      BinomialInterval prev = clopperPearson(0, n, confidence);
+      for (std::uint64_t k = 0; k <= n; ++k) {
+        const BinomialInterval b = clopperPearson(k, n, confidence);
+        if (k > 0) {
+          EXPECT_NEAR(static_cast<double>(binomialTail(k, n, b.lower, true) -
+                                          half),
+                      0.0, 1e-12)
+              << "lower k=" << k << " n=" << n << " c=" << confidence;
+          EXPECT_LT(prev.lower, b.lower) << "k=" << k << " n=" << n;
+          EXPECT_LT(prev.upper, b.upper) << "k=" << k << " n=" << n;
+        }
+        if (k < n) {
+          EXPECT_NEAR(static_cast<double>(binomialTail(k, n, b.upper, false) -
+                                          half),
+                      0.0, 1e-12)
+              << "upper k=" << k << " n=" << n << " c=" << confidence;
+        }
+        prev = b;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------------- drift
