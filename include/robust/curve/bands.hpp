@@ -11,7 +11,8 @@
 //
 // Both are hand-rolled (regularized incomplete beta via a Lentz continued
 // fraction plus bisection) so results are deterministic across platforms
-// and standard libraries — the bands land in committed bench baselines.
+// and standard libraries — the bands land in committed bench baselines,
+// and tests/test_curve.cpp freezes their bits as hexfloats.
 #pragma once
 
 #include <cstddef>

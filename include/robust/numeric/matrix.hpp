@@ -19,9 +19,6 @@ class Matrix {
   /// Creates a rows x cols matrix, zero-initialized.
   Matrix(std::size_t rows, std::size_t cols);
 
-  /// Creates an n x n identity matrix.
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 

@@ -42,7 +42,4 @@ using Vec = std::vector<double>;
 /// In-place y += s * x (classic axpy).
 void axpy(double s, std::span<const double> x, std::span<double> y);
 
-/// Returns a / ||a||_2; throws if a is (numerically) zero.
-[[nodiscard]] Vec normalized(std::span<const double> a);
-
 }  // namespace robust::num

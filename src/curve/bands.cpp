@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "robust/obs/metrics.hpp"
 #include "robust/util/error.hpp"
 
 namespace robust::curve {
@@ -56,9 +57,33 @@ double betaContinuedFraction(double a, double b, double x) {
   return h;
 }
 
+/// ln B(a, b), the normalizer of I_x(a, b). lgamma_r: std::lgamma's write
+/// to the global signgam races across threads.
+double lnBetaFunction(double a, double b) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign) + ::lgamma_r(b, &sign) -
+         ::lgamma_r(a + b, &sign);
+}
+
+/// I_x(a, b) for x strictly inside (0, 1), given lnBeta = ln B(a, b).
+double incompleteBetaInterior(double a, double b, double x, double lnBeta) {
+  const double front =
+      std::exp(a * std::log(x) + b * std::log(1.0 - x) - lnBeta);
+  // The continued fraction converges fast only on one side of the mean;
+  // use the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) for the other.
+  if (x < (a + 1.0) / (a + b + 2.0)) {
+    return front * betaContinuedFraction(a, b, x) / a;
+  }
+  return 1.0 - front * betaContinuedFraction(b, a, 1.0 - x) / b;
+}
+
 /// Smallest x with I_x(a, b) >= p, by bisection. The incomplete beta is
-/// continuous and strictly increasing in x on (0, 1), so 200 halvings pin
-/// the root far below the band's statistical resolution.
+/// continuous and strictly increasing in x on (0, 1). The bracket keeps
+/// I(lo) < p <= I(hi); once the midpoint rounds onto an endpoint, every
+/// further halving would evaluate that endpoint again and reassign it to
+/// itself, so the early exit returns the bits all 200 halvings would,
+/// after about 50-80 evaluations. Each midpoint that is evaluated lies
+/// strictly inside (0, 1). The evaluations add to `curve.band_steps`.
 double inverseRegularizedBeta(double p, double a, double b) {
   if (p <= 0.0) {
     return 0.0;
@@ -66,15 +91,25 @@ double inverseRegularizedBeta(double p, double a, double b) {
   if (p >= 1.0) {
     return 1.0;
   }
+  const double lnBeta = lnBetaFunction(a, b);
   double lo = 0.0;
   double hi = 1.0;
+  std::uint64_t steps = 0;
   for (int i = 0; i < 200; ++i) {
     const double mid = 0.5 * (lo + hi);
-    if (regularizedIncompleteBeta(a, b, mid) < p) {
+    if (mid == lo || mid == hi) {
+      break;
+    }
+    ++steps;
+    if (incompleteBetaInterior(a, b, mid, lnBeta) < p) {
       lo = mid;
     } else {
       hi = mid;
     }
+  }
+  if (obs::enabled()) [[unlikely]] {
+    static const obs::MetricId kSteps = obs::counterId("curve.band_steps");
+    obs::addCounter(kSteps, steps);
   }
   return 0.5 * (lo + hi);
 }
@@ -93,18 +128,7 @@ double regularizedIncompleteBeta(double a, double b, double x) {
   if (x >= 1.0) {
     return 1.0;
   }
-  // lgamma_r: std::lgamma's write to the global signgam races across threads.
-  int sign = 0;
-  const double lnBeta = ::lgamma_r(a, &sign) + ::lgamma_r(b, &sign) -
-                        ::lgamma_r(a + b, &sign);
-  const double front =
-      std::exp(a * std::log(x) + b * std::log(1.0 - x) - lnBeta);
-  // The continued fraction converges fast only on one side of the mean;
-  // use the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) for the other.
-  if (x < (a + 1.0) / (a + b + 2.0)) {
-    return front * betaContinuedFraction(a, b, x) / a;
-  }
-  return 1.0 - front * betaContinuedFraction(b, a, 1.0 - x) / b;
+  return incompleteBetaInterior(a, b, x, lnBetaFunction(a, b));
 }
 
 double dkwEpsilon(std::size_t samples, double confidence) {

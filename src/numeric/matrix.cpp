@@ -12,14 +12,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
   ROBUST_REQUIRE(rows > 0 && cols > 0, "Matrix: dimensions must be positive");
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    m(i, i) = 1.0;
-  }
-  return m;
-}
-
 Vec Matrix::multiply(std::span<const double> x) const {
   ROBUST_REQUIRE(x.size() == cols_, "Matrix::multiply: dimension mismatch");
   Vec y(rows_, 0.0);

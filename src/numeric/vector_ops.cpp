@@ -102,10 +102,4 @@ void axpy(double s, std::span<const double> x, std::span<double> y) {
   }
 }
 
-Vec normalized(std::span<const double> a) {
-  const double n = norm2(a);
-  ROBUST_REQUIRE(n > 0.0, "normalized: zero vector");
-  return scale(a, 1.0 / n);
-}
-
 }  // namespace robust::num

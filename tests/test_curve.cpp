@@ -936,6 +936,32 @@ TEST(Bands, FallbackLaneDigestFrozenBits) {
   expectDigestBits(result, kFrozen);
 }
 
+TEST(Bands, CountsIncompleteBetaEvaluations) {
+  // curve.band_steps counts incomplete-beta evaluations. The bisection
+  // stops at ulp adjacency, about 50-80 evaluations per inversion, where
+  // the fixed loop ran 200; a lost exit shows here without timing.
+  ObsGuard guard;
+  const CurveResult result = frozenFastDigest();
+  const obs::MetricsSnapshot snap = obs::snapshotMetrics();
+  EXPECT_EQ(snap.counter("curve.band_steps"), 1694u);
+
+  std::uint64_t inversions = 0;
+  std::uint64_t steps = 0;
+  for (const CurvePoint& p : result.points) {
+    const auto k = static_cast<std::uint64_t>(
+        std::llround(p.probability * static_cast<double>(result.samples)));
+    const std::uint64_t calls = (k > 0 ? 1 : 0) + (k < result.samples ? 1 : 0);
+    obs::resetMetrics();
+    (void)clopperPearson(k, result.samples, result.confidence);
+    const std::uint64_t got = obs::snapshotMetrics().counter("curve.band_steps");
+    EXPECT_LE(got, 200 * calls) << "k=" << k;
+    inversions += calls;
+    steps += got;
+  }
+  EXPECT_EQ(steps, snap.counter("curve.band_steps"));
+  EXPECT_LT(static_cast<double>(steps), 80.0 * static_cast<double>(inversions));
+}
+
 /// P(X >= k) or P(X <= k) for X ~ Binomial(n, p), summed term by term in
 /// long double: an oracle that shares no code with the incomplete beta.
 long double binomialTail(std::uint64_t k, std::uint64_t n, double p,
