@@ -938,8 +938,8 @@ TEST(Bands, FallbackLaneDigestFrozenBits) {
 
 TEST(Bands, CountsIncompleteBetaEvaluations) {
   // curve.band_steps counts incomplete-beta evaluations. The bisection
-  // stops at ulp adjacency, about 50-80 evaluations per inversion, where
-  // the fixed loop ran 200; a lost exit shows here without timing.
+  // stops at ulp adjacency, about 50-80 evaluations per inversion under
+  // its cap of 200; the exact count shows a lost exit without timing.
   ObsGuard guard;
   const CurveResult result = frozenFastDigest();
   const obs::MetricsSnapshot snap = obs::snapshotMetrics();
@@ -967,7 +967,7 @@ TEST(Bands, CountsIncompleteBetaEvaluations) {
 long double binomialTail(std::uint64_t k, std::uint64_t n, double p,
                          bool upperTail) {
   long double sum = 0.0L;
-  long double choose = 1.0L;  // C(n, j), exact in long double for n <= 64
+  long double choose = 1.0L;  // C(n, j)
   for (std::uint64_t j = 0; j <= n; ++j) {
     if (upperTail ? j >= k : j <= k) {
       sum += choose * std::pow(static_cast<long double>(p), j) *
