@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "robust/core/discrete.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/experiment.hpp"
 #include "robust/util/args.hpp"
 #include "robust/util/stats.hpp"
@@ -34,16 +35,17 @@ int main(int argc, char** argv) try {
                       "lattice upper bound", "certificate gap"});
   std::vector<double> gaps;
   int shown = 0;
+  const hiperd::CompiledScenario compiled = scenario.compile();
   for (std::size_t m = 0; m < result.mappings.size(); ++m) {
     if (result.rows[m].slack < 0.0) {
       continue;  // violated at the origin: both rules give 0
     }
-    const hiperd::HiperdSystem system(scenario, result.mappings[m]);
     core::DiscreteOptions dopts;
     dopts.exhaustiveLimit = 0.0;  // radii are in the hundreds: certificate
                                   // search only (exhaustive would be huge)
     const auto bounds = core::discreteRadiusBounds(
-        core::CompiledProblem::compile(system.toSpec()), dopts);
+        core::CompiledProblem::compile(compiled.toSpec(result.mappings[m])),
+        dopts);
     const double floorRule = std::floor(bounds.lower);
     const double gap = bounds.upper - floorRule;
     gaps.push_back(gap);

@@ -20,6 +20,7 @@
 #include <iostream>
 #include <string>
 
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/experiment.hpp"
 #include "robust/obs/report.hpp"
 #include "robust/scheduling/heuristics.hpp"
@@ -63,10 +64,11 @@ int main(int argc, char** argv) try {
   }
 
   // Simulated annealing directly on the (floored) metric.
+  const hiperd::CompiledScenario compiled = scenario.compile();
+  hiperd::ScenarioWorkspace workspace;
   const auto objective = [&](const sched::Mapping& mapping) {
-    const hiperd::HiperdSystem system(scenario, mapping);
-    const auto report = system.analyze();
-    return -report.metric;  // minimize the negated metric
+    // Minimize the negated metric.
+    return -compiled.analyze(mapping, workspace).metric;
   };
   sched::AnnealingOptions annealing;
   annealing.iterations = iterations;
@@ -76,8 +78,8 @@ int main(int argc, char** argv) try {
       population.mappings[bestRandom], objective, annealing);
 
   auto describe = [&](const sched::Mapping& mapping) {
-    const hiperd::HiperdSystem system(scenario, mapping);
-    return std::pair{system.slack(), system.analyze().metric};
+    return std::pair{compiled.slack(mapping, workspace),
+                     compiled.analyze(mapping, workspace).metric};
   };
 
   std::cout << "# Ablation: robustness-aware HiPer-D mapping search ("

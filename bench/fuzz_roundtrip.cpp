@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "robust/core/instance_file.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
 #include "robust/hiperd/scenario_io.hpp"
 #include "robust/scheduling/etc_io.hpp"
@@ -215,9 +216,8 @@ int main(int argc, char** argv) try {
       Pcg32 rng = makeStream(seed ^ 0x5ce9, s);
       const auto mapping = sched::randomMapping(
           loaded.graph.applicationCount(), loaded.machines, rng);
-      report(reportsIdentical(
-                 hiperd::HiperdSystem(generated.scenario, mapping).analyze(),
-                 hiperd::HiperdSystem(loaded, mapping).analyze()),
+      report(reportsIdentical(generated.scenario.compile().analyze(mapping),
+                              loaded.compile().analyze(mapping)),
              "scenario reports diverge after reload at seed " +
                  std::to_string(seed + s));
       ++scenarioRoundTrips;

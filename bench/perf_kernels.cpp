@@ -201,9 +201,10 @@ void BM_HiperdAnalysis(benchmark::State& state) {
   const auto mapping = sched::randomMapping(
       generated.scenario.graph.applicationCount(),
       generated.scenario.machines, rng);
-  const hiperd::HiperdSystem system(generated.scenario, mapping);
+  const hiperd::CompiledScenario compiled = generated.scenario.compile();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.analyze());
+    benchmark::DoNotOptimize(
+        core::CompiledProblem::compile(compiled.toSpec(mapping)).evaluate());
   }
 }
 BENCHMARK(BM_HiperdAnalysis);
@@ -255,10 +256,12 @@ void BM_LegacyAnalyzeHiperd(benchmark::State& state) {
   const auto generated =
       hiperd::generateScenario(hiperd::ScenarioOptions{}, 2003);
   const auto mappings = benchHiperdMappings(generated.scenario, 64);
+  const hiperd::CompiledScenario compiled = generated.scenario.compile();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        hiperd::HiperdSystem(generated.scenario, mappings[i]).analyze());
+        core::CompiledProblem::compile(compiled.toSpec(mappings[i]))
+            .evaluate());
     i = (i + 1) % mappings.size();
   }
 }
@@ -285,9 +288,10 @@ void BM_HiperdSlack(benchmark::State& state) {
   const auto mapping = sched::randomMapping(
       generated.scenario.graph.applicationCount(),
       generated.scenario.machines, rng);
-  const hiperd::HiperdSystem system(generated.scenario, mapping);
+  const hiperd::CompiledScenario compiled = generated.scenario.compile();
+  hiperd::ScenarioWorkspace workspace;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.slack());
+    benchmark::DoNotOptimize(compiled.slack(mapping, workspace));
   }
 }
 BENCHMARK(BM_HiperdSlack);

@@ -46,12 +46,12 @@ int main(int argc, char** argv) try {
   Pcg32 rng(seed, /*stream=*/99);
   const sched::Mapping mapping = sched::randomMapping(
       scenario.graph.applicationCount(), scenario.machines, rng);
-  const hiperd::HiperdSystem system(scenario, mapping);
+  const hiperd::CompiledScenario compiled = scenario.compile();
 
   // QoS constraints at the operating point.
   TablePrinter table({"constraint", "value", "limit", "utilization"});
   int shown = 0;
-  for (const auto& c : system.constraints()) {
+  for (const auto& c : compiled.constraints(mapping)) {
     if (++shown > 12) {
       table.addRow({"...", "", "", ""});
       break;
@@ -62,9 +62,9 @@ int main(int argc, char** argv) try {
   table.print(std::cout);
 
   std::cout << "\nsystem-wide percentage slack = "
-            << formatDouble(system.slack()) << "\n";
+            << formatDouble(compiled.slack(mapping)) << "\n";
 
-  const auto report = system.analyze();
+  const auto report = compiled.analyze(mapping);
   const auto& binding = report.radii[report.bindingFeature];
   std::cout << "robustness metric rho = " << report.metric
             << " objects per data set (floored: "
@@ -81,10 +81,8 @@ int main(int argc, char** argv) try {
             << report.metric
             << " causes no latency or throughput violation.\n";
 
-  // Screening many candidate mappings: compile the scenario once, then
-  // analyze each mapping from a reusable workspace (bit-identical to the
-  // per-mapping derivation above, ~5x faster — see DESIGN.md 4.7).
-  const hiperd::CompiledScenario compiled = scenario.compile();
+  // Screening many candidate mappings: the compiled scenario analyzes each
+  // from a reusable workspace (see DESIGN.md 4.7).
   std::vector<sched::Mapping> candidates;
   for (int c = 0; c < 8; ++c) {
     candidates.push_back(sched::randomMapping(
@@ -108,7 +106,8 @@ int main(int argc, char** argv) try {
   // second perturbation parameter — per-machine slowdown factors — via the
   // machine-slowdown FePIA derivation (see robust/hiperd/slowdown.hpp).
   const auto slowdownReport =
-      core::CompiledProblem::compile(hiperd::slowdownSpec(system)).evaluate();
+      core::CompiledProblem::compile(hiperd::slowdownSpec(compiled, mapping))
+          .evaluate();
   const auto& slowBinding = slowdownReport.radii[slowdownReport.bindingFeature];
   std::cout << "\nslowdown robustness (perturbation = machine slowdown "
                "factors, origin all-1):\n  rho = "
@@ -123,7 +122,8 @@ int main(int argc, char** argv) try {
 
   // Empirical violation profile around the sensor-load metric.
   if (report.metric > 0.0) {
-    const auto problem = core::CompiledProblem::compile(system.toSpec());
+    const auto problem =
+        core::CompiledProblem::compile(compiled.toSpec(mapping));
     curve::CurveOptions curveOptions;
     curveOptions.samples = 2000;
     const auto degradation = curve::computeCurve(problem, curveOptions);
@@ -141,7 +141,8 @@ int main(int argc, char** argv) try {
   // Pipeline simulation: observe the constraints empirically at the
   // operating point and at the critical loads lambda*.
   {
-    const auto atOrigin = hiperd::simulatePaths(system, scenario.lambdaOrig);
+    const auto atOrigin =
+        hiperd::simulatePaths(compiled, mapping, scenario.lambdaOrig);
     std::size_t stable = 0;
     std::size_t clean = 0;
     for (const auto& r : atOrigin) {
@@ -157,7 +158,7 @@ int main(int argc, char** argv) try {
         beyond[z] = scenario.lambdaOrig[z] +
                     1.02 * (beyond[z] - scenario.lambdaOrig[z]);
       }
-      const auto past = hiperd::simulatePaths(system, beyond);
+      const auto past = hiperd::simulatePaths(compiled, mapping, beyond);
       std::size_t violated = 0;
       for (const auto& r : past) {
         violated += r.latencyViolated || r.throughputViolated;

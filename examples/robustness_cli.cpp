@@ -14,6 +14,7 @@
 
 #include "robust/core/report_io.hpp"
 #include "robust/core/sensitivity.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/scenario_io.hpp"
 #include "robust/scheduling/etc_io.hpp"
 #include "robust/scheduling/experiment.hpp"
@@ -104,11 +105,11 @@ int runScenarioMode(const ArgParser& args) {
   Pcg32 rng(mappingSeed);
   const auto mapping = sched::randomMapping(
       scenario.graph.applicationCount(), scenario.machines, rng);
-  const hiperd::HiperdSystem system(scenario, mapping);
-  const auto problem = core::CompiledProblem::compile(system.toSpec());
+  const hiperd::CompiledScenario compiled = scenario.compile();
+  const auto problem = core::CompiledProblem::compile(compiled.toSpec(mapping));
   const auto report = problem.evaluate();
   std::cout << "random mapping (seed " << mappingSeed
-            << "): slack " << formatDouble(system.slack()) << "\n\n";
+            << "): slack " << formatDouble(compiled.slack(mapping)) << "\n\n";
   core::printReport(std::cout, report, problem.parameter());
   const auto sensitivity =
       core::bindingSensitivity(report, problem.parameter());

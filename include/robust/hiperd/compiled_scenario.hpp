@@ -1,28 +1,24 @@
-// The compiled HiPer-D analysis: one scenario, many mappings.
+// The Section 3.2 derivation, compiled once per scenario and evaluated per
+// mapping: QoS robustness of HiPer-D mappings against sensor-load increases.
+// This is the only place that maps a mapping to its features.
 //
-// The Section 3.2 derivation is mapping-dependent in only three ways: the
-// multitasking factor scaling each computation time, WHICH compute row an
-// application contributes (its assigned machine), and the per-path latency
-// weights assembled from those rows. Everything else — the feature names,
-// the throughput bounds 1/R(a_i), the communication features (which do not
-// depend on the mapping at all), the latency limits, and the perturbation
-// parameter — is fixed by the scenario.
+// Features (Eq. 9): per-app computation times T_i^c and per-transfer
+// communication times T_ip^n (throughput bound 1/R(a_i)), and per-path
+// latencies L_k (bound L_k^max). Perturbation: the sensor loads lambda,
+// discrete (the metric is floored, Section 3.2).
 //
-// CompiledScenario performs all scenario-fixed work once:
-//   * validates the scenario and the analysis options,
-//   * precomputes the throughput bounds and every feature name,
-//   * fully pre-solves the communication (Tn) radius reports, and
-//   * records which compute/comm functions are zero or non-linear.
-// analyze(mapping, workspace) then materializes only the mapping-dependent
-// weight rows into a caller-owned workspace and runs the shared core kernel
-// (core::evaluateAffineRadius), producing a RobustnessReport bit-identical
-// to HiperdSystem(scenario, mapping).analyze(options).
+// A mapping changes only each computation time's multitasking factor, which
+// machine's compute row an app contributes, and the latency rows built from
+// those. The constructor does the rest once: it validates the scenario and
+// options, computes the throughput bounds and every feature name, records
+// which load functions are zero, and on the fast path pre-solves the Tn
+// radius reports.
 //
-// The all-affine fast path applies when every compute and comm function is
-// linear and the solver is Auto or Analytic (the generated scenarios and the
-// paper's Table 2 are all-linear). Otherwise analyze() transparently falls
-// back to the per-mapping derivation (HiperdSystem::analyze), so results are
-// identical either way.
+// The fast path (every load function linear, solver Auto or Analytic, as in
+// the generated scenarios and Table 2) assembles only the mapping's rows in
+// a caller-owned workspace and runs core::evaluateAffineRadius. Every other
+// case compiles and evaluates toSpec(mapping); the fast path is
+// bit-identical to that.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +38,9 @@ namespace robust::hiperd {
 /// Caller-owned scratch state for repeated per-mapping analysis. Reusing one
 /// workspace keeps every buffer (report radii with their strings and
 /// boundary points, machine counts, factors, the assembled weight row), so
-/// steady-state re-analysis performs no heap allocation on the fast path.
+/// steady-state re-analysis and slack perform no heap allocation on the
+/// fast path.
 class ScenarioWorkspace {
- public:
-  ScenarioWorkspace() = default;
-
- private:
   friend class CompiledScenario;
   core::RobustnessReport report_;
   std::vector<std::size_t> counts_;  ///< apps per machine
@@ -56,9 +49,10 @@ class ScenarioWorkspace {
 };
 
 /// Phase 1 of the HiPer-D analysis: everything derivable from the scenario
-/// alone. Immutable once built; analyze() is const and reentrant, so one
+/// alone. Immutable once built; every member is const and reentrant, so one
 /// compiled scenario serves many threads as long as each uses its own
-/// workspace. The scenario must outlive this object.
+/// workspace. The scenario must outlive this object. A mapping must assign
+/// each of the scenario's apps to one of its machines.
 class CompiledScenario {
  public:
   explicit CompiledScenario(const HiperdScenario& scenario,
@@ -67,31 +61,63 @@ class CompiledScenario {
   [[nodiscard]] const HiperdScenario& scenario() const noexcept {
     return *scenario_;
   }
-  [[nodiscard]] const core::AnalyzerOptions& options() const noexcept {
-    return options_;
-  }
-  /// The perturbation parameter (lambda, discrete) shared by every mapping.
-  [[nodiscard]] const core::PerturbationParameter& parameter() const noexcept {
-    return parameter_;
-  }
-  /// True when every load function is linear and the solver is analytic, so
-  /// analyze() runs the allocation-free kernel path. Otherwise analyze()
-  /// falls back to HiperdSystem::analyze (identical results, per-mapping
-  /// derivation cost).
+  /// True when analyze() runs the allocation-free kernel path (see above).
   [[nodiscard]] bool fastPath() const noexcept { return fast_; }
-  /// 1/R(a_i), the scenario-fixed throughput bound of `app`.
+  /// 1/R(a_i) of `app`: the reciprocal of the highest driving-sensor rate
+  /// over the paths containing it (+inf for an app on no path).
   [[nodiscard]] double throughputBound(std::size_t app) const;
+
+  /// T_i^c(lambda) of `app` under `mapping`, multitasking factor included.
+  [[nodiscard]] double computationTime(const sched::Mapping& mapping,
+                                       std::size_t app,
+                                       std::span<const double> lambda) const;
+
+  /// T_ip^n(lambda) of edge `edgeId` (independent of the mapping).
+  [[nodiscard]] double communicationTime(std::size_t edgeId,
+                                         std::span<const double> lambda) const;
+
+  /// L_k(lambda) of path `k` under `mapping` (Eq. 8): the computation times
+  /// of its apps, then the communication times of every traversed edge,
+  /// sensor and actuator transfers included, each in path order.
+  [[nodiscard]] double latency(const sched::Mapping& mapping, std::size_t k,
+                               std::span<const double> lambda) const;
+
+  /// Every QoS constraint of `mapping` at lambda_orig: per app with a finite
+  /// throughput bound its Tc, then its non-zero Tn; then every path's L.
+  [[nodiscard]] std::vector<ConstraintStatus> constraints(
+      const sched::Mapping& mapping) const;
+
+  /// Section 4.3's system-wide percentage slack: the minimum over
+  /// constraints() of 1 - fraction(). Allocates nothing once warm.
+  [[nodiscard]] double slack(const sched::Mapping& mapping,
+                             ScenarioWorkspace& workspace) const;
+
+  /// Convenience: slack with a throwaway workspace.
+  [[nodiscard]] double slack(const sched::Mapping& mapping) const {
+    ScenarioWorkspace workspace;
+    return slack(mapping, workspace);
+  }
+
+  /// The FePIA derivation of `mapping`: a feature per constraint whose
+  /// impact depends on lambda, in constraints() kind order (all Tc, all Tn,
+  /// all L). A latency with a non-linear member is a callable summing in
+  /// latency()'s order. The spec may outlive this object but refers to the
+  /// scenario, which must stay alive while the spec is evaluated.
+  [[nodiscard]] core::ProblemSpec toSpec(const sched::Mapping& mapping) const;
 
   /// Phase 2: full robustness analysis of one mapping (Eq. 11, floored).
   /// Returns a reference to the workspace-owned report (valid until the next
   /// analyze through the same workspace). Bit-identical to
-  /// HiperdSystem(scenario, mapping).analyze(options).
+  /// CompiledProblem::compile(toSpec(mapping)).evaluate().
   const core::RobustnessReport& analyze(const sched::Mapping& mapping,
                                         ScenarioWorkspace& workspace) const;
 
   /// Convenience: analyze with a throwaway workspace.
   [[nodiscard]] core::RobustnessReport analyze(
-      const sched::Mapping& mapping) const;
+      const sched::Mapping& mapping) const {
+    ScenarioWorkspace workspace;
+    return analyze(mapping, workspace);
+  }
 
   /// Analyzes every mapping with a static block partition over
   /// util::thread_pool (threads = 0 means defaultThreadCount()); each block
@@ -120,25 +146,31 @@ class CompiledScenario {
 
   /// Convenience: metric lane with a throwaway workspace.
   [[nodiscard]] core::MetricResult analyzeMetric(
-      const sched::Mapping& mapping) const;
+      const sched::Mapping& mapping) const {
+    ScenarioWorkspace workspace;
+    return analyzeMetric(mapping, workspace);
+  }
 
  private:
-  [[nodiscard]] const num::Vec& computeCoeffs(std::size_t app,
-                                              std::size_t machine) const;
-
   /// Each app's multitasking factor under `mapping` into
-  /// workspace.factors_.
-  void fillFactors(const sched::Mapping& mapping,
-                   ScenarioWorkspace& workspace) const;
+  /// workspace.factors_, which it returns. The one mapping check: throws
+  /// unless `mapping` matches the scenario's apps and machines.
+  std::span<const double> fillFactors(const sched::Mapping& mapping,
+                                      ScenarioWorkspace& workspace) const;
 
   /// The weights of `path`'s latency feature under `mapping` into
-  /// workspace.row_ (needs fillFactors first).
+  /// workspace.row_ (needs fillFactors first; every member linear).
   void assembleLatencyRow(const Path& path, const sched::Mapping& mapping,
                           ScenarioWorkspace& workspace) const;
 
+  /// Calls visit(kind, name, value, limit) for every QoS constraint at
+  /// lambda_orig, in constraints() order (needs fillFactors first).
+  template <class Visit>
+  void forEachConstraint(const sched::Mapping& mapping,
+                         std::span<const double> factors, Visit&& visit) const;
+
   const HiperdScenario* scenario_ = nullptr;
   core::AnalyzerOptions options_;
-  core::PerturbationParameter parameter_;
   bool fast_ = false;
   std::size_t sensors_ = 0;
   std::vector<double> throughputBound_;  ///< per app, 1/R(a_i)
@@ -151,9 +183,17 @@ class CompiledScenario {
   std::vector<char> computeZero_;      ///< [app * machines + machine]
   std::vector<char> commZero_;         ///< [edge id]
 
-  /// Communication (Tn) lane: fully mapping-independent, so the complete
-  /// radius reports are pre-solved at compile time and copied per mapping.
-  std::vector<core::RadiusReport> tnReports_;
+  /// Communication (Tn) lane: every non-zero transfer out of an app with a
+  /// finite throughput bound, in app then out-edge order. Fully
+  /// mapping-independent, so on the fast path the complete radius reports
+  /// are pre-solved at compile time and copied per mapping.
+  struct Transfer {
+    std::size_t app;   ///< sender, whose throughput bound applies
+    std::size_t edge;  ///< edge id
+    std::string name;  ///< interned "Tn(sender->receiver)"
+  };
+  std::vector<Transfer> tn_;
+  std::vector<core::RadiusReport> tnReports_;  ///< parallel; fast path only
 
   /// Latency (L) lane: interned names, one per path.
   std::vector<std::string> latencyNames_;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "robust/hiperd/generator.hpp"
+#include "robust/scheduling/mapping.hpp"
 
 namespace robust::hiperd {
 

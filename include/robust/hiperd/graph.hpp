@@ -104,10 +104,6 @@ class SystemGraph {
   [[nodiscard]] const std::vector<std::size_t>& outEdgesOfApp(
       std::size_t app) const;
 
-  /// Ids of edges entering application `app` (from sensors or apps).
-  [[nodiscard]] const std::vector<std::size_t>& inEdgesOfApp(
-      std::size_t app) const;
-
   /// All enumerated paths (requires finalize()).
   [[nodiscard]] const std::vector<Path>& paths() const;
 
@@ -115,9 +111,6 @@ class SystemGraph {
   /// (requires finalize()); governs which b_ijz coefficients may be non-zero.
   [[nodiscard]] bool sensorReachesApp(std::size_t sensor,
                                       std::size_t app) const;
-
-  /// D(a_i): application successors of application `app`.
-  [[nodiscard]] std::vector<std::size_t> appSuccessors(std::size_t app) const;
 
   /// Emits the DAG in Graphviz dot format (Fig. 2 regeneration).
   void writeDot(std::ostream& os) const;

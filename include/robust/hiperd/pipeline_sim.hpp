@@ -20,7 +20,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "robust/hiperd/system.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 
 namespace robust::hiperd {
 
@@ -41,9 +41,9 @@ struct PipelineSimOptions {
   std::size_t dataSets = 200;  ///< emissions per driving sensor
 };
 
-/// Simulates every path of the bound system at sensor loads `lambda`.
+/// Simulates every path of `mapping` at sensor loads `lambda`.
 [[nodiscard]] std::vector<PathSimResult> simulatePaths(
-    const HiperdSystem& system, std::span<const double> lambda,
-    const PipelineSimOptions& options = {});
+    const CompiledScenario& compiled, const sched::Mapping& mapping,
+    std::span<const double> lambda, const PipelineSimOptions& options = {});
 
 }  // namespace robust::hiperd

@@ -23,15 +23,16 @@
 // normalizing to comparable units if desired).
 #pragma once
 
-#include "robust/hiperd/system.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 
 namespace robust::hiperd {
 
-/// The machine-slowdown FePIA derivation of the given bound system
-/// (scenario + mapping) as a ProblemSpec. The perturbation parameter is
-/// continuous with origin (1, ..., 1); features whose value does not depend
-/// on any machine speed (e.g. pure-communication paths) are omitted.
+/// The machine-slowdown FePIA derivation of `mapping` on the compiled
+/// scenario, as a ProblemSpec. The perturbation parameter is continuous with
+/// origin (1, ..., 1); features whose value does not depend on any machine
+/// speed (e.g. pure-communication paths) are omitted.
 [[nodiscard]] core::ProblemSpec slowdownSpec(
-    const HiperdSystem& system, core::AnalyzerOptions options = {});
+    const CompiledScenario& compiled, const sched::Mapping& mapping,
+    core::AnalyzerOptions options = {});
 
 }  // namespace robust::hiperd

@@ -49,6 +49,31 @@ bool allNonNegative(std::span<const double> v) {
   }
   return true;
 }
+
+/// T_i^c(lambda): `app`'s computation time on its machine under `mapping`,
+/// scaled by its multitasking factor.
+double appTime(const HiperdScenario& scenario, const sched::Mapping& mapping,
+               std::span<const double> factors, std::size_t app,
+               std::span<const double> lambda) {
+  return factors[app] *
+         scenario.compute[app][mapping.machineOf(app)].evaluate(lambda);
+}
+
+/// L_k(lambda): the path's computation times, then its communication times,
+/// each in path order (Eq. 8).
+double pathLatency(const HiperdScenario& scenario, const Path& path,
+                   const sched::Mapping& mapping,
+                   std::span<const double> factors,
+                   std::span<const double> lambda) {
+  double total = 0.0;
+  for (std::size_t app : path.apps) {
+    total += appTime(scenario, mapping, factors, app, lambda);
+  }
+  for (std::size_t eid : path.edges) {
+    total += scenario.comm[eid].evaluate(lambda);
+  }
+  return total;
+}
 }  // namespace
 
 CompiledScenario::CompiledScenario(const HiperdScenario& scenario,
@@ -70,12 +95,9 @@ CompiledScenario::CompiledScenario(const HiperdScenario& scenario,
     }
   }
 
-  parameter_ = core::PerturbationParameter{
-      "lambda (sensor loads)", scenario.lambdaOrig, /*discrete=*/true,
-      "objects per data set"};
-
-  // 1/R(a_i): tightest throughput bound over the paths containing the app
-  // (the same derivation as HiperdSystem, which is mapping-independent).
+  // 1/R(a_i): tightest throughput bound over the paths containing the app.
+  // Applications on no path (possible only in degenerate graphs) carry no
+  // throughput constraint: +inf.
   throughputBound_.assign(apps, 0.0);
   std::vector<double> maxRate(apps, 0.0);
   for (const Path& path : graph.paths()) {
@@ -107,45 +129,40 @@ CompiledScenario::CompiledScenario(const HiperdScenario& scenario,
   fast_ = allLinear && (options_.solver == core::SolverKind::Auto ||
                         options_.solver == core::SolverKind::Analytic);
 
-  // Computation (Tc) lane: eligible apps and their interned names.
+  // Computation (Tc) lane: apps with a finite throughput bound, with their
+  // interned names. Communication (Tn) lane: their non-zero transfers; it
+  // is mapping-independent, so on the fast path the complete radius reports
+  // are solved here, once.
   for (std::size_t i = 0; i < apps; ++i) {
     if (!std::isfinite(throughputBound_[i])) {
       continue;
     }
     tcApps_.push_back(i);
     tcNames_.push_back("Tc(" + graph.applicationName(i) + ")");
-  }
-
-  // Communication (Tn) lane: mapping-independent, so on the fast path the
-  // complete radius reports are solved here, once.
-  for (std::size_t i = 0; i < apps; ++i) {
-    if (!std::isfinite(throughputBound_[i])) {
-      continue;
-    }
     for (std::size_t eid : graph.outEdgesOfApp(i)) {
-      const LoadFunction& fn = scenario.comm[eid];
-      if (fn.isZero()) {
+      if (commZero_[eid]) {
         continue;
       }
       const Edge& e = graph.edge(eid);
       const std::string toName = e.to.kind == NodeKind::Application
                                      ? graph.applicationName(e.to.index)
                                      : graph.actuatorName(e.to.index);
-      const std::string name =
-          "Tn(" + graph.applicationName(i) + "->" + toName + ")";
-      core::RadiusReport report;
-      if (fast_) {
-        // The legacy impact is fn.impact(1.0) = affine(scale(coeffs, 1.0));
-        // scaling by 1.0 is exact, so the raw coefficients give the same
-        // bits.
-        core::evaluateAffineRadius(
-            core::AffineFeatureView{fn.coeffs(), 0.0, std::nullopt,
-                                    throughputBound_[i]},
-            scenario.lambdaOrig, options_, name, report);
-      } else {
-        report.feature = name;  // placeholder; the fallback path re-derives
+      const Transfer& tn = tn_.emplace_back(Transfer{
+          i, eid, "Tn(" + graph.applicationName(i) + "->" + toName + ")"});
+      if (!fast_) {
+        continue;
       }
-      tnReports_.push_back(std::move(report));
+      // toSpec's impact is fn.impact(1.0) = affine(scale(coeffs, 1.0));
+      // scaling by 1.0 is exact, so the raw coefficients give the same bits.
+      core::RadiusReport& report = tnReports_.emplace_back();
+      core::evaluateAffineRadius(
+          core::AffineFeatureView{scenario.comm[eid].coeffs(), 0.0,
+                                  std::nullopt, throughputBound_[i]},
+          scenario.lambdaOrig, options_, tn.name, report);
+      if (report.radius < tnMinRadius_) {
+        tnMinRadius_ = report.radius;  // the metric lane's Tn part
+        tnArgmin_ = tnReports_.size() - 1;
+      }
     }
   }
 
@@ -178,12 +195,6 @@ CompiledScenario::CompiledScenario(const HiperdScenario& scenario,
       nonNegative &= allNonNegative(c);
     }
     latencyPruneSafe_ = nonNegative;
-    for (std::size_t t = 0; t < tnReports_.size(); ++t) {
-      if (tnReports_[t].radius < tnMinRadius_) {
-        tnMinRadius_ = tnReports_[t].radius;
-        tnArgmin_ = t;
-      }
-    }
   }
 }
 
@@ -193,29 +204,171 @@ double CompiledScenario::throughputBound(std::size_t app) const {
   return throughputBound_[app];
 }
 
-const num::Vec& CompiledScenario::computeCoeffs(std::size_t app,
-                                                std::size_t machine) const {
-  return scenario_->compute[app][machine].coeffs();
+double CompiledScenario::computationTime(
+    const sched::Mapping& mapping, std::size_t app,
+    std::span<const double> lambda) const {
+  ScenarioWorkspace workspace;
+  const auto factors = fillFactors(mapping, workspace);
+  ROBUST_REQUIRE(app < factors.size(),
+                 "computationTime: app index out of range");
+  return appTime(*scenario_, mapping, factors, app, lambda);
+}
+
+double CompiledScenario::communicationTime(
+    std::size_t edgeId, std::span<const double> lambda) const {
+  ROBUST_REQUIRE(edgeId < scenario_->comm.size(),
+                 "communicationTime: edge id out of range");
+  return scenario_->comm[edgeId].evaluate(lambda);
+}
+
+double CompiledScenario::latency(const sched::Mapping& mapping,
+                                 std::size_t k,
+                                 std::span<const double> lambda) const {
+  ScenarioWorkspace workspace;
+  const auto factors = fillFactors(mapping, workspace);
+  const auto& paths = scenario_->graph.paths();
+  ROBUST_REQUIRE(k < paths.size(), "latency: path index out of range");
+  return pathLatency(*scenario_, paths[k], mapping, factors, lambda);
+}
+
+template <class Visit>
+void CompiledScenario::forEachConstraint(const sched::Mapping& mapping,
+                                         std::span<const double> factors,
+                                         Visit&& visit) const {
+  const std::span<const double> lambda = scenario_->lambdaOrig;
+  std::size_t t = 0;
+  for (std::size_t c = 0; c < tcApps_.size(); ++c) {
+    const std::size_t i = tcApps_[c];
+    visit(ConstraintKind::Computation, tcNames_[c],
+          appTime(*scenario_, mapping, factors, i, lambda),
+          throughputBound_[i]);
+    for (; t < tn_.size() && tn_[t].app == i; ++t) {
+      visit(ConstraintKind::Communication, tn_[t].name,
+            scenario_->comm[tn_[t].edge].evaluate(lambda),
+            throughputBound_[i]);
+    }
+  }
+  const auto& paths = scenario_->graph.paths();
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    visit(ConstraintKind::Latency, latencyNames_[k],
+          pathLatency(*scenario_, paths[k], mapping, factors, lambda),
+          scenario_->latencyLimits[k]);
+  }
+}
+
+std::vector<ConstraintStatus> CompiledScenario::constraints(
+    const sched::Mapping& mapping) const {
+  ScenarioWorkspace workspace;
+  std::vector<ConstraintStatus> result;
+  forEachConstraint(mapping, fillFactors(mapping, workspace),
+                    [&](ConstraintKind kind, const std::string& name,
+                        double value, double limit) {
+                      result.push_back({kind, name, value, limit});
+                    });
+  return result;
+}
+
+double CompiledScenario::slack(const sched::Mapping& mapping,
+                               ScenarioWorkspace& workspace) const {
+  double slackValue = 1.0;
+  forEachConstraint(mapping, fillFactors(mapping, workspace),
+                    [&](ConstraintKind, const std::string&, double value,
+                        double limit) {
+                      slackValue = std::min(
+                          slackValue,
+                          1.0 - ConstraintStatus::fractionOf(value, limit));
+                    });
+  return slackValue;
+}
+
+core::ProblemSpec CompiledScenario::toSpec(
+    const sched::Mapping& mapping) const {
+  ScenarioWorkspace workspace;
+  const auto factors = fillFactors(mapping, workspace);
+  const std::size_t machines = scenario_->machines;
+  core::ProblemSpec spec;
+  auto& features = spec.features;
+
+  // Computation-time throughput features (Eq. 10a).
+  for (std::size_t t = 0; t < tcApps_.size(); ++t) {
+    const std::size_t i = tcApps_[t];
+    const std::size_t m = mapping.machineOf(i);
+    if (computeZero_[i * machines + m]) {
+      continue;  // no dependence on lambda: boundary unreachable
+    }
+    features.push_back(core::PerformanceFeature{
+        tcNames_[t], scenario_->compute[i][m].impact(factors[i]),
+        core::ToleranceBounds::atMost(throughputBound_[i])});
+  }
+  // Communication-time throughput features (Eq. 10b).
+  for (const Transfer& transfer : tn_) {
+    features.push_back(core::PerformanceFeature{
+        transfer.name, scenario_->comm[transfer.edge].impact(1.0),
+        core::ToleranceBounds::atMost(throughputBound_[transfer.app])});
+  }
+  // Path latency features (Eq. 10c). Linear members sum into one affine
+  // row; any general member makes the path impact a callable sum that holds
+  // the scenario by pointer and the mapping and factors by value, so the
+  // spec outlives this object but not the scenario.
+  const auto& paths = scenario_->graph.paths();
+  for (std::size_t k = 0; k < paths.size(); ++k) {
+    const Path& path = paths[k];
+    bool linear = true;
+    for (std::size_t app : path.apps) {
+      linear &= scenario_->compute[app][mapping.machineOf(app)].isLinear();
+    }
+    for (std::size_t eid : path.edges) {
+      linear &= scenario_->comm[eid].isLinear();
+    }
+    const auto bounds =
+        core::ToleranceBounds::atMost(scenario_->latencyLimits[k]);
+    if (!linear) {
+      features.push_back(core::PerformanceFeature{
+          latencyNames_[k],
+          core::ImpactFunction::callable(
+              [scenario = scenario_, mapping, factors = workspace.factors_,
+               k](std::span<const double> lambda) {
+                return pathLatency(*scenario, scenario->graph.paths()[k],
+                                   mapping, factors, lambda);
+              }),
+          bounds});
+      continue;
+    }
+    assembleLatencyRow(path, mapping, workspace);
+    if (num::norm2(workspace.row_) == 0.0) {
+      continue;  // path latency does not depend on lambda
+    }
+    features.push_back(core::PerformanceFeature{
+        latencyNames_[k], core::ImpactFunction::affine(workspace.row_),
+        bounds});
+  }
+
+  // Trivial single-subspace instance of the general perturbation model:
+  // one discrete block, lambda (the sensor loads), Section 3.2 flooring.
+  spec.subspaces.push_back(core::PerturbationSubspace{
+      "lambda (sensor loads)", scenario_->lambdaOrig,
+      static_cast<int>(options_.norm), options_.normWeights,
+      /*discrete=*/true, "objects per data set"});
+  spec.options = options_;
+  return spec;
 }
 
 const core::RobustnessReport& CompiledScenario::analyze(
     const sched::Mapping& mapping, ScenarioWorkspace& workspace) const {
   const auto& graph = scenario_->graph;
-  const std::size_t apps = graph.applicationCount();
   const std::size_t machines = scenario_->machines;
-  ROBUST_REQUIRE(mapping.apps() == apps && mapping.machines() == machines,
-                 "CompiledScenario: mapping does not match the scenario");
 
   const obs::Span span("hiperd.analyze");
   if (!fast_) {
-    // Non-linear load functions or an iterative solver: delegate to the
-    // per-mapping derivation (identical results, per-mapping cost).
+    // Non-linear load functions or an iterative solver: compile and
+    // evaluate the mapping's derivation.
     if (obs::enabled()) [[unlikely]] {
       static const obs::MetricId kFallback =
           obs::counterId("hiperd.analyze_fallback");
       obs::addCounter(kFallback);
     }
-    workspace.report_ = HiperdSystem(*scenario_, mapping).analyze(options_);
+    workspace.report_ =
+        core::CompiledProblem::compile(toSpec(mapping)).evaluate();
     return workspace.report_;
   }
 
@@ -249,7 +402,7 @@ const core::RobustnessReport& CompiledScenario::analyze(
     if (computeZero_[i * machines + m]) {
       continue;  // no dependence on lambda: boundary unreachable
     }
-    const num::Vec& coeffs = computeCoeffs(i, m);
+    const num::Vec& coeffs = scenario_->compute[i][m].coeffs();
     const double factor = workspace.factors_[i];
     std::span<const double> row = coeffs;
     if (factor != 1.0) {
@@ -307,14 +460,11 @@ const core::RobustnessReport& CompiledScenario::analyze(
   return report;
 }
 
-core::RobustnessReport CompiledScenario::analyze(
-    const sched::Mapping& mapping) const {
-  ScenarioWorkspace workspace;
-  return analyze(mapping, workspace);
-}
-
-void CompiledScenario::fillFactors(const sched::Mapping& mapping,
-                                   ScenarioWorkspace& workspace) const {
+std::span<const double> CompiledScenario::fillFactors(
+    const sched::Mapping& mapping, ScenarioWorkspace& workspace) const {
+  ROBUST_REQUIRE(mapping.apps() == scenario_->graph.applicationCount() &&
+                     mapping.machines() == scenario_->machines,
+                 "CompiledScenario: mapping does not match the scenario");
   const std::size_t apps = mapping.apps();
   workspace.counts_.assign(scenario_->machines, 0);
   for (std::size_t i = 0; i < apps; ++i) {
@@ -325,15 +475,16 @@ void CompiledScenario::fillFactors(const sched::Mapping& mapping,
     workspace.factors_[i] =
         multitaskFactor(workspace.counts_[mapping.machineOf(i)]);
   }
+  return workspace.factors_;
 }
 
 void CompiledScenario::assembleLatencyRow(const Path& path,
                                           const sched::Mapping& mapping,
                                           ScenarioWorkspace& workspace) const {
-  // The legacy accumulation order (per-app axpy with the multitask factor,
-  // then per-edge axpy), so the sums match the legacy derivation bit for
-  // bit. Skipping an all-zero contribution is bit-safe: adding 1.0 * 0.0
-  // (or factor * 0.0) never changes an accumulated component's bits here.
+  // Per-app axpy with the multitask factor, then per-edge axpy: the order
+  // the frozen references pin. Skipping an all-zero contribution is
+  // bit-safe: adding 1.0 * 0.0 (or factor * 0.0) never changes an
+  // accumulated component's bits here.
   const std::size_t machines = scenario_->machines;
   workspace.row_.assign(sensors_, 0.0);
   for (std::size_t app : path.apps) {
@@ -341,7 +492,8 @@ void CompiledScenario::assembleLatencyRow(const Path& path,
     if (computeZero_[app * machines + m]) {
       continue;
     }
-    num::axpy(workspace.factors_[app], computeCoeffs(app, m), workspace.row_);
+    num::axpy(workspace.factors_[app], scenario_->compute[app][m].coeffs(),
+              workspace.row_);
   }
   for (std::size_t eid : path.edges) {
     if (commZero_[eid]) {
@@ -355,10 +507,7 @@ core::MetricResult CompiledScenario::analyzeMetric(
     const sched::Mapping& mapping, ScenarioWorkspace& workspace,
     bool prune) const {
   const auto& graph = scenario_->graph;
-  const std::size_t apps = graph.applicationCount();
   const std::size_t machines = scenario_->machines;
-  ROBUST_REQUIRE(mapping.apps() == apps && mapping.machines() == machines,
-                 "CompiledScenario: mapping does not match the scenario");
 
   if (!fast_) {
     const core::RobustnessReport& full = analyze(mapping, workspace);
@@ -505,12 +654,6 @@ core::MetricResult CompiledScenario::analyzeMetric(
                   static_cast<std::int64_t>(pruned * 100 / used));
   }
   return result;
-}
-
-core::MetricResult CompiledScenario::analyzeMetric(
-    const sched::Mapping& mapping) const {
-  ScenarioWorkspace workspace;
-  return analyzeMetric(mapping, workspace);
 }
 
 sched::MappingObjective robustnessObjective(const CompiledScenario& compiled) {

@@ -24,20 +24,18 @@ Fig4Result runFig4(const Fig4Options& options) {
         scenario.graph.applicationCount(), scenario.machines, rng));
   }
 
-  // The robustness analysis shares one compiled scenario (the DAG-derived
-  // structure is mapping-independent); only the slack metric still needs a
-  // per-mapping HiperdSystem. One contiguous block of mappings per worker,
-  // each with its own reusable workspace, keeps results bit-identical for
-  // every thread count.
+  // Slack and robustness share one compiled scenario (the DAG-derived
+  // structure is mapping-independent). One contiguous block of mappings per
+  // worker, each with its own reusable workspace, keeps results
+  // bit-identical for every thread count.
   const CompiledScenario compiled = scenario.compile();
   result.rows.resize(options.mappings);
   forEachBlock<ScenarioWorkspace>(
       options.mappings, options.threads,
       [&](std::size_t lo, std::size_t hi, ScenarioWorkspace& workspace) {
         for (std::size_t m = lo; m < hi; ++m) {
-          const HiperdSystem system(scenario, result.mappings[m]);
           Fig4Row row;
-          row.slack = system.slack();
+          row.slack = compiled.slack(result.mappings[m], workspace);
           const auto& report =
               compiled.analyze(result.mappings[m], workspace);
           row.robustness =

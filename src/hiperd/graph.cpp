@@ -296,13 +296,6 @@ const std::vector<std::size_t>& SystemGraph::outEdgesOfApp(
   return outOfApp_[app];
 }
 
-const std::vector<std::size_t>& SystemGraph::inEdgesOfApp(
-    std::size_t app) const {
-  ROBUST_REQUIRE(app < applications_.size(),
-                 "inEdgesOfApp: index out of range");
-  return inOfApp_[app];
-}
-
 const std::vector<Path>& SystemGraph::paths() const {
   requireFinalized();
   return paths_;
@@ -313,19 +306,6 @@ bool SystemGraph::sensorReachesApp(std::size_t sensor, std::size_t app) const {
   ROBUST_REQUIRE(sensor < sensors_.size() && app < applications_.size(),
                  "sensorReachesApp: index out of range");
   return sensorReach_[sensor][app];
-}
-
-std::vector<std::size_t> SystemGraph::appSuccessors(std::size_t app) const {
-  ROBUST_REQUIRE(app < applications_.size(),
-                 "appSuccessors: index out of range");
-  std::vector<std::size_t> successors;
-  for (std::size_t eid : outOfApp_[app]) {
-    const Edge& e = edges_[eid];
-    if (e.to.kind == NodeKind::Application) {
-      successors.push_back(e.to.index);
-    }
-  }
-  return successors;
 }
 
 void SystemGraph::writeDot(std::ostream& os) const {

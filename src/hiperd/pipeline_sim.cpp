@@ -6,12 +6,13 @@
 
 namespace robust::hiperd {
 
-std::vector<PathSimResult> simulatePaths(const HiperdSystem& system,
+std::vector<PathSimResult> simulatePaths(const CompiledScenario& compiled,
+                                         const sched::Mapping& mapping,
                                          std::span<const double> lambda,
                                          const PipelineSimOptions& options) {
   ROBUST_REQUIRE(options.dataSets >= 2,
                  "simulatePaths: need at least two data sets");
-  const HiperdScenario& scenario = system.scenario();
+  const HiperdScenario& scenario = compiled.scenario();
   ROBUST_REQUIRE(lambda.size() == scenario.lambdaOrig.size(),
                  "simulatePaths: lambda dimension mismatch");
 
@@ -32,13 +33,13 @@ std::vector<PathSimResult> simulatePaths(const HiperdSystem& system,
     std::vector<double> service;
     service.reserve(path.apps.size());
     for (std::size_t app : path.apps) {
-      const double s = system.computationTime(app, lambda);
+      const double s = compiled.computationTime(mapping, app, lambda);
       service.push_back(s);
       result.throughputViolated |= s > period;
     }
     double transferTotal = 0.0;
     for (std::size_t eid : path.edges) {
-      transferTotal += system.communicationTime(eid, lambda);
+      transferTotal += compiled.communicationTime(eid, lambda);
     }
 
     // Tandem queue with deterministic arrivals (period) and FIFO stages.
@@ -61,16 +62,13 @@ std::vector<PathSimResult> simulatePaths(const HiperdSystem& system,
 
     result.steadyLatency = result.latencies.back();
     result.stable = !result.throughputViolated;
-    if (options.dataSets >= 2) {
-      const std::size_t n = options.dataSets;
-      // Linear growth estimate over the second half (past warm-up).
-      const double half = result.latencies[n / 2];
-      result.growthRate =
-          (result.latencies[n - 1] - half) /
-          static_cast<double>(n - 1 - n / 2);
-      if (result.growthRate < 1e-12) {
-        result.growthRate = 0.0;
-      }
+    // Linear growth estimate over the second half (past warm-up).
+    const std::size_t n = options.dataSets;
+    const double half = result.latencies[n / 2];
+    result.growthRate = (result.latencies[n - 1] - half) /
+                        static_cast<double>(n - 1 - n / 2);
+    if (result.growthRate < 1e-12) {
+      result.growthRate = 0.0;
     }
     result.latencyViolated =
         result.steadyLatency > scenario.latencyLimits[k] + 1e-12;

@@ -6,10 +6,10 @@
 
 namespace robust::hiperd {
 
-core::ProblemSpec slowdownSpec(const HiperdSystem& system,
+core::ProblemSpec slowdownSpec(const CompiledScenario& compiled,
+                               const sched::Mapping& mapping,
                                core::AnalyzerOptions options) {
-  const HiperdScenario& scenario = system.scenario();
-  const sched::Mapping& mapping = system.mapping();
+  const HiperdScenario& scenario = compiled.scenario();
   const auto& graph = scenario.graph;
   const auto& lambda = scenario.lambdaOrig;
   const std::size_t machines = scenario.machines;
@@ -18,11 +18,11 @@ core::ProblemSpec slowdownSpec(const HiperdSystem& system,
 
   // Throughput features: T_i^c(s) = s_{m(i)} * Tc_i(lambda_orig).
   for (std::size_t i = 0; i < mapping.apps(); ++i) {
-    const double bound = system.throughputBound(i);
+    const double bound = compiled.throughputBound(i);
     if (!std::isfinite(bound)) {
       continue;
     }
-    const double tc = system.computationTime(i, lambda);
+    const double tc = compiled.computationTime(mapping, i, lambda);
     if (tc <= 0.0) {
       continue;  // no load dependence: speed cannot make it violate
     }
@@ -40,11 +40,12 @@ core::ProblemSpec slowdownSpec(const HiperdSystem& system,
     const Path& path = graph.paths()[k];
     num::Vec weights(machines, 0.0);
     for (std::size_t app : path.apps) {
-      weights[mapping.machineOf(app)] += system.computationTime(app, lambda);
+      weights[mapping.machineOf(app)] +=
+          compiled.computationTime(mapping, app, lambda);
     }
     double commConstant = 0.0;
     for (std::size_t eid : path.edges) {
-      commConstant += system.communicationTime(eid, lambda);
+      commConstant += compiled.communicationTime(eid, lambda);
     }
     if (num::norm2(weights) == 0.0) {
       continue;  // latency independent of machine speeds

@@ -4,7 +4,8 @@
 // calling thread's allocations; the replacement acts on this test process
 // only. Each test warms a workspace, then counts what further calls on it
 // allocate. DESIGN.md §4.7 promises a zero-allocation steady state for
-// the affine lanes; these tests hold the code to it.
+// the affine lanes and the HiPer-D fast path; these tests hold the code to
+// it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,8 @@
 #include "robust/core/compiled.hpp"
 #include "robust/core/impact.hpp"
 #include "robust/curve/drift.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
+#include "robust/hiperd/generator.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
 #include "robust/util/rng.hpp"
@@ -232,6 +235,45 @@ TEST(AllocationPin, DriftTrackerUpdatesAllocateNothing) {
   });
   EXPECT_EQ(allocations, 0u);
   EXPECT_EQ(tracker.updates(), 64u);
+}
+
+TEST(AllocationPin, WarmHiperdAnalyzeMetricAndSlackAllocateNothing) {
+  obs::setEnabled(false);
+  const auto generated =
+      hiperd::generateScenario(hiperd::ScenarioOptions{}, 2003);
+  const hiperd::CompiledScenario compiled = generated.scenario.compile();
+  ASSERT_TRUE(compiled.fastPath());
+  Pcg32 rng(17);
+  std::vector<sched::Mapping> mappings;
+  for (int m = 0; m < 64; ++m) {
+    mappings.push_back(sched::randomMapping(
+        generated.scenario.graph.applicationCount(),
+        generated.scenario.machines, rng));
+  }
+  hiperd::ScenarioWorkspace workspace;
+  for (const sched::Mapping& mapping : mappings) {
+    (void)compiled.analyze(mapping, workspace);
+    (void)compiled.analyzeMetric(mapping, workspace);
+    (void)compiled.slack(mapping, workspace);
+  }
+  EXPECT_EQ(allocationsOf([&] {
+              for (const sched::Mapping& mapping : mappings) {
+                (void)compiled.analyze(mapping, workspace);
+              }
+            }),
+            0u);
+  EXPECT_EQ(allocationsOf([&] {
+              for (const sched::Mapping& mapping : mappings) {
+                (void)compiled.analyzeMetric(mapping, workspace);
+              }
+            }),
+            0u);
+  EXPECT_EQ(allocationsOf([&] {
+              for (const sched::Mapping& mapping : mappings) {
+                (void)compiled.slack(mapping, workspace);
+              }
+            }),
+            0u);
 }
 
 TEST(AllocationPin, FullFlightRingRecordsWithoutAllocating) {

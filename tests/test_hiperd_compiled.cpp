@@ -1,7 +1,8 @@
-// CompiledScenario equivalence suite: the compiled per-mapping analysis must
-// be bit-identical to the legacy derivation (CompiledProblem::compile(
-// HiperdSystem(scenario, mapping).toSpec(options)).evaluate()), which
-// builds its feature list independently at every call.
+// CompiledScenario equivalence suite: the fast per-mapping analysis must be
+// bit-identical to compiling and evaluating the mapping's spec
+// (CompiledProblem::compile(compiled.toSpec(mapping)).evaluate()). The two
+// lanes share the latency row assembly, so frozen hexfloat references and
+// an independent row oracle pin the bits on their own.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,7 +14,6 @@
 
 #include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
-#include "robust/hiperd/system.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
 
@@ -24,12 +24,12 @@ bool bitEq(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// The legacy derivation: derive, compile and evaluate afresh per mapping.
+/// The spec lane: derive, compile and evaluate afresh per mapping.
 core::RobustnessReport legacyReport(const HiperdScenario& scenario,
                                     const sched::Mapping& mapping,
                                     const core::AnalyzerOptions& options = {}) {
   return core::CompiledProblem::compile(
-             HiperdSystem(scenario, mapping).toSpec(options))
+             scenario.compile(options).toSpec(mapping))
       .evaluate();
 }
 
@@ -207,14 +207,83 @@ TEST(CompiledScenario, AnalyzeMappingsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(CompiledScenario, ThroughputBoundsMatchSystem) {
-  const HiperdScenario scenario = miniScenario();
-  const CompiledScenario compiled = scenario.compile();
-  const HiperdSystem system(scenario, sched::Mapping({0, 0, 1, 1}, 2));
-  for (std::size_t i = 0; i < scenario.graph.applicationCount(); ++i) {
-    EXPECT_TRUE(bitEq(compiled.throughputBound(i), system.throughputBound(i)));
+/// T_i^c(lambda) by hand: the multitasking factor of the app's machine
+/// load times the app's compute function on that machine.
+double oracleComputationTime(const HiperdScenario& scenario,
+                             const sched::Mapping& mapping, std::size_t app,
+                             std::span<const double> lambda) {
+  const std::size_t machine = mapping.machineOf(app);
+  std::size_t onMachine = 0;
+  for (std::size_t j = 0; j < mapping.apps(); ++j) {
+    onMachine += mapping.machineOf(j) == machine ? 1 : 0;
   }
-  EXPECT_THROW((void)compiled.throughputBound(99), InvalidArgumentError);
+  return multitaskFactor(onMachine) *
+         scenario.compute[app][machine].evaluate(lambda);
+}
+
+/// Checks every Tc and L feature of toSpec(mapping) at random loads against
+/// per-app computation times and communication times summed in path order:
+/// affine impacts to 1e-12 relative, callable ones exactly. Returns the
+/// number of callable latencies checked.
+std::size_t expectSpecRowsMatchOracle(const HiperdScenario& scenario,
+                                      std::uint64_t seed) {
+  const CompiledScenario compiled = scenario.compile();
+  const SystemGraph& graph = scenario.graph;
+  std::size_t callables = 0;
+  Pcg32 rng(seed);
+  for (int trial = 0; trial < 20; ++trial) {
+    const sched::Mapping mapping = sched::randomMapping(
+        graph.applicationCount(), scenario.machines, rng);
+    num::Vec lambda(scenario.lambdaOrig.size());
+    for (std::size_t z = 0; z < lambda.size(); ++z) {
+      lambda[z] = rng.uniform(0.0, 2.0 * scenario.lambdaOrig[z] + 1.0);
+    }
+    std::size_t latencies = 0;
+    const core::ProblemSpec spec = compiled.toSpec(mapping);
+    for (const core::PerformanceFeature& f : spec.features) {
+      double want = 0.0;
+      if (f.name.starts_with("L_")) {
+        ++latencies;
+        const Path& path = graph.paths().at(std::stoul(f.name.substr(2)));
+        for (std::size_t app : path.apps) {
+          want += oracleComputationTime(scenario, mapping, app, lambda);
+        }
+        for (std::size_t eid : path.edges) {
+          want += scenario.comm[eid].evaluate(lambda);
+        }
+      } else if (f.name.starts_with("Tc(")) {
+        std::size_t app = 0;
+        while (app < graph.applicationCount() &&
+               f.name != "Tc(" + graph.applicationName(app) + ")") {
+          ++app;
+        }
+        if (app == graph.applicationCount()) {
+          ADD_FAILURE() << "no application for " << f.name;
+          continue;
+        }
+        want = oracleComputationTime(scenario, mapping, app, lambda);
+      } else {
+        continue;
+      }
+      const double got = f.impact.evaluate(lambda);
+      if (f.impact.isAffine()) {
+        EXPECT_NEAR(got, want, 1e-12 * std::fabs(want)) << f.name;
+      } else {
+        ++callables;
+        EXPECT_EQ(got, want) << f.name;
+      }
+    }
+    EXPECT_GT(latencies, 0u);
+  }
+  return callables;
+}
+
+TEST(CompiledScenario, SpecRowsMatchIndependentOracle) {
+  EXPECT_EQ(expectSpecRowsMatchOracle(
+                generateScenario(ScenarioOptions{}, 2003).scenario, 41),
+            0u);
+  EXPECT_EQ(expectSpecRowsMatchOracle(miniScenario(), 43), 0u);
+  EXPECT_GT(expectSpecRowsMatchOracle(nonLinearScenario(), 47), 0u);
 }
 
 TEST(CompiledScenario, RejectsBadInputs) {
@@ -224,10 +293,15 @@ TEST(CompiledScenario, RejectsBadInputs) {
   EXPECT_THROW((void)scenario.compile(badWeights), InvalidArgumentError);
 
   const CompiledScenario compiled = scenario.compile();
-  EXPECT_THROW((void)compiled.analyze(sched::Mapping({0, 0, 1}, 2)),
-               InvalidArgumentError);
-  EXPECT_THROW((void)compiled.analyze(sched::Mapping({0, 0, 1, 2}, 3)),
-               InvalidArgumentError);
+  for (const sched::Mapping& bad :
+       {sched::Mapping({0, 0, 1}, 2), sched::Mapping({0, 0, 1, 2}, 3)}) {
+    EXPECT_THROW((void)compiled.analyze(bad), InvalidArgumentError);
+    EXPECT_THROW((void)compiled.toSpec(bad), InvalidArgumentError);
+    EXPECT_THROW((void)compiled.slack(bad), InvalidArgumentError);
+    EXPECT_THROW((void)compiled.constraints(bad), InvalidArgumentError);
+    EXPECT_THROW((void)compiled.latency(bad, 0, scenario.lambdaOrig),
+                 InvalidArgumentError);
+  }
 }
 
 // Frozen bits. Every value below was recorded as a C99 hexfloat from the
@@ -600,7 +674,7 @@ TEST(CompiledScenario, Seed2003MappingsMatchFrozenBits) {
             << got.radii[i].radius;
       }
     }
-    const double slack = HiperdSystem(scenario, mapping).slack();
+    const double slack = compiled.slack(mapping, workspace);
     EXPECT_TRUE(bitEq(slack, want.slack)) << std::hexfloat << slack;
   }
 }

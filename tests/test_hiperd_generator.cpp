@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
 #include "robust/util/error.hpp"
 
@@ -96,10 +97,9 @@ TEST(Generator, CalibrationHitsThroughputTarget) {
   for (std::size_t i = 0; i < assignment.size(); ++i) {
     assignment[i] = i % scenario.machines;
   }
-  const HiperdSystem system(
-      scenario, sched::Mapping(assignment, scenario.machines));
+  const sched::Mapping mapping(assignment, scenario.machines);
   double peak = 0.0;
-  for (const auto& c : system.constraints()) {
+  for (const auto& c : scenario.compile().constraints(mapping)) {
     if (c.kind == ConstraintKind::Computation) {
       peak = std::max(peak, c.fraction());
     }
@@ -172,9 +172,9 @@ TEST_P(GeneratorSweep, ScenariosAreAnalyzable) {
   for (int trial = 0; trial < 5; ++trial) {
     const auto mapping = sched::randomMapping(
         scenario.graph.applicationCount(), scenario.machines, rng);
-    const HiperdSystem system(scenario, mapping);
-    const double slack = system.slack();
-    const auto report = system.analyze();
+    const CompiledScenario compiled = scenario.compile();
+    const double slack = compiled.slack(mapping);
+    const auto report = compiled.analyze(mapping);
     EXPECT_TRUE(std::isfinite(slack));
     EXPECT_GE(report.metric, 0.0);
     EXPECT_EQ(report.metric, std::floor(report.metric));  // floored

@@ -60,14 +60,17 @@ TEST(SystemGraph, CountsAndNames) {
 
 TEST(SystemGraph, AdjacencyQueries) {
   const SystemGraph g = miniSystem();
-  EXPECT_EQ(g.outEdgesOfApp(2).size(), 2u);
-  EXPECT_EQ(g.inEdgesOfApp(1).size(), 2u);
-  const auto successors = g.appSuccessors(2);
-  EXPECT_EQ(successors.size(), 2u);
-  EXPECT_TRUE(std::find(successors.begin(), successors.end(), 1u) !=
-              successors.end());
-  EXPECT_TRUE(std::find(successors.begin(), successors.end(), 3u) !=
-              successors.end());
+  // a2 feeds a1 (update input) and a3.
+  const auto& out = g.outEdgesOfApp(2);
+  ASSERT_EQ(out.size(), 2u);
+  std::vector<std::size_t> successors;
+  for (std::size_t eid : out) {
+    EXPECT_EQ(g.edge(eid).from.index, 2u);
+    ASSERT_EQ(g.edge(eid).to.kind, NodeKind::Application);
+    successors.push_back(g.edge(eid).to.index);
+  }
+  std::sort(successors.begin(), successors.end());
+  EXPECT_EQ(successors, (std::vector<std::size_t>{1, 3}));
 }
 
 TEST(SystemGraph, Reachability) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "robust/core/input_policy.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
 #include "robust/hiperd/scenario_io.hpp"
 #include "robust/util/diagnostics.hpp"
@@ -53,10 +54,10 @@ TEST(ScenarioIo, RoundTrippedScenarioAnalyzesIdentically) {
   Pcg32 rng(5);
   const auto mapping = sched::randomMapping(
       loaded.graph.applicationCount(), loaded.machines, rng);
-  const HiperdSystem a(generated.scenario, mapping);
-  const HiperdSystem b(loaded, mapping);
-  EXPECT_DOUBLE_EQ(a.slack(), b.slack());
-  EXPECT_DOUBLE_EQ(a.analyze().metric, b.analyze().metric);
+  const CompiledScenario a = generated.scenario.compile();
+  const CompiledScenario b = loaded.compile();
+  EXPECT_DOUBLE_EQ(a.slack(mapping), b.slack(mapping));
+  EXPECT_DOUBLE_EQ(a.analyze(mapping).metric, b.analyze(mapping).metric);
 }
 
 TEST(ScenarioIo, RejectsNonLinearFunctions) {

@@ -42,10 +42,11 @@ HiperdScenario chain() {
 
 TEST(PipelineSim, StableLatencyEqualsEquationEight) {
   const HiperdScenario scenario = chain();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
   // lambda = 10: services 20 and 10, both below the period 50 -> stable,
   // steady latency = 30 = analytic L_0.
-  const auto results = simulatePaths(system, scenario.lambdaOrig);
+  const auto results = simulatePaths(compiled, mapping, scenario.lambdaOrig);
   ASSERT_EQ(results.size(), 1u);
   const auto& r = results[0];
   EXPECT_TRUE(r.stable);
@@ -54,7 +55,7 @@ TEST(PipelineSim, StableLatencyEqualsEquationEight) {
   EXPECT_DOUBLE_EQ(r.growthRate, 0.0);
   EXPECT_DOUBLE_EQ(r.steadyLatency, 30.0);
   EXPECT_DOUBLE_EQ(r.steadyLatency,
-                   system.latency(0, scenario.lambdaOrig));
+                   compiled.latency(mapping, 0, scenario.lambdaOrig));
   // Every data set sees the same latency (deterministic, underloaded).
   for (double latency : r.latencies) {
     EXPECT_DOUBLE_EQ(latency, 30.0);
@@ -63,13 +64,14 @@ TEST(PipelineSim, StableLatencyEqualsEquationEight) {
 
 TEST(PipelineSim, ThroughputViolationDivergesAtPredictedRate) {
   const HiperdScenario scenario = chain();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
   // lambda = 30: a0's service 60 exceeds the period 50 -> queue builds at
   // rate 10 per data set; a1 (service 30) keeps up.
   const num::Vec lambda = {30.0};
   PipelineSimOptions options;
   options.dataSets = 300;
-  const auto results = simulatePaths(system, lambda, options);
+  const auto results = simulatePaths(compiled, mapping, lambda, options);
   const auto& r = results[0];
   EXPECT_TRUE(r.throughputViolated);
   EXPECT_FALSE(r.stable);
@@ -81,8 +83,9 @@ TEST(PipelineSim, ThroughputViolationDivergesAtPredictedRate) {
 TEST(PipelineSim, LatencyViolationWithoutThroughputViolation) {
   HiperdScenario scenario = chain();
   scenario.latencyLimits = {25.0};  // analytic latency is 30 > 25
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto results = simulatePaths(system, scenario.lambdaOrig);
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
+  const auto results = simulatePaths(compiled, mapping, scenario.lambdaOrig);
   EXPECT_TRUE(results[0].stable);
   EXPECT_TRUE(results[0].latencyViolated);
   EXPECT_FALSE(results[0].throughputViolated);
@@ -92,8 +95,9 @@ TEST(PipelineSim, RobustnessBoundaryIsObservable) {
   // Push lambda just inside and just beyond the robustness radius: the
   // simulated system must stay clean inside and violate beyond.
   const HiperdScenario scenario = chain();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto report = system.analyze();
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
+  const auto report = compiled.analyze(mapping);
   const auto& binding = report.radii[report.bindingFeature];
   const double unflooredRadius = binding.radius;
 
@@ -103,7 +107,7 @@ TEST(PipelineSim, RobustnessBoundaryIsObservable) {
     for (std::size_t z = 0; z < lambda.size(); ++z) {
       lambda[z] += scale * (binding.boundaryPoint[z] - scenario.lambdaOrig[z]);
     }
-    const auto results = simulatePaths(system, lambda);
+    const auto results = simulatePaths(compiled, mapping, lambda);
     bool violated = false;
     for (const auto& r : results) {
       violated |= r.latencyViolated || r.throughputViolated;
@@ -121,32 +125,35 @@ TEST(PipelineSim, SimulatesEveryPathOfGeneratedScenarios) {
   const auto mapping = sched::randomMapping(
       generated.scenario.graph.applicationCount(),
       generated.scenario.machines, rng);
-  const HiperdSystem system(generated.scenario, mapping);
+  const CompiledScenario compiled = generated.scenario.compile();
   PipelineSimOptions options;
   options.dataSets = 50;
   const auto results =
-      simulatePaths(system, generated.scenario.lambdaOrig, options);
+      simulatePaths(compiled, mapping, generated.scenario.lambdaOrig, options);
   EXPECT_EQ(results.size(), generated.scenario.graph.paths().size());
   // Consistency with the analytic model: every stable path's steady latency
   // equals Eq. 8, and stability equals the throughput-constraint check.
   for (const auto& r : results) {
     if (r.stable) {
-      EXPECT_NEAR(r.steadyLatency,
-                  system.latency(r.path, generated.scenario.lambdaOrig),
-                  1e-9);
+      EXPECT_NEAR(
+          r.steadyLatency,
+          compiled.latency(mapping, r.path, generated.scenario.lambdaOrig),
+          1e-9);
     }
   }
 }
 
 TEST(PipelineSim, Validation) {
   const HiperdScenario scenario = chain();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
   PipelineSimOptions bad;
   bad.dataSets = 1;
-  EXPECT_THROW((void)simulatePaths(system, scenario.lambdaOrig, bad),
+  EXPECT_THROW((void)simulatePaths(compiled, mapping, scenario.lambdaOrig, bad),
                InvalidArgumentError);
   const num::Vec wrongDim = {1.0, 2.0};
-  EXPECT_THROW((void)simulatePaths(system, wrongDim), InvalidArgumentError);
+  EXPECT_THROW((void)simulatePaths(compiled, mapping, wrongDim),
+               InvalidArgumentError);
 }
 
 }  // namespace

@@ -44,8 +44,10 @@ HiperdScenario chainScenario() {
 
 TEST(Slowdown, HandComputedRadii) {
   const HiperdScenario scenario = chainScenario();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
+  const auto problem =
+      core::CompiledProblem::compile(slowdownSpec(compiled, mapping));
   const auto report = problem.evaluate();
 
   // Features: Tc(a0): 20 s0' <= 100 -> weights (20, 0), gap 80, radius 4.
@@ -64,8 +66,10 @@ TEST(Slowdown, HandComputedRadii) {
 
 TEST(Slowdown, OriginIsUnitSpeeds) {
   const HiperdScenario scenario = chainScenario();
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
+  const auto problem =
+      core::CompiledProblem::compile(slowdownSpec(compiled, mapping));
   EXPECT_EQ(problem.parameter().origin, (num::Vec{1.0, 1.0}));
   EXPECT_FALSE(problem.parameter().discrete);
 }
@@ -73,8 +77,10 @@ TEST(Slowdown, OriginIsUnitSpeeds) {
 TEST(Slowdown, CommunicationContributesConstant) {
   HiperdScenario scenario = chainScenario();
   scenario.comm[1] = LoadFunction::linear({0.5});  // a0->a1: 5 at lambda=10
-  const HiperdSystem system(scenario, sched::Mapping({0, 1}, 2));
-  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping({0, 1}, 2);
+  const auto problem =
+      core::CompiledProblem::compile(slowdownSpec(compiled, mapping));
   const auto report = problem.evaluate();
   // Latency gap shrinks by the constant 5: radius = 25 / sqrt(500).
   EXPECT_NEAR(report.metric, 25.0 / std::sqrt(500.0), 1e-12);
@@ -86,8 +92,9 @@ TEST(Slowdown, WorksOnGeneratedScenarios) {
   const auto mapping = sched::randomMapping(
       generated.scenario.graph.applicationCount(),
       generated.scenario.machines, rng);
-  const HiperdSystem system(generated.scenario, mapping);
-  const auto problem = core::CompiledProblem::compile(slowdownSpec(system));
+  const CompiledScenario compiled = generated.scenario.compile();
+  const auto problem =
+      core::CompiledProblem::compile(slowdownSpec(compiled, mapping));
   const auto report = problem.evaluate();
   EXPECT_GE(report.metric, 0.0);
   EXPECT_TRUE(std::isfinite(report.metric));
@@ -107,10 +114,11 @@ TEST(Slowdown, CombinedRobustnessWithSensorLoads) {
   const auto mapping = sched::randomMapping(
       generated.scenario.graph.applicationCount(),
       generated.scenario.machines, rng);
-  const HiperdSystem system(generated.scenario, mapping);
-  const auto loadReport = system.analyze();
+  const CompiledScenario compiled = generated.scenario.compile();
+  const auto loadReport = compiled.analyze(mapping);
   const auto speedReport =
-      core::CompiledProblem::compile(slowdownSpec(system)).evaluate();
+      core::CompiledProblem::compile(slowdownSpec(compiled, mapping))
+          .evaluate();
   const std::vector<core::RobustnessReport> reports = {loadReport,
                                                        speedReport};
   const double combined = core::combinedRobustness(reports);

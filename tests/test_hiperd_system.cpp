@@ -1,13 +1,16 @@
-// Tests for the HiPer-D system analysis: load functions, multitasking
-// factors, computation/communication/latency evaluation, the slack metric,
-// and the Section 3.2 robustness derivation, all against hand computations.
+// Tests for the HiPer-D model and its Section 3.2 derivation on
+// CompiledScenario: load functions, multitasking factors,
+// computation/communication/latency evaluation, the slack metric, and the
+// robustness derivation, all against hand computations. The HiperdSystem
+// suite is named for the per-mapping class these cases first tested; they
+// keep their test IDs so results stay comparable across versions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
 
 #include "robust/core/validation.hpp"
-#include "robust/hiperd/system.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/util/error.hpp"
 
 namespace robust::hiperd {
@@ -160,61 +163,76 @@ TEST(ConstraintStatus, FractionAgainstNonPositiveLimit) {
 
 TEST(HiperdSystem, FactorsAndComputationTimes) {
   const HiperdScenario scenario = miniScenario();
-  const HiperdSystem system(scenario, miniMapping());
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping = miniMapping();
   const num::Vec& l = scenario.lambdaOrig;
-  EXPECT_DOUBLE_EQ(system.factorOf(0), 2.6);
-  EXPECT_DOUBLE_EQ(system.computationTime(0, l), 26.0);   // 2.6 * 10
-  EXPECT_DOUBLE_EQ(system.computationTime(1, l), 104.0);  // 2.6 * 40
-  EXPECT_DOUBLE_EQ(system.computationTime(2, l), 156.0);  // 2.6 * 60
-  EXPECT_DOUBLE_EQ(system.computationTime(3, l), 52.0);   // 2.6 * 20
-  EXPECT_DOUBLE_EQ(system.communicationTime(4, l), 10.0); // 0.5 * 20
-  EXPECT_DOUBLE_EQ(system.communicationTime(0, l), 0.0);
+  // Every machine runs two apps: factor 2.6 on each computation time.
+  EXPECT_DOUBLE_EQ(compiled.computationTime(mapping, 0, l), 26.0);   // 2.6*10
+  EXPECT_DOUBLE_EQ(compiled.computationTime(mapping, 1, l), 104.0);  // 2.6*40
+  EXPECT_DOUBLE_EQ(compiled.computationTime(mapping, 2, l), 156.0);  // 2.6*60
+  EXPECT_DOUBLE_EQ(compiled.computationTime(mapping, 3, l), 52.0);   // 2.6*20
+  EXPECT_DOUBLE_EQ(compiled.communicationTime(4, l), 10.0);  // 0.5 * 20
+  EXPECT_DOUBLE_EQ(compiled.communicationTime(0, l), 0.0);
+  EXPECT_THROW((void)compiled.computationTime(mapping, 4, l),
+               InvalidArgumentError);
+  EXPECT_THROW((void)compiled.communicationTime(7, l), InvalidArgumentError);
 }
 
 TEST(HiperdSystem, UnevenMappingFactors) {
   const HiperdScenario scenario = miniScenario();
+  const CompiledScenario compiled = scenario.compile();
   // Three apps on m0, one on m1: factors 3.9 and 1.0. Note a2 on m0 uses
-  // the machine-0 coefficients (the "unused" 999s) — so only query a3.
-  const HiperdSystem system(scenario, sched::Mapping({0, 0, 0, 1}, 2));
-  EXPECT_DOUBLE_EQ(system.factorOf(0), 3.9);
-  EXPECT_DOUBLE_EQ(system.factorOf(3), 1.0);
-  EXPECT_DOUBLE_EQ(system.computationTime(3, scenario.lambdaOrig), 20.0);
+  // the machine-0 coefficients (the "unused" 999s).
+  const sched::Mapping mapping({0, 0, 0, 1}, 2);
+  const num::Vec& l = scenario.lambdaOrig;
+  EXPECT_DOUBLE_EQ(compiled.computationTime(mapping, 0, l), 39.0);  // 3.9*10
+  EXPECT_DOUBLE_EQ(compiled.computationTime(mapping, 3, l), 20.0);  // 1.0*20
 }
 
 TEST(HiperdSystem, ThroughputBounds) {
   const HiperdScenario scenario = miniScenario();
-  const HiperdSystem system(scenario, miniMapping());
-  EXPECT_DOUBLE_EQ(system.throughputBound(0), 1000.0);
-  EXPECT_DOUBLE_EQ(system.throughputBound(1), 1000.0);
-  EXPECT_DOUBLE_EQ(system.throughputBound(2), 2000.0);
-  EXPECT_DOUBLE_EQ(system.throughputBound(3), 2000.0);
+  const CompiledScenario compiled = scenario.compile();
+  EXPECT_DOUBLE_EQ(compiled.throughputBound(0), 1000.0);
+  EXPECT_DOUBLE_EQ(compiled.throughputBound(1), 1000.0);
+  EXPECT_DOUBLE_EQ(compiled.throughputBound(2), 2000.0);
+  EXPECT_DOUBLE_EQ(compiled.throughputBound(3), 2000.0);
+  EXPECT_THROW((void)compiled.throughputBound(99), InvalidArgumentError);
 }
 
 TEST(HiperdSystem, LatenciesMatchHandComputation) {
   const HiperdScenario scenario = miniScenario();
-  const HiperdSystem system(scenario, miniMapping());
+  const CompiledScenario compiled = scenario.compile();
+  const sched::Mapping mapping = miniMapping();
   const num::Vec& l = scenario.lambdaOrig;
   const auto& g = scenario.graph;
   EXPECT_DOUBLE_EQ(
-      system.latency(pathIndexOf(g, PathKind::Trigger, 0), l), 130.0);
+      compiled.latency(mapping, pathIndexOf(g, PathKind::Trigger, 0), l),
+      130.0);
   EXPECT_DOUBLE_EQ(
-      system.latency(pathIndexOf(g, PathKind::Trigger, 2), l), 208.0);
+      compiled.latency(mapping, pathIndexOf(g, PathKind::Trigger, 2), l),
+      208.0);
   // Update path: Tc(a2) + Tn(a2->a1) = 156 + 10.
   EXPECT_DOUBLE_EQ(
-      system.latency(pathIndexOf(g, PathKind::Update, 2), l), 166.0);
+      compiled.latency(mapping, pathIndexOf(g, PathKind::Update, 2), l),
+      166.0);
+  EXPECT_THROW((void)compiled.latency(mapping, g.paths().size(), l),
+               InvalidArgumentError);
 }
 
 TEST(HiperdSystem, SlackMatchesHandComputation) {
   const HiperdScenario scenario = miniScenario();
-  const HiperdSystem system(scenario, miniMapping());
+  const CompiledScenario compiled = scenario.compile();
   // Max utilization is the update path: 166 / 400 = 0.415.
-  EXPECT_NEAR(system.slack(), 1.0 - 0.415, 1e-12);
+  EXPECT_NEAR(compiled.slack(miniMapping()), 1.0 - 0.415, 1e-12);
+  ScenarioWorkspace workspace;
+  EXPECT_EQ(compiled.slack(miniMapping(), workspace),
+            compiled.slack(miniMapping()));
 }
 
 TEST(HiperdSystem, ConstraintListContents) {
   const HiperdScenario scenario = miniScenario();
-  const HiperdSystem system(scenario, miniMapping());
-  const auto constraints = system.constraints();
+  const CompiledScenario compiled = scenario.compile();
+  const auto constraints = compiled.constraints(miniMapping());
   // 4 computation + 1 non-zero communication + 3 latency.
   EXPECT_EQ(constraints.size(), 8u);
   int comp = 0;
@@ -235,8 +253,7 @@ TEST(HiperdSystem, ConstraintListContents) {
 
 TEST(HiperdSystem, RobustnessMatchesHandComputation) {
   const HiperdScenario scenario = miniScenario();
-  const HiperdSystem system(scenario, miniMapping());
-  const auto report = system.analyze();
+  const auto report = scenario.compile().analyze(miniMapping());
 
   // Binding constraint: the update path {a2}, weights (0, 8.3),
   // gap 400 - 166 = 234, radius 234 / 8.3 = 28.1928...
@@ -264,8 +281,8 @@ TEST(HiperdSystem, RobustnessMatchesHandComputation) {
 
 TEST(HiperdSystem, GuaranteeValidatedBySampling) {
   const HiperdScenario scenario = miniScenario();
-  const HiperdSystem system(scenario, miniMapping());
-  const auto problem = core::CompiledProblem::compile(system.toSpec());
+  const auto problem = core::CompiledProblem::compile(
+      scenario.compile().toSpec(miniMapping()));
   const auto report = problem.evaluate();
   const auto validation = core::validateRadius(problem, report.metric);
   EXPECT_EQ(validation.violationsInside, 0);
@@ -279,8 +296,7 @@ TEST(HiperdSystem, GeneralLoadFunctionUsesIterativeSolver) {
       [](std::span<const double> l) {
         return num::Vec{0.0, 0.1 * l[1]};
       });
-  const HiperdSystem system(scenario, miniMapping());
-  const auto report = system.analyze();
+  const auto report = scenario.compile().analyze(miniMapping());
   // Tc(a3) = 2.6 * 0.05 * l2^2 = 2000 at l2 = sqrt(2000/0.13) = 124.03...;
   // radius = 124.03 - 20 = 104.03. The binding feature is still the update
   // path (28), but the a3 radius must be solved iteratively and correctly.
@@ -293,8 +309,9 @@ TEST(HiperdSystem, GeneralLoadFunctionUsesIterativeSolver) {
 }
 
 // The derivation is a free-standing value: a spec built from a temporary
-// system stays valid while the scenario lives. The general-load latency
-// impact must not refer to the system, and it sums in latency()'s order.
+// compiled scenario stays valid while the scenario lives. The general-load
+// latency impact must not refer to the compiled scenario, and it sums in
+// latency()'s order.
 TEST(HiperdSystem, SpecOutlivesTheSystem) {
   HiperdScenario scenario = miniScenario();
   scenario.compute[3][1] = LoadFunction::general(
@@ -302,11 +319,11 @@ TEST(HiperdSystem, SpecOutlivesTheSystem) {
       [](std::span<const double> l) {
         return num::Vec{0.0, 0.1 * l[1]};
       });
-  const core::ProblemSpec spec = HiperdSystem(scenario, miniMapping()).toSpec();
+  const core::ProblemSpec spec = scenario.compile().toSpec(miniMapping());
   const auto report = core::CompiledProblem::compile(spec).evaluate();
 
-  const HiperdSystem live(scenario, miniMapping());
-  const auto expected = live.analyze();
+  const CompiledScenario live = scenario.compile();
+  const auto expected = live.analyze(miniMapping());
   ASSERT_EQ(report.radii.size(), expected.radii.size());
   for (std::size_t i = 0; i < report.radii.size(); ++i) {
     EXPECT_EQ(report.radii[i].feature, expected.radii[i].feature);
@@ -323,18 +340,11 @@ TEST(HiperdSystem, SpecOutlivesTheSystem) {
     ++callablePaths;
     const std::size_t k = std::stoul(f.name.substr(2));
     for (const num::Vec& l : {num::Vec{10.0, 20.0}, num::Vec{37.5, 123.25}}) {
-      EXPECT_EQ(f.impact.evaluate(l), live.latency(k, l)) << f.name;
+      EXPECT_EQ(f.impact.evaluate(l), live.latency(miniMapping(), k, l))
+          << f.name;
     }
   }
   EXPECT_GT(callablePaths, 0u);
-}
-
-TEST(HiperdSystem, MappingMismatchRejected) {
-  const HiperdScenario scenario = miniScenario();
-  EXPECT_THROW(HiperdSystem(scenario, sched::Mapping({0, 0, 1}, 2)),
-               InvalidArgumentError);
-  EXPECT_THROW(HiperdSystem(scenario, sched::Mapping({0, 0, 1, 2}, 3)),
-               InvalidArgumentError);
 }
 
 TEST(ValidateScenario, CatchesInconsistencies) {
@@ -361,6 +371,28 @@ TEST(ValidateScenario, CatchesInconsistencies) {
   s = miniScenario();
   s.machines = 0;
   EXPECT_THROW(validateScenario(s), InvalidArgumentError);
+
+  // A linear load function needs one coefficient per sensor; the
+  // diagnostic names the slot.
+  const auto expectNamed = [](const HiperdScenario& bad,
+                              const std::string& slot) {
+    try {
+      validateScenario(bad);
+      ADD_FAILURE() << slot << " accepted";
+    } catch (const InvalidArgumentError& error) {
+      EXPECT_NE(std::string(error.what()).find(slot), std::string::npos)
+          << error.what();
+    }
+  };
+  s = miniScenario();
+  s.compute[0][0] = LoadFunction::linear({1.0});
+  expectNamed(s, "compute[0][0]");
+  s = miniScenario();
+  s.compute[2][1] = LoadFunction::linear({1.0, 2.0, 3.0});
+  expectNamed(s, "compute[2][1]");
+  s = miniScenario();
+  s.comm[4] = LoadFunction::linear({0.5});
+  expectNamed(s, "comm[4]");
 }
 
 TEST(HiperdSystem, ZeroLoadDependenceYieldsNoFeature) {
@@ -368,11 +400,11 @@ TEST(HiperdSystem, ZeroLoadDependenceYieldsNoFeature) {
   // Make a0's computation load-independent (zero): its Tc feature vanishes
   // and the remaining analysis still works.
   scenario.compute[0][0] = LoadFunction::zero(2);
-  const HiperdSystem system(scenario, miniMapping());
-  for (const auto& f : system.toSpec().features) {
+  const CompiledScenario compiled = scenario.compile();
+  for (const auto& f : compiled.toSpec(miniMapping()).features) {
     EXPECT_NE(f.name, "Tc(a0)");
   }
-  EXPECT_TRUE(std::isfinite(system.analyze().metric));
+  EXPECT_TRUE(std::isfinite(compiled.analyze(miniMapping()).metric));
 }
 
 }  // namespace

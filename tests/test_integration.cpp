@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "robust/core/validation.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/experiment.hpp"
 #include "robust/scheduling/experiment.hpp"
 #include "robust/util/stats.hpp"
@@ -201,12 +202,10 @@ TEST(CrossModule, HiperdAnalyticRadiiMatchMonteCarloOracle) {
   options.mappings = 1;
   options.seed = 31;
   const auto result = hiperd::runFig4(options);
-  const hiperd::HiperdSystem system(result.generated.scenario,
-                                    result.mappings[0]);
-
   // Every per-feature radius and the unfloored minimum against the Eq. 6
   // closed form over the derived features.
-  const auto problem = core::CompiledProblem::compile(system.toSpec());
+  const auto problem = core::CompiledProblem::compile(
+      result.generated.scenario.compile().toSpec(result.mappings[0]));
   const auto exact = problem.evaluate();
   const auto& features = problem.features();
   const auto& origin = problem.parameter().origin;
@@ -229,12 +228,11 @@ TEST(CrossModule, ValidationConfirmsHiperdMetric) {
     if (result.rows[m].slack < 0.0) {
       continue;
     }
-    const hiperd::HiperdSystem system(result.generated.scenario,
-                                      result.mappings[m]);
     core::ValidationOptions vopts;
     vopts.samples = 500;
     const auto validation = core::validateRadius(
-        core::CompiledProblem::compile(system.toSpec()),
+        core::CompiledProblem::compile(
+            result.generated.scenario.compile().toSpec(result.mappings[m])),
         result.rows[m].robustness, vopts);
     EXPECT_EQ(validation.violationsInside, 0) << "mapping " << m;
   }

@@ -30,6 +30,7 @@
 #include "robust/core/compiled.hpp"
 #include "robust/core/instance_file.hpp"
 #include "robust/core/stream.hpp"
+#include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
 #include "robust/hiperd/scenario_io.hpp"
 #include "robust/scheduling/etc_io.hpp"
@@ -161,9 +162,8 @@ TEST(IoFuzz, ScenarioRoundTripsBitIdenticallyAcross30Instances) {
     Pcg32 rng = makeStream(kMasterSeed ^ 0x5ce9, seed);
     const auto mapping = sched::randomMapping(
         original.graph.applicationCount(), original.machines, rng);
-    const hiperd::HiperdSystem a(original, mapping);
-    const hiperd::HiperdSystem b(loaded, mapping);
-    expectReportsBitIdentical(a.analyze(), b.analyze());
+    expectReportsBitIdentical(original.compile().analyze(mapping),
+                              loaded.compile().analyze(mapping));
   }
 }
 
@@ -237,7 +237,7 @@ TEST(IoFuzz, MutatedScenarioNeverCrashesAndNeverAdmitsNonFinite) {
           Pcg32 mapRng(1);
           const auto mapping = sched::randomMapping(
               s.graph.applicationCount(), s.machines, mapRng);
-          const auto report = hiperd::HiperdSystem(s, mapping).analyze();
+          const auto report = s.compile().analyze(mapping);
           ASSERT_FALSE(std::isnan(report.metric));
         });
   }
