@@ -6,14 +6,16 @@
 // BIT-FOR-BIT on these single-subspace unconstrained specs — the refactor's
 // contract is that existing derivations are untouched. A second frozen
 // block pins every per-row report field of the lanes that scale rows,
-// combine subspaces or clip to constraints, and a third the final
-// assignments of every mapping-search driver.
+// combine subspaces or clip to constraints, a third the final assignments
+// of every mapping-search driver, and a fourth those of the genetic
+// algorithm on plan's shape and on its edge options.
 //
 // The expected block is parsed (strtod hexfloat round-trips exactly), so the
 // comparison is on double bits, not on printf formatting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -829,6 +831,94 @@ TEST(RefactorDifferential, SearchDriversMatchFrozenAssignments) {
                                       hiperd::robustnessObjective(compiled),
                                       annealing));
   }
+  EXPECT_EQ(frozen.next, frozen.lines.size());
+}
+
+std::string assignmentLine(const std::string& tag,
+                           const sched::Mapping& mapping) {
+  std::string line = tag + "=";
+  for (std::size_t app = 0; app < mapping.apps(); ++app) {
+    line += (app == 0 ? "" : ",") + std::to_string(mapping.machineOf(app));
+  }
+  return line;
+}
+
+// Frozen final assignments of geneticAlgorithm, captured before its
+// generation loop was made branch-free (crossover coin from next() < 2^31)
+// and allocation-free (two population buffers swapped per generation). The
+// first lines are plan's shape (128x16 CVB ETC, population 40, 60
+// generations, MinMin start); the rest cover the options whose code paths
+// the buffer swap touches: no elites, never and always crossing over, a
+// population of three, and one-entrant tournaments. Each case runs through
+// both overloads.
+constexpr const char* kFrozenGeneticReference = R"(plan[1].etc=3,0,13,1,12,1,6,12,4,11,2,15,10,2,12,1,15,1,10,15,12,4,6,15,9,3,15,10,2,15,6,10,9,6,11,1,6,12,3,0,12,3,12,3,3,7,13,4,11,2,14,3,7,13,12,5,3,8,14,10,0,6,3,4,9,10,4,15,11,1,13,14,11,10,12,6,14,9,11,6,3,4,0,12,0,8,1,12,9,11,9,1,14,7,0,4,10,11,4,10,1,9,12,14,15,0,12,12,5,13,13,2,2,6,13,8,1,5,6,5,4,1,6,4,12,15,12,10
+plan[1].generic=3,0,13,1,12,1,6,12,4,11,2,15,10,2,12,1,15,1,10,15,12,4,6,15,9,3,15,10,2,15,6,10,9,6,11,1,6,12,3,0,12,3,12,3,3,7,13,4,11,2,14,3,7,13,12,5,3,8,14,10,0,6,3,4,9,10,4,15,11,1,13,14,11,10,12,6,14,9,11,6,3,4,0,12,0,8,1,12,9,11,9,1,14,7,0,4,10,11,4,10,1,9,12,14,15,0,12,12,5,13,13,2,2,6,13,8,1,5,6,5,4,1,6,4,12,15,12,10
+plan[2].etc=6,7,5,1,10,13,13,11,8,12,2,4,14,13,12,13,10,15,11,13,8,12,7,15,15,9,13,0,3,0,8,11,7,6,4,2,14,7,13,10,15,8,3,13,2,11,1,0,2,9,6,12,11,13,15,7,14,10,3,7,0,0,13,13,3,14,3,11,9,12,13,0,4,4,1,11,3,11,15,6,13,14,13,5,6,15,5,15,5,2,8,11,13,1,3,12,4,2,8,1,5,4,9,6,13,9,13,1,13,2,1,8,6,9,7,13,13,14,4,3,11,6,13,10,10,0,0,13
+plan[2].generic=6,7,5,1,10,13,13,11,8,12,2,4,14,13,12,13,10,15,11,13,8,12,7,15,15,9,13,0,3,0,8,11,7,6,4,2,14,7,13,10,15,8,3,13,2,11,1,0,2,9,6,12,11,13,15,7,14,10,3,7,0,0,13,13,3,14,3,11,9,12,13,0,4,4,1,11,3,11,15,6,13,14,13,5,6,15,5,15,5,2,8,11,13,1,3,12,4,2,8,1,5,4,9,6,13,9,13,1,13,2,1,8,6,9,7,13,13,14,4,3,11,6,13,10,10,0,0,13
+eliteCount=0.etc=2,6,6,3,3,5,5,0,1,1,0,7,5,5,0,1,5,3,0,5,6,0,7,4,1,0,7,5,2,4,0,6,0,0,2,4,6,5,0,4
+eliteCount=0.generic=2,6,6,3,3,5,5,0,1,1,0,7,5,5,0,1,5,3,0,5,6,0,7,4,1,0,7,5,2,4,0,6,0,0,2,4,6,5,0,4
+crossoverRate=0.etc=6,6,6,4,6,3,3,1,5,0,4,7,0,1,1,3,3,4,5,7,6,2,7,0,3,6,4,4,3,5,0,5,3,7,1,3,7,4,0,2
+crossoverRate=0.generic=6,6,6,4,6,3,3,1,5,0,4,7,0,1,1,3,3,4,5,7,6,2,7,0,3,6,4,4,3,5,0,5,3,7,1,3,7,4,0,2
+crossoverRate=1.etc=6,6,5,7,3,4,3,6,2,0,1,1,5,7,7,6,4,3,4,5,5,5,1,4,7,4,1,2,2,2,5,3,3,6,0,2,6,0,7,3
+crossoverRate=1.generic=6,6,5,7,3,4,3,6,2,0,1,1,5,7,7,6,4,3,4,5,5,5,1,4,7,4,1,2,2,2,5,3,3,6,0,2,6,0,7,3
+populationSize=3.etc=5,6,2,1,0,4,6,6,0,6,1,6,6,5,1,2,2,5,1,7,4,0,7,4,6,7,0,3,0,0,3,1,6,7,2,4,1,3,2,3
+populationSize=3.generic=5,6,2,1,0,4,6,6,0,6,1,6,6,5,1,2,2,5,1,7,4,0,7,4,6,7,0,3,0,0,3,1,6,7,2,4,1,3,2,3
+tournamentSize=1.etc=5,7,5,4,7,4,1,6,5,0,2,1,5,7,7,2,6,2,0,5,5,0,1,4,7,4,1,5,2,0,3,6,0,6,6,1,6,0,7,4
+tournamentSize=1.generic=5,7,5,4,7,4,1,6,5,0,2,1,5,7,7,2,6,2,0,5,5,0,1,4,7,4,1,5,2,0,3,6,0,6,6,1,6,0,7,4)";
+
+TEST(RefactorDifferential, GeneticMatchesFrozenAssignments) {
+  FrozenLines frozen = loadFrozen(kFrozenGeneticReference);
+  const sched::EtcObjective objective =
+      sched::EtcObjective::negatedRobustness(1.2);
+  auto expectFrozen = [&](const std::string& tag, const sched::EtcMatrix& etc,
+                          const sched::GeneticOptions& options) {
+    const sched::Mapping start = sched::minMinMapping(etc);
+    EXPECT_EQ(frozen.take(),
+              assignmentLine(tag + ".etc",
+                             sched::geneticAlgorithm(etc, start, objective,
+                                                     options)));
+    EXPECT_EQ(frozen.take(),
+              assignmentLine(tag + ".generic",
+                             sched::geneticAlgorithm(
+                                 etc.apps(), etc.machines(), start,
+                                 objective.generic(etc), options)));
+  };
+  sched::EtcOptions planShape;
+  planShape.apps = 128;
+  planShape.machines = 16;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    Pcg32 rng(700 + seed);
+    const sched::EtcMatrix etc = sched::generateEtc(planShape, rng);
+    sched::GeneticOptions options;
+    options.populationSize = 40;
+    options.generations = 60;
+    options.seed = seed;
+    expectFrozen("plan[" + std::to_string(seed) + "]", etc, options);
+  }
+  sched::EtcOptions small;
+  small.apps = 40;
+  small.machines = 8;
+  Pcg32 rng(710);
+  const sched::EtcMatrix etc = sched::generateEtc(small, rng);
+  sched::GeneticOptions base;
+  base.populationSize = 12;
+  base.generations = 15;
+  base.seed = 9;
+  sched::GeneticOptions options = base;
+  options.eliteCount = 0;
+  expectFrozen("eliteCount=0", etc, options);
+  options = base;
+  options.crossoverRate = 0.0;
+  expectFrozen("crossoverRate=0", etc, options);
+  options = base;
+  options.crossoverRate = 1.0;
+  expectFrozen("crossoverRate=1", etc, options);
+  options = base;
+  options.populationSize = 3;
+  expectFrozen("populationSize=3", etc, options);
+  options = base;
+  options.tournamentSize = 1;
+  expectFrozen("tournamentSize=1", etc, options);
   EXPECT_EQ(frozen.next, frozen.lines.size());
 }
 
