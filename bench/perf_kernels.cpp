@@ -194,21 +194,6 @@ void BM_HiperdScenarioGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_HiperdScenarioGeneration);
 
-void BM_HiperdAnalysis(benchmark::State& state) {
-  const auto generated =
-      hiperd::generateScenario(hiperd::ScenarioOptions{}, 2003);
-  Pcg32 rng(4);
-  const auto mapping = sched::randomMapping(
-      generated.scenario.graph.applicationCount(),
-      generated.scenario.machines, rng);
-  const hiperd::CompiledScenario compiled = generated.scenario.compile();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::CompiledProblem::compile(compiled.toSpec(mapping)).evaluate());
-  }
-}
-BENCHMARK(BM_HiperdAnalysis);
-
 // --- compile-once analysis engine: legacy per-call derivation vs the
 // compiled path. "Legacy" is what per-mapping re-analysis cost before the
 // compiled engine: derive and compile the problem afresh, then evaluate.

@@ -35,10 +35,6 @@ class Mapping {
     return assignment_;
   }
 
-  /// Applications mapped to each machine, in application order:
-  /// result[j] lists the app indices on machine j.
-  [[nodiscard]] std::vector<std::vector<std::size_t>> appsPerMachine() const;
-
   /// Number of applications on each machine: n(m_j) of Section 4.2.
   [[nodiscard]] std::vector<std::size_t> countPerMachine() const;
 

@@ -361,10 +361,15 @@ Mapping geneticAlgorithm(std::size_t apps, std::size_t machines,
                          const GeneticOptions& options) {
   ROBUST_REQUIRE(static_cast<bool>(objective),
                  "geneticAlgorithm: null objective");
+  // Every genome is scored through this one mapping, overwritten in place.
+  Mapping candidate = seedMapping;
   return detail::geneticDriver(
       apps, machines, seedMapping,
       [&](const std::vector<std::size_t>& genes) {
-        return objective(Mapping(genes, machines));
+        for (std::size_t i = 0; i < genes.size(); ++i) {
+          candidate.assign(i, genes[i]);
+        }
+        return objective(candidate);
       },
       options);
 }

@@ -21,14 +21,6 @@ void Mapping::assign(std::size_t app, std::size_t machine) {
   assignment_[app] = machine;
 }
 
-std::vector<std::vector<std::size_t>> Mapping::appsPerMachine() const {
-  std::vector<std::vector<std::size_t>> apps(machines_);
-  for (std::size_t i = 0; i < assignment_.size(); ++i) {
-    apps[assignment_[i]].push_back(i);
-  }
-  return apps;
-}
-
 std::vector<std::size_t> Mapping::countPerMachine() const {
   std::vector<std::size_t> counts(machines_, 0);
   for (std::size_t m : assignment_) {

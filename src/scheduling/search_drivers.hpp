@@ -313,7 +313,9 @@ Mapping tabuDriver(Moves moves, const TabuOptions& options) {
 /// The GA over assignment vectors (uniform crossover, per-gene mutation,
 /// tournament selection, elitism). `score` maps a genome to the value to
 /// minimize; equal scores give equal results whichever evaluator computes
-/// them.
+/// them. The next generation is written in place into a second buffer of
+/// full-size genomes that is swapped with the population after each
+/// generation, so no generation allocates.
 template <class Score>
 Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
                       const Mapping& seedMapping, Score&& score,
@@ -328,6 +330,8 @@ Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
   const obs::Span span("sched.genetic");
   Pcg32 rng(options.seed, /*stream=*/11);
   const auto machines = static_cast<std::uint32_t>(machineCount);
+  const auto size = static_cast<std::size_t>(options.populationSize);
+  const auto elites = static_cast<std::size_t>(options.eliteCount);
 
   struct Individual {
     std::vector<std::size_t> genes;
@@ -335,11 +339,10 @@ Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
   };
 
   std::vector<Individual> population;
-  population.reserve(static_cast<std::size_t>(options.populationSize));
+  population.reserve(size);
   population.push_back(
       {seedMapping.assignment(), score(seedMapping.assignment())});
-  while (population.size() <
-         static_cast<std::size_t>(options.populationSize)) {
+  while (population.size() < size) {
     std::vector<std::size_t> genes(apps);
     for (auto& g : genes) {
       g = rng.nextBounded(machines);
@@ -347,6 +350,7 @@ Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
     const double fitness = score(genes);
     population.push_back({std::move(genes), fitness});
   }
+  std::vector<Individual> next(size, {std::vector<std::size_t>(apps), 0.0});
 
   auto byFitness = [](const Individual& a, const Individual& b) {
     return a.fitness < b.fitness;
@@ -355,8 +359,8 @@ Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
   auto tournament = [&]() -> const Individual& {
     const Individual* winner = nullptr;
     for (int t = 0; t < options.tournamentSize; ++t) {
-      const auto idx = static_cast<std::size_t>(rng.nextBounded(
-          static_cast<std::uint32_t>(population.size())));
+      const auto idx = static_cast<std::size_t>(
+          rng.nextBounded(static_cast<std::uint32_t>(size)));
       if (winner == nullptr || population[idx].fitness < winner->fitness) {
         winner = &population[idx];
       }
@@ -366,19 +370,21 @@ Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
 
   for (int gen = 0; gen < options.generations; ++gen) {
     std::sort(population.begin(), population.end(), byFitness);
-    std::vector<Individual> next;
-    next.reserve(population.size());
-    for (int e = 0; e < options.eliteCount; ++e) {
-      next.push_back(population[static_cast<std::size_t>(e)]);
+    for (std::size_t e = 0; e < elites; ++e) {
+      next[e] = population[e];
     }
-    while (next.size() < population.size()) {
+    for (std::size_t c = elites; c < size; ++c) {
       const Individual& parentA = tournament();
       const Individual& parentB = tournament();
-      std::vector<std::size_t> child(apps);
+      std::vector<std::size_t>& child = next[c].genes;
       if (rng.nextDouble() < options.crossoverRate) {
+        // Uniform crossover by mask select: next() * 2^-32 is exact, so
+        // nextDouble() < 0.5 holds exactly when next() < 2^31.
         for (std::size_t i = 0; i < apps; ++i) {
-          child[i] =
-              rng.nextDouble() < 0.5 ? parentA.genes[i] : parentB.genes[i];
+          const std::size_t takeA = rng.next() < 0x80000000u;
+          const std::size_t a = parentA.genes[i];
+          const std::size_t b = parentB.genes[i];
+          child[i] = b ^ ((a ^ b) & (0 - takeA));
         }
       } else {
         child = parentA.genes;
@@ -388,10 +394,9 @@ Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
           child[i] = rng.nextBounded(machines);
         }
       }
-      const double fitness = score(child);
-      next.push_back({std::move(child), fitness});
+      next[c].fitness = score(child);
     }
-    population = std::move(next);
+    std::swap(population, next);
   }
   const auto best = std::min_element(population.begin(), population.end(),
                                      byFitness);

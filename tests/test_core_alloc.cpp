@@ -4,8 +4,8 @@
 // calling thread's allocations; the replacement acts on this test process
 // only. Each test warms a workspace, then counts what further calls on it
 // allocate. DESIGN.md §4.7 promises a zero-allocation steady state for
-// the affine lanes and the HiPer-D fast path; these tests hold the code to
-// it.
+// the affine lanes and the HiPer-D fast path, and §4.6 a genetic algorithm
+// that allocates nothing per generation; these tests hold the code to it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,6 +21,8 @@
 #include "robust/hiperd/generator.hpp"
 #include "robust/obs/metrics.hpp"
 #include "robust/obs/trace.hpp"
+#include "robust/scheduling/etc.hpp"
+#include "robust/scheduling/heuristics.hpp"
 #include "robust/util/rng.hpp"
 
 namespace {
@@ -274,6 +276,53 @@ TEST(AllocationPin, WarmHiperdAnalyzeMetricAndSlackAllocateNothing) {
               }
             }),
             0u);
+}
+
+// A GA call allocates its two populations and the returned mapping, and
+// nothing per generation: 60 generations allocate as often as one.
+template <class Run>
+void expectGenerationsAllocateNothing(Run&& run) {
+  (void)allocationsOf([&] { run(1); });  // warm up any lazy state
+  const std::uint64_t oneGeneration = allocationsOf([&] { run(1); });
+  EXPECT_EQ(allocationsOf([&] { run(60); }), oneGeneration);
+}
+
+TEST(AllocationPin, GeneticAlgorithmAllocatesNothingPerGeneration) {
+  obs::setEnabled(false);
+  sched::EtcOptions shape;
+  shape.apps = 128;
+  shape.machines = 16;
+  Pcg32 rng(23);
+  const sched::EtcMatrix etc = sched::generateEtc(shape, rng);
+  const sched::Mapping start = sched::minMinMapping(etc);
+  const sched::EtcObjective objective =
+      sched::EtcObjective::negatedRobustness(1.2);
+  sched::GeneticOptions options;
+  options.populationSize = 40;
+  expectGenerationsAllocateNothing([&](int generations) {
+    options.generations = generations;
+    (void)sched::geneticAlgorithm(etc, start, objective, options);
+  });
+}
+
+TEST(AllocationPin, GenericGeneticAlgorithmAllocatesNothingPerGeneration) {
+  obs::setEnabled(false);
+  const auto generated =
+      hiperd::generateScenario(hiperd::ScenarioOptions{}, 2003);
+  const hiperd::CompiledScenario compiled = generated.scenario.compile();
+  ASSERT_TRUE(compiled.fastPath());
+  const sched::MappingObjective objective =
+      hiperd::robustnessObjective(compiled);
+  const std::size_t apps = generated.scenario.graph.applicationCount();
+  const std::size_t machines = generated.scenario.machines;
+  Pcg32 rng(29);
+  const sched::Mapping start = sched::randomMapping(apps, machines, rng);
+  sched::GeneticOptions options;
+  options.populationSize = 40;
+  expectGenerationsAllocateNothing([&](int generations) {
+    options.generations = generations;
+    (void)sched::geneticAlgorithm(apps, machines, start, objective, options);
+  });
 }
 
 TEST(AllocationPin, FullFlightRingRecordsWithoutAllocating) {

@@ -33,9 +33,6 @@ TEST(Mapping, BasicAccessors) {
   const auto counts = m.countPerMachine();
   EXPECT_EQ(counts[0], 2u);
   EXPECT_EQ(counts[1], 1u);
-  const auto apps = m.appsPerMachine();
-  EXPECT_EQ(apps[0], (std::vector<std::size_t>{0, 2}));
-  EXPECT_EQ(apps[1], (std::vector<std::size_t>{1}));
 }
 
 TEST(Mapping, Validation) {
