@@ -49,30 +49,29 @@ int main(int argc, char** argv) try {
   Pcg32 etcRng = makeStream(seed, 0);
   const sched::EtcMatrix etc = sched::generateEtc(etcOptions, etcRng);
 
+  const core::NormKind norms[3] = {core::NormKind::L1, core::NormKind::L2,
+                                   core::NormKind::LInf};
   std::vector<std::vector<double>> rhos(3);
   for (std::size_t m = 0; m < mappings; ++m) {
     Pcg32 rng = makeStream(seed, 1 + m);
     const auto mapping =
         sched::randomMapping(etc.apps(), etc.machines(), rng);
     const sched::IndependentTaskSystem system(etc, mapping, tau);
-    int n = 0;
-    for (const auto norm :
-         {core::NormKind::L1, core::NormKind::L2, core::NormKind::LInf}) {
+    for (int n = 0; n < 3; ++n) {
       core::AnalyzerOptions options;
-      options.norm = norm;
-      rhos[static_cast<std::size_t>(n++)].push_back(
+      options.norm = norms[n];
+      rhos[static_cast<std::size_t>(n)].push_back(
           system.compile(options).evaluate().metric);
     }
   }
 
   std::cout << "# Ablation: Eq. 1 norm choice, " << mappings
             << " mappings of the Section 3.1 system, tau = " << tau << "\n\n";
-  const char* names[3] = {"l1", "l2", "linf"};
   TablePrinter table({"norm", "mean rho", "min rho", "max rho"});
   for (int n = 0; n < 3; ++n) {
     const Summary s = summarize(rhos[static_cast<std::size_t>(n)]);
-    table.addRow({names[n], formatDouble(s.mean), formatDouble(s.min),
-                  formatDouble(s.max)});
+    table.addRow({core::toString(norms[n]), formatDouble(s.mean),
+                  formatDouble(s.min), formatDouble(s.max)});
   }
   table.print(std::cout);
 
@@ -80,7 +79,7 @@ int main(int argc, char** argv) try {
   TablePrinter corr({"pair", "spearman", "pearson"});
   const std::pair<int, int> pairs[3] = {{0, 1}, {1, 2}, {0, 2}};
   for (const auto& [a, b] : pairs) {
-    corr.addRow({std::string(names[a]) + " vs " + names[b],
+    corr.addRow({core::toString(norms[a]) + " vs " + core::toString(norms[b]),
                  formatDouble(spearman(rhos[static_cast<std::size_t>(a)],
                                        rhos[static_cast<std::size_t>(b)])),
                  formatDouble(pearson(rhos[static_cast<std::size_t>(a)],

@@ -142,14 +142,12 @@ std::vector<robust::net::WireResult> offlineAnswers(
   return expect;
 }
 
-robust::net::Client connect(const Config& cfg) {
-  robust::net::Client client;
+void connect(const Config& cfg, robust::net::Client& client) {
   if (!cfg.unixPath.empty()) {
     client.connectUnix(cfg.unixPath);
   } else {
     client.connectTcp(cfg.port);
   }
-  return client;
 }
 
 /// One tenant's full session. Returns the number of bit-exact mismatches.
@@ -160,7 +158,8 @@ std::uint64_t runTenant(const Config& cfg, std::size_t tenant, bool greedy,
   const CompiledProblem problem =
       CompiledProblem::compile(makeSpec(cfg, family));
 
-  robust::net::Client client = connect(cfg);
+  robust::net::Client client;
+  connect(cfg, client);
   const std::uint32_t honest =
       static_cast<std::uint32_t>(std::max<std::size_t>(1, cfg.instances));
   client.hello(greedy ? "greedy" : "tenant" + std::to_string(tenant),
@@ -198,7 +197,8 @@ std::uint64_t runTenant(const Config& cfg, std::size_t tenant, bool greedy,
 /// Saboteur 1: garbage magic. The daemon must answer one FATAL categorized
 /// reject and close; anything else counts as a failure.
 bool chaosBadMagic(const Config& cfg) {
-  robust::net::Client client = connect(cfg);
+  robust::net::Client client;
+  connect(cfg, client);
   const std::uint8_t garbage[32] = {0xde, 0xad, 0xbe, 0xef};
   client.sendRaw(garbage);
   try {
@@ -226,7 +226,8 @@ bool chaosBadMagic(const Config& cfg) {
 /// Saboteur 2: well-formed session, bogus ANALYZE key (expect a non-fatal
 /// Structure reject, session still usable), then a mid-frame disconnect.
 bool chaosBogusKeyThenVanish(const Config& cfg) {
-  robust::net::Client client = connect(cfg);
+  robust::net::Client client;
+  connect(cfg, client);
   try {
     client.hello("saboteur", 1);
     std::vector<double> one(cfg.dim, 1.0);

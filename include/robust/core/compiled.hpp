@@ -23,8 +23,9 @@
 //   the compiled defaults, evaluate() is the one-shot analysis of the
 //   derivation (Eq. 1 radii and the Eq. 2 metric).
 //
-// analyzeBatch() fans a span of instances across util::thread_pool with a
-// static block partition: results are bit-identical for every thread count.
+// analyzeBatchMetric() fans a span of instances across util::thread_pool
+// with a static block partition: results are bit-identical for every thread
+// count.
 #pragma once
 
 #include <cstddef>
@@ -256,10 +257,6 @@ class CompiledProblem {
   [[nodiscard]] double displacementNorm(
       std::span<const double> displacement) const;
 
-  /// Precomputed dual norm of an affine feature's weight row under `norm`
-  /// (NaN for callable features, and for NormKind::Weighted when the
-  /// compiled options carry no norm weights).
-  [[nodiscard]] double rowDualNorm(std::size_t feature, NormKind norm) const;
 
   /// Evaluates one instance into `workspace` and returns a reference to the
   /// workspace-owned report (valid until the next evaluation through the
@@ -279,18 +276,6 @@ class CompiledProblem {
   /// Robustness radius of feature `index` at the compiled defaults (Eq. 1).
   [[nodiscard]] RadiusReport radiusOf(std::size_t index) const;
 
-  /// Evaluates every instance into its own output slot. Work is divided
-  /// into one contiguous block per worker (threads = 0 means
-  /// defaultThreadCount()); each block reuses a dedicated workspace, and
-  /// results are bit-identical for every thread count.
-  void analyzeBatch(std::span<const AnalysisInstance> instances,
-                    std::span<RobustnessReport> out,
-                    std::size_t threads = 0) const;
-
-  /// analyzeBatch into a freshly allocated result vector.
-  [[nodiscard]] std::vector<RobustnessReport> analyzeBatch(
-      std::span<const AnalysisInstance> instances,
-      std::size_t threads = 0) const;
 
   /// True when the metric-only lane runs on the blocked kernels (the
   /// compiled solver resolves to Analytic for affine rows and no
@@ -333,9 +318,10 @@ class CompiledProblem {
   /// Metric lane over a batch, cache-blocked over (instances x rows):
   /// instances are processed in small tiles and the weight matrix is
   /// streamed in row chunks across each tile, so a stripe of rows stays
-  /// cached while every instance in the tile consumes it. Same static
-  /// block partition as analyzeBatch: results are bit-identical for every
-  /// thread count.
+  /// cached while every instance in the tile consumes it. Work is divided
+  /// into one contiguous block per worker (threads = 0 means
+  /// defaultThreadCount()), each with a dedicated workspace: results are
+  /// bit-identical for every thread count.
   void analyzeBatchMetric(std::span<const AnalysisInstance> instances,
                           std::span<MetricResult> out,
                           std::size_t threads = 0, bool prune = true) const;

@@ -42,10 +42,6 @@ struct FailureModel {
 [[nodiscard]] std::size_t distinctHostCount(
     std::span<const std::size_t> hosts);
 
-/// True when every task keeps at least one live replica after the machines
-/// in `failed` drop out.
-[[nodiscard]] bool survivesFailures(const FailureModel& model,
-                                    std::span<const std::size_t> failed);
 
 /// The failure radius: the largest k such that the mapping survives EVERY
 /// set of k machine failures, i.e. min over tasks of (distinct hosts - 1).

@@ -19,7 +19,9 @@ namespace robust::core {
 
 /// Accumulates the FePIA derivation for one system and produces a
 /// ProblemSpec or a CompiledProblem. Single-shot: spec() or compile() may be
-/// called once.
+/// called once. It covers one perturbation parameter at the default
+/// analyzer options; a spec with subspaces, constraints or other options is
+/// written as a ProblemSpec directly.
 class FepiaBuilder {
  public:
   /// `requirement` is the step-1 narrative (kept for reporting/diagnostics).
@@ -29,19 +31,6 @@ class FepiaBuilder {
   FepiaBuilder& perturbation(std::string name, num::Vec origin,
                              bool discrete = false, std::string units = {});
 
-  /// Step 2, general form: appends one named perturbation subspace with its
-  /// own origin and norm. May be called repeatedly; the full perturbation
-  /// vector is the concatenation and a displacement's size is the maximum
-  /// of the per-block norms. Mutually exclusive with perturbation().
-  FepiaBuilder& subspace(PerturbationSubspace sub);
-
-  /// Declares one hard feasibility constraint g . pi <= bound over the full
-  /// concatenated perturbation vector (e.g. a memory capacity). Violating
-  /// perturbations outside the region do not count toward any radius, and
-  /// an infeasible operating point is reported as
-  /// RobustnessReport::infeasibleOrigin.
-  FepiaBuilder& constraint(LinearConstraint constraint);
-
   /// Steps 1+3: adds a performance feature with its impact function and
   /// tolerable-variation bounds.
   FepiaBuilder& feature(std::string name, ImpactFunction impact,
@@ -50,9 +39,6 @@ class FepiaBuilder {
   /// Convenience for affine impacts.
   FepiaBuilder& affineFeature(std::string name, num::Vec weights,
                               double constant, ToleranceBounds bounds);
-
-  /// Optional: analysis configuration (norm, solver).
-  FepiaBuilder& options(AnalyzerOptions options);
 
   /// The step-1 robustness requirement text.
   [[nodiscard]] const std::string& requirement() const noexcept {
@@ -74,9 +60,6 @@ class FepiaBuilder {
   std::vector<PerformanceFeature> features_;
   PerturbationParameter parameter_;
   bool haveParameter_ = false;
-  std::vector<PerturbationSubspace> subspaces_;
-  std::vector<LinearConstraint> constraints_;
-  AnalyzerOptions options_;
   bool built_ = false;
 };
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -72,11 +71,5 @@ struct RobustnessReport {
   bool infeasibleOrigin = false;
 };
 
-/// Multi-parameter extension (discussed in ref [1], the author's thesis):
-/// with several independent perturbation parameters, the mapping's combined
-/// robustness is limited by its weakest parameter. Reports must be expressed
-/// in comparable units; the caller may normalize each metric first.
-[[nodiscard]] double combinedRobustness(
-    std::span<const RobustnessReport> reports);
 
 }  // namespace robust::core

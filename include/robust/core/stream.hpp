@@ -6,7 +6,7 @@
 // StreamOptions::shardInstances, each shard is pulled through a reusable
 // memory-mapped window into a per-worker arena, scanned with the metric
 // lane's exact row arithmetic, and the per-shard (rho, argmin, binding)
-// results are merged with a fixed-order pairwise reduction. The global
+// results are merged by a left fold in shard order. The global
 // answer — metric bits, argmin instance, binding feature, floored flag —
 // is bit-identical to running analyzeBatchMetric over the whole batch in
 // memory and folding the per-instance results with the first-strict-min

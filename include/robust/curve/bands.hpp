@@ -39,8 +39,4 @@ struct BinomialInterval {
                                               std::uint64_t trials,
                                               double confidence);
 
-/// Regularized incomplete beta function I_x(a, b) for a, b > 0 and
-/// x in [0, 1]. Exposed for the reference tests; ~1e-14 accuracy.
-[[nodiscard]] double regularizedIncompleteBeta(double a, double b, double x);
-
 }  // namespace robust::curve

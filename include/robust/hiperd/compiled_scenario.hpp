@@ -76,12 +76,6 @@ class CompiledScenario {
   [[nodiscard]] double communicationTime(std::size_t edgeId,
                                          std::span<const double> lambda) const;
 
-  /// L_k(lambda) of path `k` under `mapping` (Eq. 8): the computation times
-  /// of its apps, then the communication times of every traversed edge,
-  /// sensor and actuator transfers included, each in path order.
-  [[nodiscard]] double latency(const sched::Mapping& mapping, std::size_t k,
-                               std::span<const double> lambda) const;
-
   /// Every QoS constraint of `mapping` at lambda_orig: per app with a finite
   /// throughput bound its Tc, then its non-zero Tn; then every path's L.
   [[nodiscard]] std::vector<ConstraintStatus> constraints(
@@ -100,9 +94,11 @@ class CompiledScenario {
 
   /// The FePIA derivation of `mapping`: a feature per constraint whose
   /// impact depends on lambda, in constraints() kind order (all Tc, all Tn,
-  /// all L). A latency with a non-linear member is a callable summing in
-  /// latency()'s order. The spec may outlive this object but refers to the
-  /// scenario, which must stay alive while the spec is evaluated.
+  /// all L). A latency with a non-linear member is a callable summing Eq. 8
+  /// in path order: the computation times of its apps, then the
+  /// communication times of every traversed edge. The spec may outlive this
+  /// object but refers to the scenario, which must stay alive while the
+  /// spec is evaluated.
   [[nodiscard]] core::ProblemSpec toSpec(const sched::Mapping& mapping) const;
 
   /// Phase 2: full robustness analysis of one mapping (Eq. 11, floored).

@@ -107,6 +107,11 @@ class SystemGraph {
   /// All enumerated paths (requires finalize()).
   [[nodiscard]] const std::vector<Path>& paths() const;
 
+  /// R(a_i) per application: the highest rate of a sensor driving a path
+  /// that contains it, or 0 for an application on no path (requires
+  /// finalize()). 1/R(a_i) is the application's throughput bound.
+  [[nodiscard]] std::vector<double> drivingRates() const;
+
   /// True when sensor `sensor` can reach application `app` along edges
   /// (requires finalize()); governs which b_ijz coefficients may be non-zero.
   [[nodiscard]] bool sensorReachesApp(std::size_t sensor,

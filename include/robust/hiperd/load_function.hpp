@@ -18,10 +18,6 @@ namespace robust::hiperd {
 /// A non-negative time function of the sensor load vector.
 class LoadFunction {
  public:
-  /// The identically-zero function over `sensors` loads (unconstrained
-  /// feature; the Section 4.3 experiments zero all communication times).
-  [[nodiscard]] static LoadFunction zero(std::size_t sensors);
-
   /// Linear function sum_z coeffs[z] * lambda_z.
   [[nodiscard]] static LoadFunction linear(num::Vec coeffs);
 

@@ -19,8 +19,8 @@
 //
 // Together with the sensor-load metric of Section 3.2 this demonstrates the
 // multi-parameter extension the paper defers to ref [1]: analyze each
-// parameter separately and combine with core::combinedRobustness (after
-// normalizing to comparable units if desired).
+// parameter separately; the mapping's combined robustness is the smaller
+// metric (after normalizing to comparable units if desired).
 #pragma once
 
 #include "robust/hiperd/compiled_scenario.hpp"

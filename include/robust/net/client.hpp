@@ -44,8 +44,6 @@ class Client {
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-  Client(Client&& other) noexcept;
-  Client& operator=(Client&& other) noexcept;
 
   /// Connects to a robustd Unix socket. Throws std::runtime_error on
   /// failure.

@@ -30,9 +30,6 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  /// Matrix-vector product A x.
-  [[nodiscard]] Vec multiply(std::span<const double> x) const;
-
  private:
   std::size_t rows_;
   std::size_t cols_;

@@ -1,6 +1,6 @@
-// One-dimensional root finding: bracket expansion, bisection, and Brent's
-// method. Used to locate boundary crossings g(x0 + t d) = level along rays,
-// which is how the ray-search radius estimator works.
+// One-dimensional root finding: bracket expansion and Brent's method. Used
+// to locate boundary crossings g(x0 + t d) = level along rays, which is how
+// the ray-search radius estimator works.
 #pragma once
 
 #include <functional>
@@ -25,7 +25,7 @@ struct RootOptions {
   int maxIterations = 200;
 };
 
-// All three routines fail fast (InvalidArgumentError naming the abscissa)
+// Both routines fail fast (InvalidArgumentError naming the abscissa)
 // when the objective returns a non-finite value: NaN defeats every sign
 // test (all NaN comparisons are false), so tolerating it would silently
 // burn maxIterations and return a garbage root.
@@ -35,11 +35,6 @@ struct RootOptions {
 [[nodiscard]] std::optional<std::pair<double, double>> expandBracket(
     const ScalarFn1D& f, double lo, double hi, double limit,
     int maxDoublings = 64);
-
-/// Bisection on a bracketing interval [lo, hi] with f(lo)*f(hi) <= 0.
-/// Throws InvalidArgumentError when the interval does not bracket a root.
-[[nodiscard]] RootResult bisect(const ScalarFn1D& f, double lo, double hi,
-                                const RootOptions& options = {});
 
 /// Brent's method (inverse quadratic + secant + bisection safeguards) on a
 /// bracketing interval. Superlinear on smooth functions, never worse than

@@ -2,7 +2,7 @@
 //
 // The experiment drivers compare mappings by how much work each analysis
 // performs — radius evaluations, solver iterations, boundary probes — and
-// the parallel paths (localSearch neighborhood scans, analyzeBatch,
+// the parallel paths (localSearch neighborhood scans, analyzeBatchMetric,
 // runMakespanStudy) must never contend on a shared metrics structure. The
 // registry here is therefore *lock-sparse*:
 //
@@ -151,12 +151,8 @@ struct MetricsSnapshot {
   std::vector<GaugeValue> gauges;
   std::vector<HistogramValue> histograms;
 
-  /// Value of the named counter / gauge, or 0 when never registered.
+  /// Value of the named counter, or 0 when never registered.
   [[nodiscard]] std::uint64_t counter(std::string_view name) const noexcept;
-  [[nodiscard]] std::int64_t gauge(std::string_view name) const noexcept;
-  /// The named histogram, or nullptr when never registered.
-  [[nodiscard]] const HistogramValue* histogram(
-      std::string_view name) const noexcept;
 };
 
 /// Merges all live shards and retired totals. Concurrent recording is safe:

@@ -7,7 +7,7 @@
 // JSON (chrome://tracing, ui.perfetto.dev), merging exited threads' rings.
 //
 // The trace ring (kMaxRecordsPerThread spans) answers "what did this run
-// do?". A Span marks one scoped unit of work ("core.analyzeBatch") and
+// do?". A Span marks one scoped unit of work ("core.analyzeStream") and
 // records while obs::enabled(); when disabled it is one relaxed load, one
 // store and a predictable branch — nothing allocated, no clock read.
 // ROBUST_TRACE=<path> enables recording and writes <path> at exit.

@@ -33,10 +33,4 @@ void standardNormalPair(Pcg32& rng, double& z0, double& z1);
 /// parameterization. cv == 0 degenerates to the constant `mean`.
 [[nodiscard]] double gammaMeanCv(Pcg32& rng, double mean, double cv);
 
-/// Exponential draw with the given rate (mean 1/rate).
-[[nodiscard]] double exponential(Pcg32& rng, double rate);
-
-/// Uniform integer in [lo, hi] inclusive.
-[[nodiscard]] int uniformInt(Pcg32& rng, int lo, int hi);
-
 }  // namespace robust::rnd

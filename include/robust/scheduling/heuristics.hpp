@@ -7,12 +7,13 @@
 // arbitrary objective, so mappings can be optimized for makespan (classic)
 // or directly for the robustness metric (Eq. 7).
 //
-// Each iterative algorithm has one search loop. Its entry points differ
-// only in how a candidate is scored: the shape-generic overloads take any
-// MappingObjective over (apps x machines) mappings, and the EtcObjective
-// overloads score the standard ETC objectives with the incremental engine
-// (robust/scheduling/incremental.hpp). For the same objective, seed and
-// options the two return the same mapping.
+// Each iterative algorithm has one search loop. The single-move searches
+// have two entry points that differ only in how a candidate is scored: the
+// shape-generic overloads take any MappingObjective over (apps x machines)
+// mappings, and the EtcObjective overloads score the standard ETC
+// objectives with the incremental engine (robust/scheduling/incremental.hpp).
+// For the same objective, seed and options the two return the same mapping.
+// The genetic algorithm takes an EtcObjective only.
 #pragma once
 
 #include <functional>
@@ -202,19 +203,11 @@ struct GeneticOptions {
   std::uint64_t seed = 1;
 };
 
-/// Genetic algorithm over assignment vectors for an arbitrary assignment
-/// problem (uniform crossover, per-gene mutation, tournament selection,
-/// elitism); only the mapping shape and the objective are needed. Same RNG
-/// stream as the ETC overload, so equal objectives produce equal results.
-[[nodiscard]] Mapping geneticAlgorithm(std::size_t apps, std::size_t machines,
-                                       Mapping seedMapping,
-                                       const MappingObjective& objective,
-                                       const GeneticOptions& options = {});
-
-/// Genetic algorithm on a standard ETC objective. Individuals are scored
-/// with the reusable-buffer ScratchEvaluator (no per-evaluation Mapping
-/// construction or allocation); same RNG stream as the generic overload, so
-/// results are bit-identical to it for the same seed.
+/// Genetic algorithm over assignment vectors on a standard ETC objective
+/// (uniform crossover, per-gene mutation, tournament selection, elitism).
+/// Individuals are scored with the reusable-buffer ScratchEvaluator (no
+/// per-evaluation Mapping construction or allocation), and no generation
+/// allocates.
 [[nodiscard]] Mapping geneticAlgorithm(const EtcMatrix& etc, Mapping seedMapping,
                                        const EtcObjective& objective,
                                        const GeneticOptions& options = {});

@@ -47,13 +47,10 @@ class IndependentTaskSystem {
   /// Predicted makespan M_orig.
   [[nodiscard]] double predictedMakespan() const;
 
-  /// Robustness radius of machine `j` via Eq. 6:
-  /// (tau * M_orig - F_j(C_orig)) / sqrt(n(m_j)); +inf when n(m_j) = 0
+  /// Full analysis: every machine's radius via Eq. 6,
+  /// (tau * M_orig - F_j(C_orig)) / sqrt(n(m_j)), or +inf when n(m_j) = 0
   /// (an empty machine's finishing time is identically 0 and can never
-  /// violate the requirement).
-  [[nodiscard]] double robustnessRadius(std::size_t machine) const;
-
-  /// Full analysis: all radii, the metric (Eq. 7), the binding machine.
+  /// violate the requirement); the metric (Eq. 7); the binding machine.
   [[nodiscard]] MakespanRobustness analyze() const;
 
   /// The critical perturbation C* attaining the metric. Per the paper's

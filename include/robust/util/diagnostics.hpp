@@ -12,14 +12,13 @@
 //   * ParseError   — an InvalidArgumentError (so every existing catch site
 //                    keeps working) that carries the Diagnostic,
 //   * Diagnostics  — a per-source context the loaders thread through their
-//                    parse; fail() throws, warn() records non-fatal notes.
+//                    parse; fail() throws and tallies the rejection.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "robust/util/error.hpp"
 
@@ -130,13 +129,6 @@ class Diagnostics {
     fail(RejectCategory::Other, 0, 0, std::move(message));
   }
 
-  /// Records a non-fatal finding (kept for the caller to inspect).
-  void warn(std::size_t line, std::size_t column, std::string message);
-
-  [[nodiscard]] const std::vector<Diagnostic>& warnings() const noexcept {
-    return warnings_;
-  }
-
   /// Rejections recorded by this context, tallied by category. fail() is
   /// [[noreturn]], so the tally is written just before the throw; a context
   /// observed after a caught ParseError reports the rejection that raised
@@ -147,7 +139,6 @@ class Diagnostics {
 
  private:
   std::string source_;
-  std::vector<Diagnostic> warnings_;
   // fail() is semantically const (it never mutates the parse state callers
   // see — it throws); the tally is bookkeeping, hence mutable.
   mutable RejectionCounts counts_;

@@ -27,7 +27,7 @@
 namespace robust::util {
 
 /// Read-only random-access file with reusable mapped (or read-backed)
-/// windows. Move-only; the destructor closes the file.
+/// windows. Neither copyable nor movable; the destructor closes the file.
 class MmapFile {
  public:
   /// One materialized window of the file. Reusing a View across view()
@@ -39,8 +39,6 @@ class MmapFile {
    public:
     View() = default;
     ~View() { reset(); }
-    View(View&& other) noexcept { *this = static_cast<View&&>(other); }
-    View& operator=(View&& other) noexcept;
     View(const View&) = delete;
     View& operator=(const View&) = delete;
 
@@ -63,8 +61,6 @@ class MmapFile {
   /// Opens `path` read-only; throws std::runtime_error when it cannot.
   explicit MmapFile(const std::string& path);
   ~MmapFile();
-  MmapFile(MmapFile&& other) noexcept;
-  MmapFile& operator=(MmapFile&& other) noexcept;
   MmapFile(const MmapFile&) = delete;
   MmapFile& operator=(const MmapFile&) = delete;
 

@@ -1,13 +1,12 @@
 // Descriptive statistics used by the experiment harnesses: summaries,
 // Pearson correlation, least-squares lines (the Fig. 3 cluster analysis) and
-// histograms (the Fig. 4 plateau analysis).
+// quantiles.
 #pragma once
 
 #include <cstddef>
 #include <limits>
 #include <span>
 #include <string>
-#include <vector>
 
 namespace robust {
 
@@ -57,24 +56,6 @@ struct LinearFit {
 [[nodiscard]] LinearFit fitLine(std::span<const double> xs,
                                 std::span<const double> ys);
 
-/// Equal-width histogram over [min, max] of the sample.
-struct Histogram {
-  double lo = 0.0;
-  double hi = 0.0;
-  std::vector<std::size_t> counts;
-
-  [[nodiscard]] double binWidth() const noexcept {
-    return counts.empty() ? 0.0
-                          : (hi - lo) / static_cast<double>(counts.size());
-  }
-};
-
-/// Builds a histogram with `bins` equal-width bins spanning the sample
-/// range. Non-finite samples are rejected or dropped per `policy`; with
-/// Skip, a sample with no finite values yields an empty-range histogram.
-[[nodiscard]] Histogram makeHistogram(
-    std::span<const double> xs, std::size_t bins,
-    NonFinitePolicy policy = NonFinitePolicy::Throw);
 
 /// Sample quantile (linear interpolation between order statistics), q in
 /// [0,1]. Non-finite samples are rejected or dropped per `policy`; a sample

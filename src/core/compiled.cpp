@@ -472,14 +472,6 @@ CompiledProblem CompiledProblem::compile(ProblemSpec spec) {
   return p;
 }
 
-double CompiledProblem::rowDualNorm(std::size_t feature, NormKind norm) const {
-  ROBUST_REQUIRE(feature < features_.size(),
-                 "CompiledProblem: feature index out of range");
-  if (rowIndex_[feature] == kNoRow) {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return dualNorms_[static_cast<int>(norm)][rowIndex_[feature]];
-}
 
 void CompiledProblem::radiusOfInto(std::size_t index,
                                    std::span<const double> origin,
@@ -1057,37 +1049,6 @@ RadiusReport CompiledProblem::radiusOf(std::size_t index) const {
   return out;
 }
 
-void CompiledProblem::analyzeBatch(std::span<const AnalysisInstance> instances,
-                                   std::span<RobustnessReport> out,
-                                   std::size_t threads) const {
-  ROBUST_REQUIRE(out.size() == instances.size(),
-                 "analyzeBatch: output size does not match instance count");
-  const std::size_t n = instances.size();
-  if (n == 0) {
-    return;
-  }
-  const obs::Span span("core.analyzeBatch");
-  if (obs::enabled()) [[unlikely]] {
-    static const obs::MetricId kBatches = obs::counterId("core.batches");
-    obs::addCounter(kBatches);
-  }
-  // One block and workspace per participant; output slots are disjoint, so
-  // results are independent of the worker count.
-  forEachBlock<EvalWorkspace>(
-      n, threads,
-      [&](std::size_t lo, std::size_t hi, EvalWorkspace& workspace) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          out[i] = evaluate(instances[i], workspace);
-        }
-      });
-}
-
-std::vector<RobustnessReport> CompiledProblem::analyzeBatch(
-    std::span<const AnalysisInstance> instances, std::size_t threads) const {
-  std::vector<RobustnessReport> out(instances.size());
-  analyzeBatch(instances, out, threads);
-  return out;
-}
 
 MetricResult CompiledProblem::metricFromDots(const AnalysisInstance& instance,
                                              std::span<const double> origin,
@@ -1371,8 +1332,8 @@ void CompiledProblem::analyzeBatchMetric(
   }
   const obs::Span span("core.analyzeBatchMetric");
 
-  // Same block partition as analyzeBatch: results are independent of the
-  // worker count.
+  // One block and workspace per participant; output slots are disjoint, so
+  // results are independent of the worker count.
   forEachBlock<MetricWorkspace>(
       n, threads,
       [&](std::size_t lo, std::size_t hi, MetricWorkspace& workspace) {

@@ -33,29 +33,6 @@ std::size_t distinctHostCount(std::span<const std::size_t> hosts) {
       std::unique(sorted.begin(), sorted.end()) - sorted.begin());
 }
 
-bool survivesFailures(const FailureModel& model,
-                      std::span<const std::size_t> failed) {
-  validateModel(model);
-  std::vector<bool> down(model.machines, false);
-  for (std::size_t m : failed) {
-    ROBUST_REQUIRE(m < model.machines,
-                   "survivesFailures: failed machine index out of range");
-    down[m] = true;
-  }
-  for (const auto& hosts : model.replicaHosts) {
-    bool alive = false;
-    for (std::size_t h : hosts) {
-      if (!down[h]) {
-        alive = true;
-        break;
-      }
-    }
-    if (!alive) {
-      return false;
-    }
-  }
-  return true;
-}
 
 std::size_t failureRadius(const FailureModel& model) {
   validateModel(model);

@@ -1,8 +1,6 @@
 #include "robust/core/report_io.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <ostream>
 
 #include "robust/util/error.hpp"
@@ -24,14 +22,6 @@ std::string toString(NormKind norm) {
   return "?";
 }
 
-double combinedRobustness(std::span<const RobustnessReport> reports) {
-  ROBUST_REQUIRE(!reports.empty(), "combinedRobustness: no reports");
-  double metric = std::numeric_limits<double>::infinity();
-  for (const auto& r : reports) {
-    metric = std::min(metric, r.metric);
-  }
-  return metric;
-}
 
 namespace {
 

@@ -48,8 +48,8 @@ class SharedMin {
   std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(kInf)};
 };
 
-/// The winning candidate of one shard (or one reduction node): the exact
-/// first-minimum over the instances it covers.
+/// The winning candidate of one shard (or of a run of consecutive shards):
+/// the exact first-minimum over the instances it covers.
 struct Winner {
   double metric = kInf;
   std::size_t argmin = kNoInstance;
@@ -57,10 +57,9 @@ struct Winner {
   bool floored = false;
 };
 
-/// Fixed-order pairwise combine; `a` must cover lower instance indices
-/// than `b`. Strict < keeps the earlier side on ties — the same rule the
-/// serial first-minimum fold applies — so any pairing order that
-/// preserves index order yields the serial fold's exact result.
+/// Fixed-order combine; `a` must cover lower instance indices than `b`.
+/// Strict < keeps the earlier side on ties — the same rule the serial
+/// first-minimum fold applies.
 Winner combine(const Winner& a, const Winner& b) noexcept {
   return b.metric < a.metric ? b : a;
 }
@@ -379,30 +378,19 @@ StreamResult StreamEngine::run(const InstanceFileReader* reader,
     inflight.fetch_sub(1, std::memory_order_relaxed);
   });
 
-  // Fixed-order pairwise reduction over the shard winners. Every combine
-  // keeps the lower-shard side on ties, so the tree computes the same
-  // first-minimum the serial left fold over instances computes.
-  std::vector<Winner> level;
-  level.reserve(outcomes.size());
+  // Left fold over the shard winners in shard order. combine keeps the
+  // earlier shard on ties and no shard winner is NaN (scanShard accepts
+  // only strictly smaller metrics, starting from +inf), so the fold is the
+  // serial first-minimum over instances. It allocates nothing.
+  Winner best = outcomes[0].winner;
   for (const ShardOutcome& o : outcomes) {
-    level.push_back(o.winner);
+    best = combine(best, o.winner);
     result.screenedInstances += o.screened;
   }
-  while (level.size() > 1) {
-    std::vector<Winner> next;
-    next.reserve((level.size() + 1) / 2);
-    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      next.push_back(combine(level[i], level[i + 1]));
-    }
-    if (level.size() % 2 == 1) {
-      next.push_back(level.back());
-    }
-    level.swap(next);
-  }
-  result.metric = level[0].metric;
-  result.argminInstance = level[0].argmin;
-  result.bindingFeature = level[0].binding;
-  result.floored = level[0].floored;
+  result.metric = best.metric;
+  result.argminInstance = best.argmin;
+  result.bindingFeature = best.binding;
+  result.floored = best.floored;
   if (obs::enabled()) [[unlikely]] {
     static const obs::MetricId kScreened =
         obs::counterId("core.stream.instances_screened");

@@ -116,21 +116,6 @@ double inverseRegularizedBeta(double p, double a, double b) {
 
 }  // namespace
 
-double regularizedIncompleteBeta(double a, double b, double x) {
-  ROBUST_REQUIRE(a > 0.0 && b > 0.0,
-                 "regularizedIncompleteBeta: shape parameters must be "
-                 "positive");
-  ROBUST_REQUIRE(x >= 0.0 && x <= 1.0,
-                 "regularizedIncompleteBeta: x must lie in [0, 1]");
-  if (x <= 0.0) {
-    return 0.0;
-  }
-  if (x >= 1.0) {
-    return 1.0;
-  }
-  return incompleteBetaInterior(a, b, x, lnBetaFunction(a, b));
-}
-
 double dkwEpsilon(std::size_t samples, double confidence) {
   ROBUST_REQUIRE(samples > 0, "dkwEpsilon: samples must be positive");
   ROBUST_REQUIRE(confidence > 0.0 && confidence < 1.0,

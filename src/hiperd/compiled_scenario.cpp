@@ -99,13 +99,7 @@ CompiledScenario::CompiledScenario(const HiperdScenario& scenario,
   // Applications on no path (possible only in degenerate graphs) carry no
   // throughput constraint: +inf.
   throughputBound_.assign(apps, 0.0);
-  std::vector<double> maxRate(apps, 0.0);
-  for (const Path& path : graph.paths()) {
-    const double rate = graph.sensorRate(path.drivingSensor);
-    for (std::size_t app : path.apps) {
-      maxRate[app] = std::max(maxRate[app], rate);
-    }
-  }
+  const std::vector<double> maxRate = graph.drivingRates();
   for (std::size_t i = 0; i < apps; ++i) {
     throughputBound_[i] = maxRate[i] > 0.0 ? 1.0 / maxRate[i] : kInf;
   }
@@ -221,15 +215,6 @@ double CompiledScenario::communicationTime(
   return scenario_->comm[edgeId].evaluate(lambda);
 }
 
-double CompiledScenario::latency(const sched::Mapping& mapping,
-                                 std::size_t k,
-                                 std::span<const double> lambda) const {
-  ScenarioWorkspace workspace;
-  const auto factors = fillFactors(mapping, workspace);
-  const auto& paths = scenario_->graph.paths();
-  ROBUST_REQUIRE(k < paths.size(), "latency: path index out of range");
-  return pathLatency(*scenario_, paths[k], mapping, factors, lambda);
-}
 
 template <class Visit>
 void CompiledScenario::forEachConstraint(const sched::Mapping& mapping,

@@ -255,13 +255,7 @@ GeneratedScenario generateScenario(const ScenarioOptions& options,
 
   // --- Calibration (documented substitution): scale coefficients so that
   // the round-robin reference mapping peaks at targetThroughputUtil.
-  std::vector<double> maxRate(apps, 0.0);
-  for (const Path& path : scenario.graph.paths()) {
-    const double rate = scenario.graph.sensorRate(path.drivingSensor);
-    for (std::size_t app : path.apps) {
-      maxRate[app] = std::max(maxRate[app], rate);
-    }
-  }
+  const std::vector<double> maxRate = scenario.graph.drivingRates();
   std::vector<std::size_t> refCounts(options.machines, 0);
   for (std::size_t i = 0; i < apps; ++i) {
     ++refCounts[i % options.machines];

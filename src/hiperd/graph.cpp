@@ -301,6 +301,17 @@ const std::vector<Path>& SystemGraph::paths() const {
   return paths_;
 }
 
+std::vector<double> SystemGraph::drivingRates() const {
+  std::vector<double> rates(applications_.size(), 0.0);
+  for (const Path& path : paths()) {
+    const double rate = sensors_[path.drivingSensor].rate;
+    for (std::size_t app : path.apps) {
+      rates[app] = std::max(rates[app], rate);
+    }
+  }
+  return rates;
+}
+
 bool SystemGraph::sensorReachesApp(std::size_t sensor, std::size_t app) const {
   requireFinalized();
   ROBUST_REQUIRE(sensor < sensors_.size() && app < applications_.size(),

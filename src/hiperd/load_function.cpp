@@ -5,9 +5,6 @@
 
 namespace robust::hiperd {
 
-LoadFunction LoadFunction::zero(std::size_t sensors) {
-  return linear(num::Vec(sensors, 0.0));
-}
 
 LoadFunction LoadFunction::linear(num::Vec coeffs) {
   ROBUST_REQUIRE(!coeffs.empty(), "LoadFunction::linear: empty coefficients");

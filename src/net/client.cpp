@@ -24,21 +24,6 @@ namespace {
 
 Client::~Client() { closeNow(); }
 
-Client::Client(Client&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)),
-      nextRequestId_(other.nextRequestId_),
-      limits_(other.limits_) {}
-
-Client& Client::operator=(Client&& other) noexcept {
-  if (this != &other) {
-    closeNow();
-    fd_ = std::exchange(other.fd_, -1);
-    nextRequestId_ = other.nextRequestId_;
-    limits_ = other.limits_;
-  }
-  return *this;
-}
-
 void Client::connectUnix(const std::string& path) {
   sockaddr_un addr{};
   if (path.size() >= sizeof(addr.sun_path)) {

@@ -12,19 +12,6 @@ Matrix::Matrix(std::size_t rows, std::size_t cols)
   ROBUST_REQUIRE(rows > 0 && cols > 0, "Matrix: dimensions must be positive");
 }
 
-Vec Matrix::multiply(std::span<const double> x) const {
-  ROBUST_REQUIRE(x.size() == cols_, "Matrix::multiply: dimension mismatch");
-  Vec y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double s = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      s += (*this)(r, c) * x[c];
-    }
-    y[r] = s;
-  }
-  return y;
-}
-
 LuDecomposition::LuDecomposition(Matrix a)
     : lu_(std::move(a)), perm_(lu_.rows()) {
   ROBUST_REQUIRE(lu_.rows() == lu_.cols(), "LU: matrix must be square");

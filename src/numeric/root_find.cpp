@@ -23,14 +23,6 @@ void noteRootSearch(obs::MetricId calls, obs::MetricId iterations,
   obs::addCounter(iterations, static_cast<std::uint64_t>(consumed));
 }
 
-obs::MetricId bisectCallsId() {
-  static const obs::MetricId id = obs::counterId("num.bisect_calls");
-  return id;
-}
-obs::MetricId bisectIterationsId() {
-  static const obs::MetricId id = obs::counterId("num.bisect_iterations");
-  return id;
-}
 obs::MetricId brentCallsId() {
   static const obs::MetricId id = obs::counterId("num.brent_calls");
   return id;
@@ -81,41 +73,6 @@ std::optional<std::pair<double, double>> expandBracket(const ScalarFn1D& f,
     fhi = checkedEval(f, hi, "expandBracket");
   }
   return std::nullopt;
-}
-
-RootResult bisect(const ScalarFn1D& f, double lo, double hi,
-                  const RootOptions& options) {
-  double flo = checkedEval(f, lo, "bisect");
-  double fhi = checkedEval(f, hi, "bisect");
-  ROBUST_REQUIRE(flo * fhi <= 0.0, "bisect: interval does not bracket a root");
-  RootResult result;
-  for (int i = 0; i < options.maxIterations; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double fmid = checkedEval(f, mid, "bisect");
-    ++result.iterations;
-    if (std::fabs(fmid) <= options.fTol || (hi - lo) * 0.5 <= options.xTol) {
-      result.x = mid;
-      result.fx = fmid;
-      if (obs::enabled()) [[unlikely]] {
-        noteRootSearch(bisectCallsId(), bisectIterationsId(),
-                       result.iterations);
-      }
-      return result;
-    }
-    if (flo * fmid <= 0.0) {
-      hi = mid;
-      fhi = fmid;
-    } else {
-      lo = mid;
-      flo = fmid;
-    }
-  }
-  result.x = 0.5 * (lo + hi);
-  result.fx = checkedEval(f, result.x, "bisect");
-  if (obs::enabled()) [[unlikely]] {
-    noteRootSearch(bisectCallsId(), bisectIterationsId(), result.iterations);
-  }
-  return result;
 }
 
 RootResult brent(const ScalarFn1D& f, double lo, double hi,

@@ -478,25 +478,6 @@ std::uint64_t MetricsSnapshot::counter(std::string_view name) const noexcept {
   return 0;
 }
 
-std::int64_t MetricsSnapshot::gauge(std::string_view name) const noexcept {
-  for (const GaugeValue& g : gauges) {
-    if (g.name == name) {
-      return g.value;
-    }
-  }
-  return 0;
-}
-
-const HistogramValue* MetricsSnapshot::histogram(
-    std::string_view name) const noexcept {
-  for (const HistogramValue& h : histograms) {
-    if (h.name == name) {
-      return &h;
-    }
-  }
-  return nullptr;
-}
-
 MetricsSnapshot snapshotMetrics() {
   Registry& reg = registry();
   std::lock_guard lock(reg.mutex);

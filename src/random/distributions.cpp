@@ -66,15 +66,4 @@ double gammaMeanCv(Pcg32& rng, double mean, double cv) {
   return gamma(rng, shape, scale);
 }
 
-double exponential(Pcg32& rng, double rate) {
-  ROBUST_REQUIRE(rate > 0.0, "exponential: rate must be positive");
-  return -std::log(rng.nextDoubleOpen()) / rate;
-}
-
-int uniformInt(Pcg32& rng, int lo, int hi) {
-  ROBUST_REQUIRE(lo <= hi, "uniformInt: lo must not exceed hi");
-  const auto span = static_cast<std::uint32_t>(hi - lo) + 1u;
-  return lo + static_cast<int>(rng.nextBounded(span));
-}
-
 }  // namespace robust::rnd

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <limits>
 
+#include "robust/obs/trace.hpp"
 #include "robust/scheduling/independent_system.hpp"
 #include "robust/util/error.hpp"
+#include "robust/util/rng.hpp"
 #include "search_drivers.hpp"
 
 namespace robust::sched {
@@ -355,36 +357,100 @@ Mapping simulatedAnnealing(const EtcMatrix& etc, Mapping start,
       detail::EtcMoves(etc, std::move(start), objective), options);
 }
 
-Mapping geneticAlgorithm(std::size_t apps, std::size_t machines,
-                         Mapping seedMapping,
-                         const MappingObjective& objective,
-                         const GeneticOptions& options) {
-  ROBUST_REQUIRE(static_cast<bool>(objective),
-                 "geneticAlgorithm: null objective");
-  // Every genome is scored through this one mapping, overwritten in place.
-  Mapping candidate = seedMapping;
-  return detail::geneticDriver(
-      apps, machines, seedMapping,
-      [&](const std::vector<std::size_t>& genes) {
-        for (std::size_t i = 0; i < genes.size(); ++i) {
-          candidate.assign(i, genes[i]);
-        }
-        return objective(candidate);
-      },
-      options);
-}
-
 Mapping geneticAlgorithm(const EtcMatrix& etc, Mapping seedMapping,
                          const EtcObjective& objective,
                          const GeneticOptions& options) {
   ScratchEvaluator scratch(etc, detail::evaluatorTau(objective));
-  return detail::geneticDriver(
-      etc.apps(), etc.machines(), seedMapping,
-      [&](const std::vector<std::size_t>& genes) {
-        const EvalResult result = scratch.evaluate(genes);
-        return objective.score(result.makespan, result.robustness);
-      },
-      options);
+  ROBUST_REQUIRE(options.populationSize >= 2 && options.generations > 0 &&
+                     options.tournamentSize >= 1 && options.eliteCount >= 0 &&
+                     options.eliteCount < options.populationSize,
+                 "geneticAlgorithm: invalid options");
+  const std::size_t apps = etc.apps();
+  ROBUST_REQUIRE(
+      seedMapping.apps() == apps && seedMapping.machines() == etc.machines(),
+      "geneticAlgorithm: seed mapping does not match the shape");
+  const obs::Span span("sched.genetic");
+  Pcg32 rng(options.seed, /*stream=*/11);
+  const auto machines = static_cast<std::uint32_t>(etc.machines());
+  const auto size = static_cast<std::size_t>(options.populationSize);
+  const auto elites = static_cast<std::size_t>(options.eliteCount);
+  // A genome's objective value; smaller is better.
+  const auto score = [&](const std::vector<std::size_t>& genes) {
+    const EvalResult result = scratch.evaluate(genes);
+    return objective.score(result.makespan, result.robustness);
+  };
+
+  struct Individual {
+    std::vector<std::size_t> genes;
+    double fitness;
+  };
+
+  std::vector<Individual> population;
+  population.reserve(size);
+  population.push_back(
+      {seedMapping.assignment(), score(seedMapping.assignment())});
+  while (population.size() < size) {
+    std::vector<std::size_t> genes(apps);
+    for (auto& g : genes) {
+      g = rng.nextBounded(machines);
+    }
+    const double fitness = score(genes);
+    population.push_back({std::move(genes), fitness});
+  }
+  // The next generation is written in place into this second buffer of
+  // full-size genomes, swapped with the population after each generation,
+  // so no generation allocates.
+  std::vector<Individual> next(size, {std::vector<std::size_t>(apps), 0.0});
+
+  auto byFitness = [](const Individual& a, const Individual& b) {
+    return a.fitness < b.fitness;
+  };
+
+  auto tournament = [&]() -> const Individual& {
+    const Individual* winner = nullptr;
+    for (int t = 0; t < options.tournamentSize; ++t) {
+      const auto idx = static_cast<std::size_t>(
+          rng.nextBounded(static_cast<std::uint32_t>(size)));
+      if (winner == nullptr || population[idx].fitness < winner->fitness) {
+        winner = &population[idx];
+      }
+    }
+    return *winner;
+  };
+
+  for (int gen = 0; gen < options.generations; ++gen) {
+    std::sort(population.begin(), population.end(), byFitness);
+    for (std::size_t e = 0; e < elites; ++e) {
+      next[e] = population[e];
+    }
+    for (std::size_t c = elites; c < size; ++c) {
+      const Individual& parentA = tournament();
+      const Individual& parentB = tournament();
+      std::vector<std::size_t>& child = next[c].genes;
+      if (rng.nextDouble() < options.crossoverRate) {
+        // Uniform crossover by mask select: next() * 2^-32 is exact, so
+        // nextDouble() < 0.5 holds exactly when next() < 2^31.
+        for (std::size_t i = 0; i < apps; ++i) {
+          const std::size_t takeA = rng.next() < 0x80000000u;
+          const std::size_t a = parentA.genes[i];
+          const std::size_t b = parentB.genes[i];
+          child[i] = b ^ ((a ^ b) & (0 - takeA));
+        }
+      } else {
+        child = parentA.genes;
+      }
+      for (std::size_t i = 0; i < apps; ++i) {
+        if (rng.nextDouble() < options.mutationRate) {
+          child[i] = rng.nextBounded(machines);
+        }
+      }
+      next[c].fitness = score(child);
+    }
+    std::swap(population, next);
+  }
+  const auto best = std::min_element(population.begin(), population.end(),
+                                     byFitness);
+  return Mapping(best->genes, etc.machines());
 }
 
 const std::vector<HeuristicEntry>& constructiveHeuristics() {

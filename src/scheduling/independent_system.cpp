@@ -39,19 +39,6 @@ double IndependentTaskSystem::predictedMakespan() const {
   return makespan(etc_, mapping_);
 }
 
-double IndependentTaskSystem::robustnessRadius(std::size_t machine) const {
-  ROBUST_REQUIRE(machine < etc_.machines(),
-                 "robustnessRadius: machine index out of range");
-  const auto counts = mapping_.countPerMachine();
-  if (counts[machine] == 0) {
-    return kInf;
-  }
-  const auto finish = finishing();
-  const double mOrig = *std::max_element(finish.begin(), finish.end());
-  return (tau_ * mOrig - finish[machine]) /
-         std::sqrt(static_cast<double>(counts[machine]));
-}
-
 MakespanRobustness IndependentTaskSystem::analyze() const {
   MakespanRobustness result;
   const auto finish = finishing();

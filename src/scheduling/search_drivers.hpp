@@ -1,6 +1,6 @@
-// One search loop per algorithm, shared by the public entry points in
-// heuristics.cpp. The single-move drivers (localSearch, annealing, tabu) are
-// templates over a move evaluator with IncrementalEvaluator's protocol:
+// One search loop per single-move algorithm (localSearch, annealing, tabu),
+// shared by the public entry points in heuristics.cpp. Each driver is a
+// template over a move evaluator with IncrementalEvaluator's protocol:
 // `tryMove(app, machine)` scores a reassignment and stages it without
 // touching the incumbent `mapping()`, the next try overwrites it (a no-op
 // try stages nothing), `commit()` applies it and `revert()` drops it;
@@ -308,99 +308,6 @@ Mapping tabuDriver(Moves moves, const TabuOptions& options) {
   }
   moves.publishStats();
   return best;
-}
-
-/// The GA over assignment vectors (uniform crossover, per-gene mutation,
-/// tournament selection, elitism). `score` maps a genome to the value to
-/// minimize; equal scores give equal results whichever evaluator computes
-/// them. The next generation is written in place into a second buffer of
-/// full-size genomes that is swapped with the population after each
-/// generation, so no generation allocates.
-template <class Score>
-Mapping geneticDriver(std::size_t apps, std::size_t machineCount,
-                      const Mapping& seedMapping, Score&& score,
-                      const GeneticOptions& options) {
-  ROBUST_REQUIRE(options.populationSize >= 2 && options.generations > 0 &&
-                     options.tournamentSize >= 1 && options.eliteCount >= 0 &&
-                     options.eliteCount < options.populationSize,
-                 "geneticAlgorithm: invalid options");
-  ROBUST_REQUIRE(
-      seedMapping.apps() == apps && seedMapping.machines() == machineCount,
-      "geneticAlgorithm: seed mapping does not match the shape");
-  const obs::Span span("sched.genetic");
-  Pcg32 rng(options.seed, /*stream=*/11);
-  const auto machines = static_cast<std::uint32_t>(machineCount);
-  const auto size = static_cast<std::size_t>(options.populationSize);
-  const auto elites = static_cast<std::size_t>(options.eliteCount);
-
-  struct Individual {
-    std::vector<std::size_t> genes;
-    double fitness;  // objective value; smaller is better
-  };
-
-  std::vector<Individual> population;
-  population.reserve(size);
-  population.push_back(
-      {seedMapping.assignment(), score(seedMapping.assignment())});
-  while (population.size() < size) {
-    std::vector<std::size_t> genes(apps);
-    for (auto& g : genes) {
-      g = rng.nextBounded(machines);
-    }
-    const double fitness = score(genes);
-    population.push_back({std::move(genes), fitness});
-  }
-  std::vector<Individual> next(size, {std::vector<std::size_t>(apps), 0.0});
-
-  auto byFitness = [](const Individual& a, const Individual& b) {
-    return a.fitness < b.fitness;
-  };
-
-  auto tournament = [&]() -> const Individual& {
-    const Individual* winner = nullptr;
-    for (int t = 0; t < options.tournamentSize; ++t) {
-      const auto idx = static_cast<std::size_t>(
-          rng.nextBounded(static_cast<std::uint32_t>(size)));
-      if (winner == nullptr || population[idx].fitness < winner->fitness) {
-        winner = &population[idx];
-      }
-    }
-    return *winner;
-  };
-
-  for (int gen = 0; gen < options.generations; ++gen) {
-    std::sort(population.begin(), population.end(), byFitness);
-    for (std::size_t e = 0; e < elites; ++e) {
-      next[e] = population[e];
-    }
-    for (std::size_t c = elites; c < size; ++c) {
-      const Individual& parentA = tournament();
-      const Individual& parentB = tournament();
-      std::vector<std::size_t>& child = next[c].genes;
-      if (rng.nextDouble() < options.crossoverRate) {
-        // Uniform crossover by mask select: next() * 2^-32 is exact, so
-        // nextDouble() < 0.5 holds exactly when next() < 2^31.
-        for (std::size_t i = 0; i < apps; ++i) {
-          const std::size_t takeA = rng.next() < 0x80000000u;
-          const std::size_t a = parentA.genes[i];
-          const std::size_t b = parentB.genes[i];
-          child[i] = b ^ ((a ^ b) & (0 - takeA));
-        }
-      } else {
-        child = parentA.genes;
-      }
-      for (std::size_t i = 0; i < apps; ++i) {
-        if (rng.nextDouble() < options.mutationRate) {
-          child[i] = rng.nextBounded(machines);
-        }
-      }
-      next[c].fitness = score(child);
-    }
-    std::swap(population, next);
-  }
-  const auto best = std::min_element(population.begin(), population.end(),
-                                     byFitness);
-  return Mapping(best->genes, machineCount);
 }
 
 }  // namespace robust::sched::detail

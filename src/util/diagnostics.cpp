@@ -61,11 +61,6 @@ void Diagnostics::fail(RejectCategory category, std::size_t line,
       Diagnostic{source_, line, column, std::move(message), category});
 }
 
-void Diagnostics::warn(std::size_t line, std::size_t column,
-                       std::string message) {
-  warnings_.push_back(Diagnostic{source_, line, column, std::move(message)});
-}
-
 std::string formatValue(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);

@@ -47,21 +47,6 @@ void MmapFile::setForceFallback(bool on) noexcept {
   gForceFallback.store(on, std::memory_order_relaxed);
 }
 
-MmapFile::View& MmapFile::View::operator=(View&& other) noexcept {
-  if (this != &other) {
-    reset();
-    map_ = other.map_;
-    mapLength_ = other.mapLength_;
-    data_ = other.data_;
-    size_ = other.size_;
-    buffer_ = static_cast<std::vector<double>&&>(other.buffer_);
-    other.map_ = nullptr;
-    other.mapLength_ = 0;
-    other.data_ = nullptr;
-    other.size_ = 0;
-  }
-  return *this;
-}
 
 void MmapFile::View::reset() noexcept {
 #if ROBUST_HAVE_MMAP
@@ -192,23 +177,5 @@ void MmapFile::view(std::uint64_t offset, std::size_t length,
 #endif  // ROBUST_HAVE_MMAP
 
 MmapFile::~MmapFile() { close(); }
-
-MmapFile::MmapFile(MmapFile&& other) noexcept
-    : fd_(other.fd_), size_(other.size_), path_(std::move(other.path_)) {
-  other.fd_ = -1;
-  other.size_ = 0;
-}
-
-MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = other.fd_;
-    size_ = other.size_;
-    path_ = std::move(other.path_);
-    other.fd_ = -1;
-    other.size_ = 0;
-  }
-  return *this;
-}
 
 }  // namespace robust::util

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "robust/util/error.hpp"
 
@@ -137,29 +138,6 @@ std::vector<double> guardedCopy(std::span<const double> xs,
 
 }  // namespace
 
-Histogram makeHistogram(std::span<const double> xs, std::size_t bins,
-                        NonFinitePolicy policy) {
-  ROBUST_REQUIRE(bins > 0, "makeHistogram: bins must be positive");
-  const std::vector<double> finite = guardedCopy(xs, policy, "makeHistogram");
-  Histogram h;
-  h.counts.assign(bins, 0);
-  if (finite.empty()) {
-    return h;
-  }
-  h.lo = *std::min_element(finite.begin(), finite.end());
-  h.hi = *std::max_element(finite.begin(), finite.end());
-  const double width = h.hi - h.lo;
-  for (double x : finite) {
-    std::size_t bin =
-        width > 0.0
-            ? static_cast<std::size_t>((x - h.lo) / width *
-                                       static_cast<double>(bins))
-            : 0;
-    bin = std::min(bin, bins - 1);
-    ++h.counts[bin];
-  }
-  return h;
-}
 
 double quantile(std::span<const double> xs, double q, NonFinitePolicy policy) {
   ROBUST_REQUIRE(!xs.empty(), "quantile: empty sample");

@@ -16,6 +16,7 @@
 
 #include "robust/core/compiled.hpp"
 #include "robust/core/impact.hpp"
+#include "robust/core/stream.hpp"
 #include "robust/curve/drift.hpp"
 #include "robust/hiperd/compiled_scenario.hpp"
 #include "robust/hiperd/generator.hpp"
@@ -224,6 +225,29 @@ TEST(AllocationPin, ScaledAndMultiSubspaceEvaluateAllocateNothingWhenWarm) {
   }
 }
 
+// The stream's per-call set-up (arenas, shard outcomes) is sized by the
+// worker count, and the shard winners are folded in place, so a warm call
+// allocates as often over 64 shards as over 2, screened or not.
+TEST(AllocationPin, StreamAllocatesAsOftenOver64ShardsAsOver2) {
+  obs::setEnabled(false);
+  const CompiledProblem p = CompiledProblem::compile(affineSpec(false));
+  const std::vector<double> values = jitteredOrigins(p, 64 * 64);
+  const std::span<const double> twoShards =
+      std::span<const double>(values).first(2 * 64 * kDim);
+  for (const bool screen : {true, false}) {
+    StreamOptions options;
+    options.threads = 1;
+    options.shardInstances = 64;
+    options.screen = screen;
+    (void)analyzeStreamValues(p, values, options);  // warm-up
+    const std::uint64_t two = allocationsOf(
+        [&] { (void)analyzeStreamValues(p, twoShards, options); });
+    const std::uint64_t many = allocationsOf(
+        [&] { (void)analyzeStreamValues(p, values, options); });
+    EXPECT_EQ(many, two) << "screen " << screen;
+  }
+}
+
 TEST(AllocationPin, DriftTrackerUpdatesAllocateNothing) {
   obs::setEnabled(false);
   const CompiledProblem p = CompiledProblem::compile(affineSpec(false));
@@ -305,25 +329,6 @@ TEST(AllocationPin, GeneticAlgorithmAllocatesNothingPerGeneration) {
   });
 }
 
-TEST(AllocationPin, GenericGeneticAlgorithmAllocatesNothingPerGeneration) {
-  obs::setEnabled(false);
-  const auto generated =
-      hiperd::generateScenario(hiperd::ScenarioOptions{}, 2003);
-  const hiperd::CompiledScenario compiled = generated.scenario.compile();
-  ASSERT_TRUE(compiled.fastPath());
-  const sched::MappingObjective objective =
-      hiperd::robustnessObjective(compiled);
-  const std::size_t apps = generated.scenario.graph.applicationCount();
-  const std::size_t machines = generated.scenario.machines;
-  Pcg32 rng(29);
-  const sched::Mapping start = sched::randomMapping(apps, machines, rng);
-  sched::GeneticOptions options;
-  options.populationSize = 40;
-  expectGenerationsAllocateNothing([&](int generations) {
-    options.generations = generations;
-    (void)sched::geneticAlgorithm(apps, machines, start, objective, options);
-  });
-}
 
 TEST(AllocationPin, FullFlightRingRecordsWithoutAllocating) {
   const std::size_t saved = obs::flightCapacity();

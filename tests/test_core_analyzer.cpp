@@ -313,18 +313,6 @@ TEST(Analyzer, UnreachableBoundReportsInfinity) {
   EXPECT_TRUE(std::isinf(report.metric));
 }
 
-// ----------------------------------------------------- combined metric
-
-TEST(CombinedRobustness, TakesMinimumAcrossParameters) {
-  RobustnessReport a;
-  a.metric = 5.0;
-  RobustnessReport b;
-  b.metric = 2.0;
-  const std::vector<RobustnessReport> reports = {a, b};
-  EXPECT_DOUBLE_EQ(combinedRobustness(reports), 2.0);
-  EXPECT_THROW((void)combinedRobustness({}), InvalidArgumentError);
-}
-
 // ------------------------------------------------------------ validator
 
 TEST(Validation, CorrectRadiusHasNoInsideViolations) {

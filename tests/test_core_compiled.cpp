@@ -487,63 +487,6 @@ TEST(CompiledProblemTest, WorkspaceReuseAcrossManySpecs) {
   }
 }
 
-TEST(CompiledProblemTest, AnalyzeBatchDeterministicAcrossThreadCounts) {
-  const ProblemSpec spec = makeAffineSpec(42, NormKind::L2);
-  const CompiledProblem compiled = CompiledProblem::compile(spec);
-
-  Pcg32 rng(9);
-  const std::size_t dim = compiled.dimension();
-  std::vector<num::Vec> origins(37);
-  for (auto& o : origins) {
-    o.resize(dim);
-    for (auto& v : o) {
-      v = rng.uniform(0.0, 20.0);
-    }
-  }
-  std::vector<AnalysisInstance> instances(origins.size());
-  for (std::size_t i = 0; i < origins.size(); ++i) {
-    instances[i].origin = origins[i];
-  }
-
-  // Serial reference: one workspace, in order.
-  std::vector<RobustnessReport> serial(instances.size());
-  EvalWorkspace workspace;
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    serial[i] = compiled.evaluate(instances[i], workspace);
-  }
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{5}, std::size_t{0}}) {
-    const auto batch = compiled.analyzeBatch(instances, threads);
-    ASSERT_EQ(batch.size(), serial.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      expectSameReport(batch[i], serial[i]);
-    }
-  }
-}
-
-TEST(CompiledProblemTest, RowDualNormsMatchRecomputation) {
-  const ProblemSpec spec = makeAffineSpec(11, NormKind::L2);
-  const CompiledProblem compiled = CompiledProblem::compile(spec);
-  for (std::size_t i = 0; i < compiled.featureCount(); ++i) {
-    const num::Vec& w = compiled.features()[i].impact.weights();
-    EXPECT_TRUE(bitEq(compiled.rowDualNorm(i, NormKind::L1), num::normInf(w)));
-    EXPECT_TRUE(bitEq(compiled.rowDualNorm(i, NormKind::L2), num::norm2(w)));
-    EXPECT_TRUE(bitEq(compiled.rowDualNorm(i, NormKind::LInf), num::norm1(w)));
-  }
-}
-
-TEST(CompiledProblemTest, CallableRowDualNormIsNaN) {
-  ProblemSpec spec;
-  spec.parameter = PerturbationParameter{"pi", num::Vec{1.0}, false, ""};
-  spec.features.push_back(PerformanceFeature{
-      "c",
-      ImpactFunction::callable(
-          [](std::span<const double> x) { return x[0] * x[0]; }),
-      ToleranceBounds::atMost(10.0)});
-  const CompiledProblem compiled = CompiledProblem::compile(spec);
-  EXPECT_TRUE(std::isnan(compiled.rowDualNorm(0, NormKind::L2)));
-}
 
 TEST(CompiledProblemTest, ValidationMatchesLegacyAnalyzer) {
   // Same InvalidArgumentError triggers as the legacy constructor.

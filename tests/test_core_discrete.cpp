@@ -7,7 +7,6 @@
 
 #include "robust/core/discrete.hpp"
 #include "robust/core/validation.hpp"
-#include "robust/random/distributions.hpp"
 #include "robust/util/error.hpp"
 
 namespace robust::core {
@@ -140,9 +139,10 @@ class DiscreteBruteForce : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DiscreteBruteForce, ExactBoundMatchesEnumeration) {
   Pcg32 rng(GetParam());
   std::vector<PerformanceFeature> features;
+  // Integer origin coordinates, uniform in [-3, 3].
   const num::Vec origin = {
-      static_cast<double>(rnd::uniformInt(rng, -3, 3)),
-      static_cast<double>(rnd::uniformInt(rng, -3, 3))};
+      static_cast<double>(static_cast<int>(rng.nextBounded(7)) - 3),
+      static_cast<double>(static_cast<int>(rng.nextBounded(7)) - 3)};
   const std::size_t count = 1 + rng.nextBounded(3);
   for (std::size_t f = 0; f < count; ++f) {
     num::Vec w = {rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)};

@@ -718,16 +718,22 @@ TEST(Bands, DkwEpsilonReference) {
 }
 
 TEST(Bands, RegularizedIncompleteBetaReference) {
-  // I_x(2, 3) = 12 * (x^2/2 - 2 x^3/3 + x^4/4); exactly 0.6875 at 0.5.
-  EXPECT_NEAR(regularizedIncompleteBeta(2.0, 3.0, 0.5), 0.6875, 1e-13);
-  EXPECT_DOUBLE_EQ(regularizedIncompleteBeta(2.0, 3.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(regularizedIncompleteBeta(2.0, 3.0, 1.0), 1.0);
-  // Symmetry: I_x(a, b) = 1 - I_{1-x}(b, a).
-  EXPECT_NEAR(regularizedIncompleteBeta(5.0, 2.0, 0.7) +
-                  regularizedIncompleteBeta(2.0, 5.0, 0.3),
-              1.0, 1e-13);
-  // I_x(1, 1) is the identity.
-  EXPECT_NEAR(regularizedIncompleteBeta(1.0, 1.0, 0.42), 0.42, 1e-13);
+  // The bands invert I_x(a, b); check the inversions at closed forms.
+  // I_x(1, b) = 1 - (1 - x)^b: the k = 1 lower bound solves
+  // 1 - (1 - L)^n = alpha / 2.
+  EXPECT_NEAR(clopperPearson(1, 20, 0.95).lower,
+              1.0 - std::pow(0.975, 1.0 / 20.0), 1e-12);
+  // I_x(a, 1) = x^a: the k = n - 1 upper bound solves U^n = 1 - alpha / 2.
+  EXPECT_NEAR(clopperPearson(19, 20, 0.95).upper, std::pow(0.975, 1.0 / 20.0),
+              1e-12);
+  // I_x(2, 3) = 6 x^2 - 8 x^3 + 3 x^4: the k = 2 of n = 4 lower bound.
+  const double x = clopperPearson(2, 4, 0.95).lower;
+  EXPECT_NEAR(x * x * (6.0 - 8.0 * x + 3.0 * x * x), 0.025, 1e-13);
+  // Symmetry I_x(a, b) = 1 - I_{1-x}(b, a): k of n mirrors n - k of n.
+  const BinomialInterval low = clopperPearson(7, 30, 0.9);
+  const BinomialInterval high = clopperPearson(23, 30, 0.9);
+  EXPECT_NEAR(low.lower, 1.0 - high.upper, 1e-12);
+  EXPECT_NEAR(low.upper, 1.0 - high.lower, 1e-12);
 }
 
 TEST(Bands, ClopperPearsonReference) {

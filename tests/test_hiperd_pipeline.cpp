@@ -35,9 +35,19 @@ HiperdScenario chain() {
       {LoadFunction::linear({2.0}), LoadFunction::linear({0.0})},
       {LoadFunction::linear({0.0}), LoadFunction::linear({1.0})},
   };
-  scenario.comm.assign(g.edgeCount(), LoadFunction::zero(1));
+  scenario.comm.assign(g.edgeCount(),
+                       LoadFunction::linear(num::Vec(1, 0.0)));
   scenario.latencyLimits = {120.0};
   return scenario;
+}
+
+// L_k (Eq. 8) at lambda_orig: constraints() lists every path's latency
+// last, in path order.
+double modelLatency(const CompiledScenario& compiled,
+                    const sched::Mapping& mapping, std::size_t k) {
+  const auto constraints = compiled.constraints(mapping);
+  const std::size_t paths = compiled.scenario().graph.paths().size();
+  return constraints[constraints.size() - paths + k].value;
 }
 
 TEST(PipelineSim, StableLatencyEqualsEquationEight) {
@@ -54,8 +64,7 @@ TEST(PipelineSim, StableLatencyEqualsEquationEight) {
   EXPECT_FALSE(r.latencyViolated);
   EXPECT_DOUBLE_EQ(r.growthRate, 0.0);
   EXPECT_DOUBLE_EQ(r.steadyLatency, 30.0);
-  EXPECT_DOUBLE_EQ(r.steadyLatency,
-                   compiled.latency(mapping, 0, scenario.lambdaOrig));
+  EXPECT_DOUBLE_EQ(r.steadyLatency, modelLatency(compiled, mapping, 0));
   // Every data set sees the same latency (deterministic, underloaded).
   for (double latency : r.latencies) {
     EXPECT_DOUBLE_EQ(latency, 30.0);
@@ -135,10 +144,8 @@ TEST(PipelineSim, SimulatesEveryPathOfGeneratedScenarios) {
   // equals Eq. 8, and stability equals the throughput-constraint check.
   for (const auto& r : results) {
     if (r.stable) {
-      EXPECT_NEAR(
-          r.steadyLatency,
-          compiled.latency(mapping, r.path, generated.scenario.lambdaOrig),
-          1e-9);
+      EXPECT_NEAR(r.steadyLatency, modelLatency(compiled, mapping, r.path),
+                  1e-9);
     }
   }
 }

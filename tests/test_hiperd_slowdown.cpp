@@ -37,7 +37,8 @@ HiperdScenario chainScenario() {
       {LoadFunction::linear({2.0}), LoadFunction::linear({99.0})},
       {LoadFunction::linear({99.0}), LoadFunction::linear({1.0})},
   };
-  scenario.comm.assign(g.edgeCount(), LoadFunction::zero(1));
+  scenario.comm.assign(g.edgeCount(),
+                       LoadFunction::linear(num::Vec(1, 0.0)));
   scenario.latencyLimits = {60.0};
   return scenario;
 }
@@ -104,26 +105,6 @@ TEST(Slowdown, WorksOnGeneratedScenarios) {
                                     problem.parameter().origin,
                                     core::NormKind::L2);
   EXPECT_NEAR(report.metric, oracle, 1e-12 * oracle);
-}
-
-TEST(Slowdown, CombinedRobustnessWithSensorLoads) {
-  // The multi-parameter extension: the mapping's overall robustness is the
-  // weaker of the two normalized metrics.
-  const auto generated = generateScenario(ScenarioOptions{}, 7);
-  Pcg32 rng(2);
-  const auto mapping = sched::randomMapping(
-      generated.scenario.graph.applicationCount(),
-      generated.scenario.machines, rng);
-  const CompiledScenario compiled = generated.scenario.compile();
-  const auto loadReport = compiled.analyze(mapping);
-  const auto speedReport =
-      core::CompiledProblem::compile(slowdownSpec(compiled, mapping))
-          .evaluate();
-  const std::vector<core::RobustnessReport> reports = {loadReport,
-                                                       speedReport};
-  const double combined = core::combinedRobustness(reports);
-  EXPECT_DOUBLE_EQ(combined,
-                   std::min(loadReport.metric, speedReport.metric));
 }
 
 }  // namespace

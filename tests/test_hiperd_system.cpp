@@ -31,7 +31,7 @@ TEST(LoadFunction, LinearEvaluatesAndDescribes) {
 }
 
 TEST(LoadFunction, ZeroIsZero) {
-  const auto z = LoadFunction::zero(3);
+  const auto z = LoadFunction::linear(num::Vec(3, 0.0));
   EXPECT_TRUE(z.isZero());
   EXPECT_DOUBLE_EQ(z.evaluate(num::Vec{5.0, 5.0, 5.0}), 0.0);
   EXPECT_EQ(z.describe(), "0");
@@ -103,7 +103,8 @@ HiperdScenario miniScenario() {
       {LoadFunction::linear(unused), LoadFunction::linear({0.0, 3.0})},
       {LoadFunction::linear(unused), LoadFunction::linear({0.0, 1.0})},
   };
-  scenario.comm.assign(g.edgeCount(), LoadFunction::zero(2));
+  scenario.comm.assign(g.edgeCount(),
+                       LoadFunction::linear(num::Vec(2, 0.0)));
   scenario.comm[4] = LoadFunction::linear({0.0, 0.5});  // a2 -> a1 transfer
 
   // Latency limits by path content (enumeration order is an implementation
@@ -203,20 +204,17 @@ TEST(HiperdSystem, LatenciesMatchHandComputation) {
   const HiperdScenario scenario = miniScenario();
   const CompiledScenario compiled = scenario.compile();
   const sched::Mapping mapping = miniMapping();
-  const num::Vec& l = scenario.lambdaOrig;
   const auto& g = scenario.graph;
-  EXPECT_DOUBLE_EQ(
-      compiled.latency(mapping, pathIndexOf(g, PathKind::Trigger, 0), l),
-      130.0);
-  EXPECT_DOUBLE_EQ(
-      compiled.latency(mapping, pathIndexOf(g, PathKind::Trigger, 2), l),
-      208.0);
+  // constraints() lists every path's latency L_k last, in path order.
+  const auto constraints = compiled.constraints(mapping);
+  const auto latency = [&](PathKind kind, std::size_t terminal) {
+    const std::size_t k = pathIndexOf(g, kind, terminal);
+    return constraints[constraints.size() - g.paths().size() + k].value;
+  };
+  EXPECT_DOUBLE_EQ(latency(PathKind::Trigger, 0), 130.0);
+  EXPECT_DOUBLE_EQ(latency(PathKind::Trigger, 2), 208.0);
   // Update path: Tc(a2) + Tn(a2->a1) = 156 + 10.
-  EXPECT_DOUBLE_EQ(
-      compiled.latency(mapping, pathIndexOf(g, PathKind::Update, 2), l),
-      166.0);
-  EXPECT_THROW((void)compiled.latency(mapping, g.paths().size(), l),
-               InvalidArgumentError);
+  EXPECT_DOUBLE_EQ(latency(PathKind::Update, 2), 166.0);
 }
 
 TEST(HiperdSystem, SlackMatchesHandComputation) {
@@ -310,8 +308,9 @@ TEST(HiperdSystem, GeneralLoadFunctionUsesIterativeSolver) {
 
 // The derivation is a free-standing value: a spec built from a temporary
 // compiled scenario stays valid while the scenario lives. The general-load
-// latency impact must not refer to the compiled scenario, and it sums in
-// latency()'s order.
+// latency impact must not refer to the compiled scenario, and it sums Eq. 8
+// in path order: the apps' computation times, then the edges'
+// communication times.
 TEST(HiperdSystem, SpecOutlivesTheSystem) {
   HiperdScenario scenario = miniScenario();
   scenario.compute[3][1] = LoadFunction::general(
@@ -338,10 +337,16 @@ TEST(HiperdSystem, SpecOutlivesTheSystem) {
       continue;
     }
     ++callablePaths;
-    const std::size_t k = std::stoul(f.name.substr(2));
+    const Path& path = scenario.graph.paths()[std::stoul(f.name.substr(2))];
     for (const num::Vec& l : {num::Vec{10.0, 20.0}, num::Vec{37.5, 123.25}}) {
-      EXPECT_EQ(f.impact.evaluate(l), live.latency(miniMapping(), k, l))
-          << f.name;
+      double expected = 0.0;
+      for (std::size_t app : path.apps) {
+        expected += live.computationTime(miniMapping(), app, l);
+      }
+      for (std::size_t edge : path.edges) {
+        expected += live.communicationTime(edge, l);
+      }
+      EXPECT_EQ(f.impact.evaluate(l), expected) << f.name;
     }
   }
   EXPECT_GT(callablePaths, 0u);
@@ -399,7 +404,7 @@ TEST(HiperdSystem, ZeroLoadDependenceYieldsNoFeature) {
   HiperdScenario scenario = miniScenario();
   // Make a0's computation load-independent (zero): its Tc feature vanishes
   // and the remaining analysis still works.
-  scenario.compute[0][0] = LoadFunction::zero(2);
+  scenario.compute[0][0] = LoadFunction::linear(num::Vec(2, 0.0));
   const CompiledScenario compiled = scenario.compile();
   for (const auto& f : compiled.toSpec(miniMapping()).features) {
     EXPECT_NE(f.name, "Tc(a0)");

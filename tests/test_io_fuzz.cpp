@@ -3,7 +3,7 @@
 // Three properties, all deterministic (seeded Pcg32 streams):
 //   1. Round-trip: randomized ETC matrices and HiPer-D scenarios survive
 //      save -> load bit-identically (the %.17g pin), and the loaded copy
-//      produces bit-identical analyzeBatch reports to the in-memory
+//      produces bit-identical evaluate() reports to the in-memory
 //      original — the loader is exactly transparent for valid input.
 //   2. Mutation: every byte-damaged artifact either loads (with only
 //      finite values — nothing non-finite can reach a CompiledProblem) or
@@ -133,11 +133,11 @@ TEST(IoFuzz, EtcLoadedCopyAnalyzesBatchBitIdentically) {
     const core::CompiledProblem a = original.compile();
     const core::CompiledProblem b = reloaded.compile();
     const std::vector<core::AnalysisInstance> instances(3);
-    const auto ra = a.analyzeBatch(instances);
-    const auto rb = b.analyzeBatch(instances);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (std::size_t k = 0; k < ra.size(); ++k) {
-      expectReportsBitIdentical(ra[k], rb[k]);
+    core::EvalWorkspace wa;
+    core::EvalWorkspace wb;
+    for (const core::AnalysisInstance& instance : instances) {
+      expectReportsBitIdentical(a.evaluate(instance, wa),
+                                b.evaluate(instance, wb));
     }
   }
 }

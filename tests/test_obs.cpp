@@ -35,9 +35,13 @@
 #include "robust/scheduling/heuristics.hpp"
 #include "robust/util/rng.hpp"
 #include "robust/util/timer.hpp"
+#include "snapshot_lookup.hpp"
 
 namespace robust {
 namespace {
+
+using testing_util::gaugeValue;
+using testing_util::histogramNamed;
 
 /// RAII guard: every test runs with a clean slate and leaves recording off.
 class ObsFixture : public ::testing::Test {
@@ -84,18 +88,18 @@ TEST_F(ObsMetrics, CounterAccumulatesAndResets) {
 TEST_F(ObsMetrics, UnknownNamesReadAsZero) {
   const auto snapshot = obs::snapshotMetrics();
   EXPECT_EQ(snapshot.counter("test.never_registered"), 0u);
-  EXPECT_EQ(snapshot.gauge("test.never_registered"), 0);
-  EXPECT_EQ(snapshot.histogram("test.never_registered"), nullptr);
+  EXPECT_EQ(gaugeValue(snapshot, "test.never_registered"), 0);
+  EXPECT_EQ(histogramNamed(snapshot, "test.never_registered"), nullptr);
 }
 
 TEST_F(ObsMetrics, GaugeSetAndHighWater) {
   const obs::MetricId id = obs::gaugeId("test.gauge");
   obs::setGauge(id, 7);
-  EXPECT_EQ(obs::snapshotMetrics().gauge("test.gauge"), 7);
+  EXPECT_EQ(gaugeValue(obs::snapshotMetrics(), "test.gauge"), 7);
   obs::maxGauge(id, 3);  // below the high-water mark: no effect
-  EXPECT_EQ(obs::snapshotMetrics().gauge("test.gauge"), 7);
+  EXPECT_EQ(gaugeValue(obs::snapshotMetrics(), "test.gauge"), 7);
   obs::maxGauge(id, 19);
-  EXPECT_EQ(obs::snapshotMetrics().gauge("test.gauge"), 19);
+  EXPECT_EQ(gaugeValue(obs::snapshotMetrics(), "test.gauge"), 19);
 }
 
 TEST_F(ObsMetrics, HistogramBucketsByPowerOfTwo) {
@@ -105,7 +109,7 @@ TEST_F(ObsMetrics, HistogramBucketsByPowerOfTwo) {
   obs::recordLatency(id, 1000);  // bit_width(1000) = 10 -> bucket 10
   obs::recordLatency(id, -5);    // clamped to 0 -> bucket 0
   const auto snapshot = obs::snapshotMetrics();
-  const obs::HistogramValue* hist = snapshot.histogram("test.hist");
+  const obs::HistogramValue* hist = histogramNamed(snapshot, "test.hist");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count, 4u);
   EXPECT_EQ(hist->sumNanos, 1001u);
@@ -119,7 +123,8 @@ TEST_F(ObsMetrics, HistogramSaturatesAtLastBucket) {
   const obs::MetricId id = obs::histogramId("test.hist_saturate");
   obs::recordLatency(id, INT64_MAX);  // bit_width = 63, far past bucket 27
   const auto snapshot = obs::snapshotMetrics();
-  const obs::HistogramValue* hist = snapshot.histogram("test.hist_saturate");
+  const obs::HistogramValue* hist =
+      histogramNamed(snapshot, "test.hist_saturate");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->buckets[obs::kHistogramBuckets - 1], 1u);
 }
@@ -314,7 +319,7 @@ TEST_F(ObsMetrics, HistogramQuantilesUseBucketUpperBounds) {
   }
   const auto snapshot = obs::snapshotMetrics();
   const obs::HistogramValue* hist =
-      snapshot.histogram("test.lat{tenant=alice}");
+      histogramNamed(snapshot, "test.lat{tenant=alice}");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count, 110u);
   EXPECT_EQ(hist->quantileUpperNanos(0.50), 127u);
@@ -322,7 +327,7 @@ TEST_F(ObsMetrics, HistogramQuantilesUseBucketUpperBounds) {
   EXPECT_EQ(hist->quantileUpperNanos(0.99), 1048575u);
 
   const obs::HistogramValue* empty =
-      snapshot.histogram("test.lat{tenant=alice}");
+      histogramNamed(snapshot, "test.lat{tenant=alice}");
   ASSERT_NE(empty, nullptr);
   std::array<std::uint64_t, obs::kHistogramBuckets> zeros{};
   EXPECT_EQ(obs::latencyQuantileUpperNanos(zeros, 0, 0.5), 0u);
@@ -399,7 +404,7 @@ TEST_F(ObsMetrics, LabeledWritersAndMaxGaugeSurviveConcurrentSnapshots) {
     const std::uint64_t seen = snapshot.counter("test.lblrace{tenant=alice}");
     EXPECT_GE(seen, prevAlice);
     EXPECT_LE(seen, kPerTenant);
-    EXPECT_LE(snapshot.gauge("test.lblrace.highwater"), kMaxGauge);
+    EXPECT_LE(gaugeValue(snapshot, "test.lblrace.highwater"), kMaxGauge);
     prevAlice = seen;
   }
   for (std::thread& w : workers) {
@@ -408,7 +413,7 @@ TEST_F(ObsMetrics, LabeledWritersAndMaxGaugeSurviveConcurrentSnapshots) {
   const auto snapshot = obs::snapshotMetrics();
   EXPECT_EQ(snapshot.counter("test.lblrace{tenant=alice}"), kPerTenant);
   EXPECT_EQ(snapshot.counter("test.lblrace{tenant=bob}"), kPerTenant);
-  EXPECT_EQ(snapshot.gauge("test.lblrace.highwater"), kMaxGauge);
+  EXPECT_EQ(gaugeValue(snapshot, "test.lblrace.highwater"), kMaxGauge);
 }
 
 // ---------------------------------------------------------------- trace
@@ -875,7 +880,7 @@ TEST_F(ObsMetrics, MetricLaneRecordsDispatchAndPruneMetrics) {
   EXPECT_EQ(snapshot.counter("core.kernel.dispatch.avx2"), 0u);
   // Row 0 binds; every later row's gap lower bound exceeds the incumbent.
   EXPECT_EQ(snapshot.counter("core.prune.rows_skipped"), 39u);
-  EXPECT_EQ(snapshot.gauge("core.prune.effectiveness"), 39 * 100 / 40);
+  EXPECT_EQ(gaugeValue(snapshot, "core.prune.effectiveness"), 39 * 100 / 40);
 
   if (num::simd::avx2Available()) {
     num::simd::setTarget(num::simd::Target::Avx2);
@@ -899,7 +904,7 @@ TEST_F(ObsMetrics, MetricLaneRecordsNothingWhenDisabled) {
   EXPECT_EQ(snapshot.counter("core.kernel.dispatch.scalar"), 0u);
   EXPECT_EQ(snapshot.counter("core.kernel.dispatch.avx2"), 0u);
   EXPECT_EQ(snapshot.counter("core.prune.rows_skipped"), 0u);
-  EXPECT_EQ(snapshot.gauge("core.prune.effectiveness"), 0);
+  EXPECT_EQ(gaugeValue(snapshot, "core.prune.effectiveness"), 0);
 }
 
 TEST_F(ObsMetrics, HiperdMetricLaneRecordsAnalyzeCounter) {
@@ -967,9 +972,9 @@ TEST_F(ObsMetrics, StreamLaneRecordsShardsInstancesAndMmapBytes) {
             result.screenedInstances);
   // The shard-queue high-water mark is the whole queue: every shard is
   // enqueued up front and drained by ticket.
-  EXPECT_EQ(snapshot.gauge("core.stream.queue_high_water"), 5);
+  EXPECT_EQ(gaugeValue(snapshot, "core.stream.queue_high_water"), 5);
   const std::int64_t inflight =
-      snapshot.gauge("core.stream.inflight_high_water");
+      gaugeValue(snapshot, "core.stream.inflight_high_water");
   EXPECT_GE(inflight, 1);
   EXPECT_LE(inflight, 2);
   // Every payload byte travels through exactly one window: 64-byte
@@ -993,8 +998,8 @@ TEST_F(ObsMetrics, StreamLaneRecordsNothingWhenDisabled) {
   EXPECT_EQ(snapshot.counter("core.stream.instances_screened"), 0u);
   EXPECT_EQ(snapshot.counter("io.mmap.bytes_mapped"), 0u);
   EXPECT_EQ(snapshot.counter("io.mmap.bytes_read"), 0u);
-  EXPECT_EQ(snapshot.gauge("core.stream.queue_high_water"), 0);
-  EXPECT_EQ(snapshot.gauge("core.stream.inflight_high_water"), 0);
+  EXPECT_EQ(gaugeValue(snapshot, "core.stream.queue_high_water"), 0);
+  EXPECT_EQ(gaugeValue(snapshot, "core.stream.inflight_high_water"), 0);
 }
 
 TEST_F(ObsMetrics, AnnealingAndGeneticFlushTheirSearchWork) {

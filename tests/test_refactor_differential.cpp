@@ -849,8 +849,8 @@ std::string assignmentLine(const std::string& tag,
 // first lines are plan's shape (128x16 CVB ETC, population 40, 60
 // generations, MinMin start); the rest cover the options whose code paths
 // the buffer swap touches: no elites, never and always crossing over, a
-// population of three, and one-entrant tournaments. Each case runs through
-// both overloads.
+// population of three, and one-entrant tournaments. Each case was recorded
+// through both overloads; only the EtcObjective one still exists.
 constexpr const char* kFrozenGeneticReference = R"(plan[1].etc=3,0,13,1,12,1,6,12,4,11,2,15,10,2,12,1,15,1,10,15,12,4,6,15,9,3,15,10,2,15,6,10,9,6,11,1,6,12,3,0,12,3,12,3,3,7,13,4,11,2,14,3,7,13,12,5,3,8,14,10,0,6,3,4,9,10,4,15,11,1,13,14,11,10,12,6,14,9,11,6,3,4,0,12,0,8,1,12,9,11,9,1,14,7,0,4,10,11,4,10,1,9,12,14,15,0,12,12,5,13,13,2,2,6,13,8,1,5,6,5,4,1,6,4,12,15,12,10
 plan[1].generic=3,0,13,1,12,1,6,12,4,11,2,15,10,2,12,1,15,1,10,15,12,4,6,15,9,3,15,10,2,15,6,10,9,6,11,1,6,12,3,0,12,3,12,3,3,7,13,4,11,2,14,3,7,13,12,5,3,8,14,10,0,6,3,4,9,10,4,15,11,1,13,14,11,10,12,6,14,9,11,6,3,4,0,12,0,8,1,12,9,11,9,1,14,7,0,4,10,11,4,10,1,9,12,14,15,0,12,12,5,13,13,2,2,6,13,8,1,5,6,5,4,1,6,4,12,15,12,10
 plan[2].etc=6,7,5,1,10,13,13,11,8,12,2,4,14,13,12,13,10,15,11,13,8,12,7,15,15,9,13,0,3,0,8,11,7,6,4,2,14,7,13,10,15,8,3,13,2,11,1,0,2,9,6,12,11,13,15,7,14,10,3,7,0,0,13,13,3,14,3,11,9,12,13,0,4,4,1,11,3,11,15,6,13,14,13,5,6,15,5,15,5,2,8,11,13,1,3,12,4,2,8,1,5,4,9,6,13,9,13,1,13,2,1,8,6,9,7,13,13,14,4,3,11,6,13,10,10,0,0,13
@@ -877,11 +877,9 @@ TEST(RefactorDifferential, GeneticMatchesFrozenAssignments) {
               assignmentLine(tag + ".etc",
                              sched::geneticAlgorithm(etc, start, objective,
                                                      options)));
-    EXPECT_EQ(frozen.take(),
-              assignmentLine(tag + ".generic",
-                             sched::geneticAlgorithm(
-                                 etc.apps(), etc.machines(), start,
-                                 objective.generic(etc), options)));
+    // The ".generic" line pinned the shape-generic overload, since deleted.
+    // The recorded data stays as it was; the line is skipped.
+    EXPECT_EQ(frozen.take().rfind(tag + ".generic=", 0), 0u);
   };
   sched::EtcOptions planShape;
   planShape.apps = 128;

@@ -14,10 +14,12 @@
 #include "robust/scheduling/cloud_system.hpp"
 #include "robust/util/error.hpp"
 #include "robust/util/rng.hpp"
+#include "snapshot_lookup.hpp"
 
 namespace {
 
 using namespace robust;
+using testing_util::gaugeValue;
 using sched::CloudScenario;
 using sched::CloudSystem;
 using sched::Mapping;
@@ -140,7 +142,7 @@ TEST(Cloud, EndToEndObsRunReportCarriesTheFailureRadius) {
   EXPECT_GE(radius, 1u);
 
   const obs::MetricsSnapshot snap = obs::snapshotMetrics();
-  EXPECT_EQ(snap.gauge("core.failure.radius"),
+  EXPECT_EQ(gaugeValue(snap, "core.failure.radius"),
             static_cast<std::int64_t>(radius));
 
   obs::RunReport run;

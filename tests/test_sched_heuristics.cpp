@@ -310,9 +310,9 @@ TEST(GeneticAlgorithm, ImprovesAndIsDeterministic) {
   options.generations = 40;
   options.seed = 4;
   const Mapping a =
-      geneticAlgorithm(etc.apps(), etc.machines(), start, obj, options);
+      geneticAlgorithm(etc, start, EtcObjective::makespan(), options);
   const Mapping b =
-      geneticAlgorithm(etc.apps(), etc.machines(), start, obj, options);
+      geneticAlgorithm(etc, start, EtcObjective::makespan(), options);
   EXPECT_EQ(a.assignment(), b.assignment());
   EXPECT_LE(obj(a), obj(start));
 }
@@ -321,14 +321,17 @@ TEST(GeneticAlgorithm, OptionValidation) {
   const EtcMatrix etc = tinyEtc();
   GeneticOptions bad;
   bad.populationSize = 1;
-  EXPECT_THROW((void)geneticAlgorithm(etc.apps(), etc.machines(),
-                                      roundRobinMapping(etc),
-                                      makespanObjective(etc), bad),
+  EXPECT_THROW((void)geneticAlgorithm(etc, roundRobinMapping(etc),
+                                      EtcObjective::makespan(), bad),
                InvalidArgumentError);
   bad = {};
   bad.eliteCount = 100;
   EXPECT_THROW((void)geneticAlgorithm(etc, roundRobinMapping(etc),
                                       EtcObjective::makespan(), bad),
+               InvalidArgumentError);
+  // A seed mapping of another shape.
+  EXPECT_THROW((void)geneticAlgorithm(etc, Mapping({0, 0}, etc.machines()),
+                                      EtcObjective::makespan()),
                InvalidArgumentError);
 }
 

@@ -87,9 +87,9 @@ TEST(IndependentSystem, RadiiMatchHandComputation) {
   const IndependentTaskSystem system(etc, m, 1.2);
   // M_orig = 7, tau M = 8.4.
   // r(F_0) = (8.4 - 7) / sqrt(2), r(F_1) = (8.4 - 6) / sqrt(2).
-  EXPECT_NEAR(system.robustnessRadius(0), 1.4 / std::sqrt(2.0), 1e-12);
-  EXPECT_NEAR(system.robustnessRadius(1), 2.4 / std::sqrt(2.0), 1e-12);
   const auto analysis = system.analyze();
+  EXPECT_NEAR(analysis.radii[0], 1.4 / std::sqrt(2.0), 1e-12);
+  EXPECT_NEAR(analysis.radii[1], 2.4 / std::sqrt(2.0), 1e-12);
   EXPECT_NEAR(analysis.robustness, 1.4 / std::sqrt(2.0), 1e-12);
   EXPECT_EQ(analysis.bindingMachine, 0u);
   EXPECT_DOUBLE_EQ(analysis.predictedMakespan, 7.0);
@@ -99,8 +99,8 @@ TEST(IndependentSystem, EmptyMachineHasInfiniteRadius) {
   const EtcMatrix etc = quickEtc();
   const Mapping m({0, 0, 0, 0}, 2);
   const IndependentTaskSystem system(etc, m, 1.5);
-  EXPECT_TRUE(std::isinf(system.robustnessRadius(1)));
   const auto analysis = system.analyze();
+  EXPECT_TRUE(std::isinf(analysis.radii[1]));
   EXPECT_EQ(analysis.bindingMachine, 0u);
   EXPECT_TRUE(std::isfinite(analysis.robustness));
 }
@@ -208,8 +208,7 @@ TEST_P(Eq6VsGenericAnalyzer, ClosedFormMatchesFePiaAnalyzer) {
     if (counts[j] == 0) {
       continue;
     }
-    EXPECT_NEAR(system.robustnessRadius(j),
-                generic.radii[featureIndex].radius, 1e-9)
+    EXPECT_NEAR(direct.radii[j], generic.radii[featureIndex].radius, 1e-9)
         << "machine " << j;
     ++featureIndex;
   }

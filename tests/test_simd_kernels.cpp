@@ -611,14 +611,6 @@ TEST_F(SearchWiring, RobustnessObjectiveDrivesTheGenericOptimizers) {
   EXPECT_EQ(annealed.apps(), apps);
   EXPECT_LE(objective(annealed), startScore);
 
-  sched::GeneticOptions genetic;
-  genetic.populationSize = 10;
-  genetic.generations = 5;
-  const auto evolved =
-      sched::geneticAlgorithm(apps, machines, start, objective, genetic);
-  EXPECT_EQ(evolved.apps(), apps);
-  EXPECT_LE(objective(evolved), startScore);  // elitism keeps the seed
-
   // The objective is the negated metric: cross-check one value.
   EXPECT_EQ(objective(start), -compiled.analyzeMetric(start).metric);
 }
@@ -630,8 +622,6 @@ TEST_F(SearchWiring, ShapeMismatchesAreRejected) {
   Pcg32 rng(10);
   const auto wrong = sched::randomMapping(3, 2, rng);
   EXPECT_THROW((void)sched::localSearch(4, 2, wrong, objective),
-               InvalidArgumentError);
-  EXPECT_THROW((void)sched::geneticAlgorithm(3, 3, wrong, objective),
                InvalidArgumentError);
 }
 
